@@ -7,6 +7,12 @@ which keeps the reference error well below every measured error.  Member
 runs are independent and may execute on a small thread pool (capped by the
 BENJ_THREADS environment variable); reports are assembled in bandwidth
 order, so results do not depend on scheduling.
+
+Studies exchange full-range ``SpectralField``s with ``evolve``.  The one
+exception is the linearized study: its stored reference trajectory and the
+frozen advection term it feeds to ``evolve(nonlinear=...)`` use the folded
+half layout of ``spectral`` (modes k = 0..N times (-1)^k), the layout the
+stepper's inner loop carries.
 """
 
 from __future__ import annotations
@@ -24,7 +30,16 @@ from .initdata import InitialDataSpec, build_field, kdv_soliton
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
 from .semidiscrete import frozen_nonlinear_term
-from .spectral import SpectralField, embed, l2_norm, linf_norm, peak_position, project, translate
+from .spectral import (
+    SpectralField,
+    embed,
+    fold_half,
+    l2_norm,
+    linf_norm,
+    peak_position,
+    project,
+    translate,
+)
 from .timestep import IntegratorConfig, default_dt, evolve
 
 _ERROR_FLOOR = 1e-300
@@ -206,7 +221,7 @@ class _SteppedTrajectory:
 
     def __init__(self, times_count: int, dt: float, states: np.ndarray):
         self.dt = dt
-        self.states = states  # (times_count, modes) complex
+        self.states = states  # (times_count, modes) complex, folded half layout
         self.count = times_count
 
     def at(self, t: float) -> np.ndarray:
@@ -223,12 +238,13 @@ class _SteppedTrajectory:
             return (1.0 - frac) * self.states[i0] + frac * self.states[nxt]
         start = min(max(i0 - 1, 0), self.count - 4)
         xi = pos - start
-        nodes = np.arange(4.0)
-        weights = np.ones(4)
+        weights = []
         for a in range(4):
+            w = 1.0
             for b in range(4):
                 if a != b:
-                    weights[a] *= (xi - nodes[b]) / (nodes[a] - nodes[b])
+                    w *= (xi - b) / (a - b)
+            weights.append(w)
         return np.tensordot(weights, self.states[start : start + 4], axes=1)
 
 
@@ -256,11 +272,11 @@ def intermediate_problem_study(
 
     u0_ref = build_field(data_spec, params, n_ref)
     n_keep = (1 + params.q) * max(n_values)
-    store = [project(u0_ref, n_keep).coeffs]
+    store = [fold_half(u0_ref.coeffs, n_keep)]
     ref_config = IntegratorConfig(policy.method, dt, t_star, 1)
     ref_result = evolve(
         u0_ref, params, ref_config,
-        observer=lambda t, f: store.append(project(f, n_keep).coeffs),
+        observer=lambda t, f: store.append(fold_half(f.coeffs, n_keep)),
         record_snapshots=False,
     )
     n_steps = ref_result.n_steps
@@ -269,8 +285,7 @@ def intermediate_problem_study(
 
     def run_one(n: int):
         n_u = (1 + params.q) * n
-        lo = n_keep - n_u
-        traj = _SteppedTrajectory(n_steps + 1, dt, stored[:, lo : lo + 2 * n_u + 1])
+        traj = _SteppedTrajectory(n_steps + 1, dt, stored[:, : n_u + 1])
         term = frozen_nonlinear_term(params, n, n_u)
         nonlinear = lambda c, t: term(traj.at(t), c)
         w0 = project(u0_ref, n)

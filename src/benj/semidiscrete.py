@@ -25,14 +25,10 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import ModelParams, symbol_l
-from .spectral import (
-    SpectralField,
-    analyze_coeffs,
-    dealiased_power,
-    hermitian_part,
-    next_fast_len,
-    synth_values,
-)
+from .spectral import SpectralField, fold_half, next_fast_len, unfold_half
+
+# Re-exported: perfbench's tracer patches these names on this module.
+from .spectral import analyze_coeffs, synth_values  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,7 @@ class LinearMultipliers:
     """Per-mode dispersive factors Lambda_k = i*kappa_k*symbol(kappa_k)."""
 
     n_modes: int
-    lam: np.ndarray  # complex128, length 2N+1, purely imaginary, Lambda_0 = 0
+    lam: np.ndarray  # complex128, purely imaginary, Lambda_0 = 0; k = -N..N, or k = 0..N
 
     def __post_init__(self):
         self.lam.setflags(write=False)
@@ -52,24 +48,34 @@ def linear_multipliers(params: ModelParams, n_modes: int) -> LinearMultipliers:
     return LinearMultipliers(n_modes, lam)
 
 
-def nonlinear_term(
+def folded_nonlinear_term(
     params: ModelParams, n_modes: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Array-level closure for the flux term -i*kappa*P_N[f(u)]_hat.
+    """Closure for the flux term -i*kappa*P_N[f(u)]_hat in the folded half
+    layout (see ``spectral``): one irfft, the power, one rfft.
 
-    Returns a function of the coefficient vector, with the padded-grid plan
-    precomputed once; used in the integrator's inner loop.
+    The padded grid M and one factor merging -i*kappa/p with the M^(p-1)
+    of the unnormalized transforms are precomputed; mode 0 gets factor 0,
+    so its flux is exactly zero.  This is the integrator's inner loop.
     """
     p = params.q + 1
     m = next_fast_len((p + 1) * n_modes + 1)
-    factor = -1j * np.arange(-n_modes, n_modes + 1) / params.domain_scale
+    factor = -1j * np.arange(n_modes + 1) / params.domain_scale * (float(m) ** (p - 1) / p)
 
-    def term(coeffs: np.ndarray) -> np.ndarray:
-        vals = synth_values(coeffs, n_modes, m)
-        fhat = analyze_coeffs(vals**p, n_modes) / p
-        return factor * fhat
+    def term(half: np.ndarray) -> np.ndarray:
+        vals = np.fft.irfft(half, n=m)
+        vals **= p
+        return factor * np.fft.rfft(vals)[: n_modes + 1]
 
     return term
+
+
+def nonlinear_term(
+    params: ModelParams, n_modes: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Full-range closure for the flux term -i*kappa*P_N[f(u)]_hat."""
+    term = folded_nonlinear_term(params, n_modes)
+    return lambda coeffs: unfold_half(term(fold_half(coeffs, n_modes)))
 
 
 def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
@@ -86,20 +92,25 @@ def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
 def frozen_nonlinear_term(
     params: ModelParams, n_w: int, n_u: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Array-level closure for -P_N[f'(u_frozen) w_x]_hat.
+    """Closure for -P_N[f'(u_frozen) w_x]_hat in the folded half layout.
 
-    ``u_frozen`` may carry a larger bandwidth than w (the linearized study
-    freezes a finer reference solution).  The pointwise product of
-    f'(u) = u^q (bandwidth q*n_u) with w_x (bandwidth n_w) is formed on a
-    grid wide enough that its truncation to |k| <= n_w is alias-free.
+    Takes ``u_frozen`` (length n_u + 1) and w (length n_w + 1) and returns
+    length n_w + 1.  ``u_frozen`` may carry a larger bandwidth than w (the
+    linearized study freezes a finer reference solution).  The pointwise
+    product of f'(u) = u^q (bandwidth q*n_u) with w_x (bandwidth n_w) is
+    formed on a grid wide enough that its truncation to |k| <= n_w is
+    alias-free.  The factor on w merges i*kappa, the sign and the M^q of
+    the unnormalized transforms.
     """
-    m = next_fast_len(max(params.q * n_u + 2 * n_w, 2 * n_u, 2 * n_w) + 1)
-    ikappa_w = 1j * np.arange(-n_w, n_w + 1) / params.domain_scale
+    q = params.q
+    m = next_fast_len(max(q * n_u + 2 * n_w, 2 * n_u, 2 * n_w) + 1)
+    w_factor = -1j * np.arange(n_w + 1) / params.domain_scale * float(m) ** q
 
-    def term(u_coeffs: np.ndarray, w_coeffs: np.ndarray) -> np.ndarray:
-        fprime_vals = synth_values(u_coeffs, n_u, m) ** params.q
-        wx_vals = synth_values(ikappa_w * w_coeffs, n_w, m)
-        return -analyze_coeffs(fprime_vals * wx_vals, n_w)
+    def term(u_half: np.ndarray, w_half: np.ndarray) -> np.ndarray:
+        vals = np.fft.irfft(u_half, n=m)
+        vals **= q
+        vals *= np.fft.irfft(w_factor * w_half, n=m)
+        return np.fft.rfft(vals)[: n_w + 1]
 
     return term
 
@@ -114,10 +125,7 @@ def linearized_rhs(
             f"{w.domain_scale} vs {u_frozen.domain_scale}"
         )
     mult = linear_multipliers(params, w.n_modes)
-    term = frozen_nonlinear_term(params, w.n_modes, u_frozen.n_modes)
-    return w.with_coeffs(mult.lam * w.coeffs + term(u_frozen.coeffs, w.coeffs))
-
-
-def galerkin_flux_coeffs(params: ModelParams, u: SpectralField) -> np.ndarray:
-    """Exact truncated coefficients of f(u); convenience for diagnostics."""
-    return hermitian_part(dealiased_power(u, params.q + 1).coeffs / (params.q + 1))
+    n_w, n_u = w.n_modes, u_frozen.n_modes
+    term = frozen_nonlinear_term(params, n_w, n_u)
+    flux = term(fold_half(u_frozen.coeffs, n_u), fold_half(w.coeffs, n_w))
+    return w.with_coeffs(mult.lam * w.coeffs + unfold_half(flux))

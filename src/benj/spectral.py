@@ -12,6 +12,16 @@ every ``SpectralField`` represents a real function.
 Transform normalization: analysis divides by the number of samples,
 synthesis does not.  Collocation grids start at the left endpoint,
 x_j = -L*pi + 2*L*pi*j/M.
+
+Two coefficient layouts are in use.  ``SpectralField``, snapshots and every
+public function take the full range above.  The time stepper's inner loop
+carries the folded half layout instead: the nonnegative modes k = 0..N
+only, each multiplied by the grid phase (-1)^k, which is exactly the
+vector ``np.fft.irfft`` takes for the grid above.  Hermitian symmetry then
+holds by construction, and a transform is one real FFT with no sign
+passes.  ``fold_half`` and ``unfold_half`` convert between the two; the
+stepper calls them only at its boundary (start, snapshot/observer cadence,
+final state).
 """
 
 from __future__ import annotations
@@ -109,20 +119,33 @@ def _alternating_signs(n_modes: int) -> np.ndarray:
     return signs
 
 
+def fold_half(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
+    """Folded half layout (-1)^k * u_hat_k, k = 0..n_modes, of a full-range
+    vector of any bandwidth >= n_modes (higher modes are dropped)."""
+    center = len(coeffs) // 2
+    return coeffs[center : center + n_modes + 1] * _alternating_signs(n_modes)
+
+
+def unfold_half(half: np.ndarray) -> np.ndarray:
+    """Full-range vector k = -N..N of a folded half-layout vector."""
+    pos = half * _alternating_signs(len(half) - 1)
+    return np.concatenate([np.conj(pos[:0:-1]), pos])
+
+
 def synth_values(coeffs: np.ndarray, n_modes: int, n_points: int) -> np.ndarray:
     """Evaluate a Hermitian coefficient vector on the M-point grid (array level)."""
-    half = np.zeros(n_points // 2 + 1, dtype=np.complex128)
-    half[: n_modes + 1] = coeffs[n_modes:] * _alternating_signs(n_modes)
-    return np.fft.irfft(half, n=n_points) * n_points
+    if n_points < 2 * n_modes:
+        raise BandwidthError(f"need at least 2N={2 * n_modes} points, got {n_points}")
+    return np.fft.irfft(fold_half(coeffs, n_modes), n=n_points) * n_points
 
 
 def analyze_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
     """Truncated Fourier coefficients of real grid samples (array level)."""
-    m = len(values)
-    spec = np.fft.rfft(values)[: n_modes + 1] / m
-    pos = spec * _alternating_signs(n_modes)
-    pos[0] = pos[0].real
-    return np.concatenate([np.conj(pos[:0:-1]), pos])
+    if len(values) < 2 * n_modes:
+        raise BandwidthError(f"need at least 2N={2 * n_modes} points, got {len(values)}")
+    half = np.fft.rfft(values)[: n_modes + 1] / len(values)
+    half[0] = half[0].real
+    return unfold_half(half)
 
 
 def to_physical(field: SpectralField, n_points: int | None = None) -> PhysicalField:

@@ -14,6 +14,17 @@ are fourth order in the nonlinear dynamics:
 
 Both multiply mode 0 by exp(0) = 1 and receive an identically zero
 nonlinear increment there, so the mean is conserved bit-exactly.
+
+The loop carries the state in the folded half layout of ``spectral``
+(modes k = 0..N times (-1)^k), so a flux evaluation is one irfft and one
+rfft and the state is Hermitian by construction.  The diagonal weights
+commute with the sign fold and are computed for k = 0..N only.
+``evolve`` and ``step`` take and return full-range ``SpectralField``s and
+convert only at the start, on the snapshot/observer cadence and at the
+final state.  A ``nonlinear=`` callable replaces the flux inside the
+loop, so it receives and returns folded half-layout vectors of length
+N+1: ``nonlinear(c_half, t) -> flux_half``.  Its mode-0 entry must be real
+(the projection of a real function's mean).
 """
 
 from __future__ import annotations
@@ -26,8 +37,12 @@ import numpy as np
 
 from .errors import DivergenceError
 from .model import ModelParams
-from .semidiscrete import LinearMultipliers, linear_multipliers, nonlinear_term
-from .spectral import SpectralField, hermitian_part
+from .semidiscrete import LinearMultipliers, folded_nonlinear_term, linear_multipliers
+from .spectral import SpectralField, fold_half, unfold_half
+
+# Re-exported: perfbench's tracer patches these names on this module.
+from .semidiscrete import nonlinear_term  # noqa: F401
+from .spectral import hermitian_part  # noqa: F401
 
 _METHODS = ("etdrk4", "ifrk4")
 _GROWTH_LIMIT = 1e6
@@ -128,9 +143,10 @@ def etd_coefficients(multipliers: LinearMultipliers, dt: float) -> EtdCoefficien
 
 def _etdrk4_step(c: np.ndarray, nl: NonlinearTerm, k: EtdCoefficients, t: float):
     na = nl(c, t)
-    a = k.e_half * c + k.q * na
+    ec = k.e_half * c
+    a = ec + k.q * na
     nb = nl(a, t + 0.5 * k.dt)
-    b = k.e_half * c + k.q * nb
+    b = ec + k.q * nb
     nc = nl(b, t + 0.5 * k.dt)
     cstage = k.e_half * a + k.q * (2.0 * nc - na)
     nd = nl(cstage, t + k.dt)
@@ -146,49 +162,49 @@ def _ifrk4_step(c, nl, e_full, e_half, dt: float, t: float):
 
 
 class _Stepper:
-    """One-step kernel bound to a method, step size, and nonlinear term."""
+    """One-step kernel in the folded half layout, bound to a method, step
+    size and nonlinear term (the folded flux of ``params`` by default)."""
 
-    def __init__(self, method: str, mult: LinearMultipliers, dt: float, nl: NonlinearTerm):
+    def __init__(self, params: ModelParams, n_modes: int, method: str, dt: float,
+                 nonlinear: Optional[NonlinearTerm] = None):
+        if nonlinear is None:
+            term = folded_nonlinear_term(params, n_modes)
+            nonlinear = lambda c, t: term(c)
+        lam = linear_multipliers(params, n_modes).lam[n_modes:]
         self.method = method
         self.dt = dt
-        self.nl = nl
+        self.nl = nonlinear
         if method == "etdrk4":
-            self.coeffs = etd_coefficients(mult, dt)
+            self.coeffs = etd_coefficients(LinearMultipliers(n_modes, lam), dt)
         else:
-            self.e_full = np.exp(mult.lam * dt)
-            self.e_half = np.exp(mult.lam * dt / 2.0)
+            self.e_full = np.exp(lam * dt)
+            self.e_half = np.exp(lam * dt / 2.0)
 
     def __call__(self, c: np.ndarray, t: float) -> np.ndarray:
         if self.method == "etdrk4":
-            out = _etdrk4_step(c, self.nl, self.coeffs, t)
-        else:
-            out = _ifrk4_step(c, self.nl, self.e_full, self.e_half, self.dt, t)
-        return hermitian_part(out)
-
-
-def _default_nonlinear(params: ModelParams, n_modes: int) -> NonlinearTerm:
-    term = nonlinear_term(params, n_modes)
-    return lambda c, t: term(c)
+            return _etdrk4_step(c, self.nl, self.coeffs, t)
+        return _ifrk4_step(c, self.nl, self.e_full, self.e_half, self.dt, t)
 
 
 def step(
     u: SpectralField,
     params: ModelParams,
     config: IntegratorConfig,
-    coeffs: Optional[EtdCoefficients] = None,
     nonlinear: Optional[NonlinearTerm] = None,
     t: float = 0.0,
 ) -> SpectralField:
-    """Advance one step of the configured method; symmetry re-enforced after."""
-    nl = nonlinear if nonlinear is not None else _default_nonlinear(params, u.n_modes)
-    mult = linear_multipliers(params, u.n_modes)
-    if config.method == "etdrk4" and coeffs is not None:
-        out = hermitian_part(_etdrk4_step(u.coeffs, nl, coeffs, t))
-    else:
-        out = _Stepper(config.method, mult, config.dt, nl)(u.coeffs, t)
+    """Advance one step of ``config.dt`` through the stepper ``evolve`` uses."""
+    stepper = _Stepper(params, u.n_modes, config.method, config.dt, nonlinear)
+    out = stepper(fold_half(u.coeffs, u.n_modes), t)
     if not np.all(np.isfinite(out)):
         raise DivergenceError(f"nonfinite coefficients after step at t={t}", time=t)
-    return u.with_coeffs(out)
+    return u.with_coeffs(unfold_half(out))
+
+
+def _norm(half: np.ndarray) -> float:
+    """l2 norm of the full-range vector: |c_0|^2 + 2*sum_{k>=1} |c_k|^2."""
+    rest = half[1:]
+    return math.sqrt(abs(half[0]) ** 2 + 2.0 * np.vdot(rest, rest).real)
 
 
 @dataclass
@@ -215,46 +231,47 @@ def evolve(
     the final step; the same cadence populates ``snapshots`` unless
     ``record_snapshots`` is off (observer-only mode, for dense cadences
     whose retention the caller manages).  Evolution is single-threaded and
-    bit-deterministic for identical inputs.
+    bit-deterministic for identical inputs.  ``nonlinear`` (if given)
+    replaces the flux inside the loop and so works on folded half-layout
+    vectors of length N+1 (see the module docstring).
 
     Raises DivergenceError, tagged with the failure time, if coefficients
     go nonfinite or the norm grows by more than a factor of 1e6.
     """
-    nl = nonlinear if nonlinear is not None else _default_nonlinear(params, u0.n_modes)
-    mult = linear_multipliers(params, u0.n_modes)
-
+    n = u0.n_modes
     n_full = int(math.floor(config.t_end / config.dt + 1e-9))
     remainder = config.t_end - n_full * config.dt
     if remainder <= 1e-9 * config.dt:
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0.0 else 0)
 
-    stepper = _Stepper(config.method, mult, config.dt, nl)
-    c = u0.coeffs.copy()
-    norm0 = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+    stepper = _Stepper(params, n, config.method, config.dt, nonlinear)
+    c = fold_half(u0.coeffs, n)
+    norm0 = _norm(c)
     snapshots = []
     t = t0
 
     for s in range(1, total_steps + 1):
         if s == n_full + 1:  # shortened final step
-            stepper = _Stepper(config.method, mult, remainder, nl)
+            stepper = _Stepper(params, n, config.method, remainder, nonlinear)
             c = stepper(c, t)
             t = t0 + config.t_end
         else:
             c = stepper(c, t)
             t = t0 + (s * config.dt if s < total_steps else config.t_end)
-        if not np.all(np.isfinite(c)):
+        norm = _norm(c)  # finite unless an entry is nonfinite or the sum overflows
+        if not math.isfinite(norm) and not np.all(np.isfinite(c)):
             raise DivergenceError(f"nonfinite coefficients at t={t}", time=t)
-        if norm0 > 0 and np.sqrt(np.sum(np.abs(c) ** 2)) > _GROWTH_LIMIT * norm0:
+        if norm0 > 0 and norm > _GROWTH_LIMIT * norm0:
             raise DivergenceError(f"norm grew beyond 1e6x initial at t={t}", time=t)
         if s % config.snapshot_stride == 0 or s == total_steps:
-            field = u0.with_coeffs(c)
+            field = u0.with_coeffs(unfold_half(c))
             if record_snapshots:
                 snapshots.append((t, field))
             if observer is not None:
                 observer(t, field)
 
-    final = u0.with_coeffs(c) if total_steps else u0
+    final = u0.with_coeffs(unfold_half(c)) if total_steps else u0
     return EvolveResult(final=final, final_time=t, snapshots=snapshots, n_steps=total_steps)
 
 

@@ -86,3 +86,74 @@ def etd_weights_highprec(z):
         f2 = (2 + zz + ez * (zz - 2)) / zz**3
         f3 = (-4 - 3 * zz - zz**2 + ez * (4 - zz)) / zz**3
         return complex(q), complex(f1), complex(f2), complex(f3)
+
+
+def frozen_term_direct(params: ModelParams, w: SpectralField, u: SpectralField):
+    """-P_N[u^q w_x] on |k| <= N_w by direct convolution."""
+    acc = u.coeffs.copy()
+    for _ in range(params.q - 1):
+        acc = convolve_coeffs(acc, u.coeffs)
+    prod = convolve_coeffs(acc, 1j * w.kappa * w.coeffs)
+    half = (len(prod) - 1) // 2
+    lo = half - w.n_modes
+    return -prod[lo : lo + 2 * w.n_modes + 1]
+
+
+def _flux_full_range(params: ModelParams, n_modes: int):
+    """-i*kappa*P_N[f(u)] over k = -N..N with complex FFTs on the padded grid
+    x_j = -L*pi + 2*L*pi*j/M; shares no transform code with the library."""
+    p = params.q + 1
+    m = (p + 1) * n_modes + 1
+    k = np.arange(-n_modes, n_modes + 1)
+    phase = (-1.0) ** k  # e^{i k x_0 / L} at the grid origin x_0 = -L*pi
+    factor = -1j * k / params.domain_scale
+
+    def term(c):
+        spec = np.zeros(m, dtype=np.complex128)
+        spec[k % m] = c * phase
+        vals = (np.fft.ifft(spec) * m).real
+        fhat = np.fft.fft(vals**p)[k % m] / m * phase
+        return factor * fhat / p
+
+    return term
+
+
+def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end):
+    """Final state of a fixed-step run carrying all modes k = -N..N, with the
+    full-range ETDRK4/IFRK4 update formulas and a Hermitian projection after
+    every step; the last step is shortened to land on t_end.
+
+    It takes the library's multipliers and ETD weights (checked on their
+    own elsewhere), so it checks the stepper's half layout, not the weights.
+    """
+    from benj.semidiscrete import linear_multipliers
+    from benj.spectral import hermitian_part
+    from benj.timestep import etd_coefficients
+
+    lam = linear_multipliers(params, u0.n_modes).lam
+    flux = _flux_full_range(params, u0.n_modes)
+    n_full = int(np.floor(t_end / dt + 1e-9))
+    steps = [dt] * n_full
+    if t_end - n_full * dt > 1e-9 * dt:
+        steps.append(t_end - n_full * dt)
+    c = u0.coeffs.copy()
+    for h in steps:
+        if method == "etdrk4":
+            k = etd_coefficients(linear_multipliers(params, u0.n_modes), h)
+            na = flux(c)
+            a = k.e_half * c + k.q * na
+            nb = flux(a)
+            b = k.e_half * c + k.q * nb
+            nc = flux(b)
+            cstage = k.e_half * a + k.q * (2.0 * nc - na)
+            nd = flux(cstage)
+            c = k.e_full * c + k.f1 * na + 2.0 * k.f2 * (nb + nc) + k.f3 * nd
+        else:
+            e_full, e_half = np.exp(lam * h), np.exp(lam * h / 2.0)
+            k1 = flux(c)
+            k2 = flux(e_half * (c + 0.5 * h * k1))
+            k3 = flux(e_half * c + 0.5 * h * k2)
+            k4 = flux(e_full * c + h * e_half * k3)
+            c = e_full * c + (h / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+        c = hermitian_part(c)
+    return u0.with_coeffs(c)

@@ -4,6 +4,7 @@ import pytest
 
 from benj.harness import (
     IntegratorPolicy,
+    _SteppedTrajectory,
     estimate_rate,
     intermediate_problem_study,
     self_convergence,
@@ -142,6 +143,32 @@ def test_intermediate_study_smoke(benjamin_params):
     spread = max(report.w_linf_max) / min(report.w_linf_max)
     assert spread < 1.5
     assert report.fitted_rate is not None and report.fitted_rate > 1.5
+
+
+def _lagrange_at_numpy_nodes(traj, t):
+    """The interpolation weights computed over numpy nodes, as before."""
+    pos = t / traj.dt
+    start = min(max(int(np.floor(pos + 1e-9)) - 1, 0), traj.count - 4)
+    xi = pos - start
+    nodes = np.arange(4.0)
+    weights = np.ones(4)
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                weights[a] *= (xi - nodes[b]) / (nodes[a] - nodes[b])
+    return np.tensordot(weights, traj.states[start : start + 4], axes=1)
+
+
+def test_trajectory_interpolation_bit_identical_to_numpy_weights():
+    rng = np.random.default_rng(14)
+    count, dt = 12, 2.5e-4
+    states = rng.standard_normal((count, 9)) + 1j * rng.standard_normal((count, 9))
+    traj = _SteppedTrajectory(count, dt, states)
+    # stage midpoints, as the linearized runs query them, plus arbitrary times
+    times = [(i + 0.5) * dt for i in range(count - 1)]
+    times += list(rng.uniform(0.0, (count - 1) * dt, 40))
+    for t in times:
+        assert traj.at(t).tobytes() == _lagrange_at_numpy_nodes(traj, t).tobytes()
 
 # ----------------------------------------------------------------- solitons
 

@@ -4,10 +4,15 @@ from hypothesis import given, strategies as st
 
 from benj.errors import ShapeError
 from benj.model import ModelParams
-from benj.semidiscrete import linear_multipliers, linearized_rhs, rhs
-from benj.spectral import SpectralField, embed, l2_inner
+from benj.semidiscrete import (
+    frozen_nonlinear_term,
+    linear_multipliers,
+    linearized_rhs,
+    rhs,
+)
+from benj.spectral import SpectralField, embed, fold_half, l2_inner, unfold_half
 
-from oracles import rand_field, rhs_direct
+from oracles import frozen_term_direct, rand_field, rhs_direct
 
 
 def mode_field(n_modes, entries, domain_scale=1.0):
@@ -113,6 +118,22 @@ def test_linearized_accepts_wider_frozen_field(benjamin_params):
     narrow = linearized_rhs(benjamin_params, w, u)
     wide = linearized_rhs(benjamin_params, w, embed(u, 24))
     assert np.max(np.abs(narrow.coeffs - wide.coeffs)) < 1e-13
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n_w", [7, 8])
+def test_half_layout_frozen_term_matches_linearized_rhs(q, n_w):
+    # The closure takes and returns the folded half layout k = 0..N.
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
+    n_u = (1 + q) * n_w
+    w = rand_field(n_w, seed=q + n_w)
+    u = rand_field(n_u, seed=20 + q + n_w, decay=1.0)
+    half = frozen_nonlinear_term(p, n_w, n_u)(fold_half(u.coeffs, n_u), fold_half(w.coeffs, n_w))
+    assert half.shape == (n_w + 1,)
+    got = unfold_half(half)
+    lam = linear_multipliers(p, n_w).lam
+    assert np.max(np.abs(lam * w.coeffs + got - linearized_rhs(p, w, u).coeffs)) < 1e-13
+    assert np.max(np.abs(got - frozen_term_direct(p, w, u))) < 1e-13
 
 
 def test_linearized_domain_scale_mismatch(benjamin_params):

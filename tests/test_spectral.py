@@ -9,6 +9,7 @@ from benj.spectral import (
     dealiased_power,
     derivative,
     embed,
+    fold_half,
     l2_inner,
     l2_norm,
     linf_norm,
@@ -19,6 +20,7 @@ from benj.spectral import (
     to_physical,
     to_spectral,
     translate,
+    unfold_half,
 )
 
 from oracles import periodic_trapezoid, power_coeffs_direct, rand_field, sample_field
@@ -58,6 +60,18 @@ def test_to_physical_matches_direct_series():
     f = rand_field(9, seed=11, domain_scale=2.5)
     phys = to_physical(f, 41)
     assert np.allclose(phys.values, sample_field(f, 41), atol=1e-12)
+
+
+def test_half_layout_round_trip_and_grid_phase():
+    u = rand_field(9, seed=13)
+    half = fold_half(u.coeffs, 9)
+    assert half.shape == (10,)
+    assert np.array_equal(unfold_half(half), u.coeffs)
+    # the folded layout is what irfft takes for the grid starting at -L*pi
+    m = 24
+    assert np.allclose(np.fft.irfft(half, n=m) * m, sample_field(u, m), atol=1e-13)
+    # folding a wider vector truncates it: fold_half commutes with project
+    assert np.array_equal(fold_half(u.coeffs, 4), fold_half(project(u, 4).coeffs, 4))
 
 
 def test_to_spectral_constant_samples():

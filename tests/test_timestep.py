@@ -14,7 +14,7 @@ from benj.timestep import (
     step,
 )
 
-from oracles import etd_weights_highprec, rand_field
+from oracles import etd_weights_highprec, evolve_full_range, rand_field
 
 
 def fake_multipliers(values):
@@ -179,6 +179,52 @@ def test_hermitian_symmetry_after_evolution(benjamin_params):
     u0 = rand_field(16, seed=6)
     out = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1e-3, 2e-2, 5)).final
     assert np.array_equal(out.coeffs, np.conj(out.coeffs[::-1]))
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [15, 16])
+def test_half_layout_matches_full_range_stepper(method, q, n):
+    # 10 full steps and a shortened one; the reference carries k = -N..N
+    # and re-projects onto the Hermitian subspace after every step.
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
+    u0 = rand_field(n, seed=10 * q + n, decay=1.0)
+    config = IntegratorConfig(method, 1e-3, 10.4e-3, 4)
+    got = evolve(u0, p, config)
+    assert got.n_steps == 11
+    want = evolve_full_range(u0, p, method, 1e-3, 10.4e-3)
+    rel = np.linalg.norm(got.final.coeffs - want.coeffs) / np.linalg.norm(want.coeffs)
+    assert rel <= 1e-13
+
+
+def test_nonlinear_callable_gets_half_layout(benjamin_params):
+    # The callable replaces the flux inside the loop: it sees and returns
+    # the folded half layout, k = 0..N, so the folded default flux passed
+    # explicitly reproduces the default run bit for bit.
+    from benj.semidiscrete import folded_nonlinear_term
+
+    n = 12
+    u0 = rand_field(n, seed=11)
+    term = folded_nonlinear_term(benjamin_params, n)
+    lengths = set()
+
+    def flux(c, t):
+        lengths.add(c.shape)
+        return term(c)
+
+    config = IntegratorConfig("etdrk4", 1e-3, 5e-3, 5)
+    a = evolve(u0, benjamin_params, config, nonlinear=flux).final
+    b = evolve(u0, benjamin_params, config).final
+    assert lengths == {(n + 1,)}
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_step_is_one_step_of_evolve(method, benjamin_params):
+    u = rand_field(10, seed=12)
+    config = IntegratorConfig(method, 2e-3, 2e-3, 1)
+    one = step(u, benjamin_params, config)
+    assert one.coeffs.tobytes() == evolve(u, benjamin_params, config).final.coeffs.tobytes()
 
 
 def test_divergence_detection(benjamin_params):
