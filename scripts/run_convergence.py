@@ -10,6 +10,7 @@ theory gives no rate guarantee.
 
 import argparse
 import sys
+from math import nan
 
 from benj.harness import IntegratorPolicy, self_convergence
 from benj.initdata import InitialDataSpec
@@ -40,10 +41,10 @@ def main() -> int:
         )
         for n, err in zip(report.n_values, report.errors):
             lines.append(f"{seed},{n},{err:.17g},,")
-        lines.append(f"{seed},summary,,{report.fitted_rate:.6g},{report.fit_r2:.6g}")
+        rate, r2 = (nan if x is None else x for x in (report.fitted_rate, report.fit_r2))
+        lines.append(f"{seed},summary,,{rate:.6g},{r2:.6g}")
         print(
-            f"mu={args.mu} seed={seed}: rate {report.fitted_rate:.3f} "
-            f"(r2 {report.fit_r2:.4f})",
+            f"mu={args.mu} seed={seed}: rate {rate:.3f} (r2 {r2:.4f})",
             file=sys.stderr,
         )
 

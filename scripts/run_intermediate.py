@@ -11,6 +11,7 @@ run (which should stay bounded uniformly in N).
 
 import argparse
 import sys
+from math import nan
 
 from benj.harness import IntegratorPolicy, intermediate_problem_study
 from benj.initdata import InitialDataSpec
@@ -40,7 +41,8 @@ def main() -> int:
     print("N,error,w_linf_max")
     for n, err, wmax in zip(report.n_values, report.errors, report.w_linf_max):
         print(f"{n},{err:.17g},{wmax:.17g}")
-    print(f"rate,{report.fitted_rate:.6g},{report.fit_r2:.6g}")
+    rate, r2 = (nan if x is None else x for x in (report.fitted_rate, report.fit_r2))
+    print(f"rate,{rate:.6g},{r2:.6g}")
     spread = max(report.w_linf_max) / min(report.w_linf_max) - 1.0
     print(f"sup-norm spread across N: {spread * 100:.4f}%", file=sys.stderr)
     return 0

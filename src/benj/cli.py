@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, DivergenceError, ParameterError, ShapeError
+from .errors import ConfigError, DivergenceError, IterationError, ParameterError, ShapeError
 from .harness import IntegratorPolicy, self_convergence, soliton_propagation_test
 from .initdata import KINDS, InitialDataSpec, build_field
 from .invariants import c_pi, e_pi, i_pi, record_invariants
@@ -270,9 +270,11 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> int:
     manifest = _Manifest("solve", config)
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
+    for stale in outdir.glob("snap_*.txt"):  # an earlier run's snapshots
+        stale.unlink()
     try:
         u0 = build_field(config.initial, config.model, config.n_modes)
-    except (ParameterError, ShapeError, SnapshotFormatError, OSError) as exc:
+    except (ParameterError, ShapeError, SnapshotFormatError, OSError, IterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         manifest.finish("validation-error", EXIT_CONFIG)
         return EXIT_CONFIG
@@ -336,10 +338,14 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> int:
             integrator_policy=policy,
             track_max=config.raw["converge.track_max"],
         )
-    except (ValueError, ParameterError) as exc:
+    except (ValueError, OSError, IterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         manifest.finish("validation-error", EXIT_CONFIG)
         return EXIT_CONFIG
+    except DivergenceError as exc:  # the reference run; members are caught per run
+        print(f"error: reference run: {exc}", file=sys.stderr)
+        manifest.finish("divergence", EXIT_DIVERGED, {"failed_at": exc.time})
+        return EXIT_DIVERGED
 
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
@@ -390,7 +396,7 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> int:
             profile=profile,
             method=config.integrator.method,
         )
-    except (ParameterError, ShapeError, ValueError) as exc:
+    except (ParameterError, ShapeError, ValueError, IterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         manifest.finish("validation-error", EXIT_CONFIG)
         return EXIT_CONFIG

@@ -3,10 +3,8 @@ intermediate-problem diagnostic, and soliton propagation benchmarks.
 
 All studies measure against a self-computed reference run at a bandwidth
 at least four times the finest measured one and a step four times smaller,
-which keeps the reference error well below every measured error.  Member
-runs are independent and may execute on a small thread pool (capped by the
-BENJ_THREADS environment variable); reports are assembled in bandwidth
-order, so results do not depend on scheduling.
+which keeps the reference error well below every measured error.  The
+member runs follow the reference one after another, in bandwidth order.
 
 Studies exchange full-range ``SpectralField``s with ``evolve``.  The one
 exception is the linearized study: its stored reference trajectory and the
@@ -18,8 +16,6 @@ stepper's inner loop carries.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,29 +112,15 @@ def _fit_tail(n_values, errors, window: int = 4):
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
-def _resolve_workers(n_jobs: int) -> int:
-    raw = os.environ.get("BENJ_THREADS", "").strip()
-    workers = int(raw) if raw else 0
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
-
-
-def _parallel_map(fn, items):
-    workers = _resolve_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
     """Largest dt <= target such that an integer number of steps spans t_star."""
     n_steps = max(1, math.ceil(t_star / dt_target - 1e-9))
     return t_star / n_steps, n_steps
 
 
-def _check_study_inputs(n_values, n_ref, t_star):
+def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy):
+    """Checked bandwidths, the method, the snapped member step and step count,
+    and the initial datum at the reference bandwidth."""
     n_values = sorted(int(n) for n in n_values)
     if len(set(n_values)) != len(n_values):
         raise ValueError("n_values must be distinct")
@@ -149,7 +131,41 @@ def _check_study_inputs(n_values, n_ref, t_star):
         )
     if t_star <= 0:
         raise ValueError(f"t_star must be > 0, got {t_star}")
-    return n_values
+    policy = integrator_policy or IntegratorPolicy()
+    dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
+    dt, n_steps = _snap_dt(t_star, dt_target)
+    return n_values, policy.method, dt, n_steps, build_field(data_spec, params, n_ref)
+
+
+def _run_members(member, n_values, n_ref, t_star, dt, track_linf=False):
+    """Run ``member(n)`` for each bandwidth in order and assemble the report.
+
+    ``member(n)`` returns the member's error and its sup-norm maximum (None
+    when the study does not ``track_linf``).  A member that diverges gets
+    NaN for both and a ``failures`` entry; the rate is fitted on the rest.
+    """
+    errors, linf_max, failures = [], [], {}
+    for n in n_values:
+        try:
+            err, wmax = member(n)
+        except DivergenceError as exc:
+            err, wmax = np.nan, np.nan
+            failures[n] = f"diverged: {exc}"
+        errors.append(err)
+        linf_max.append(wmax)
+
+    rate, r2 = _fit_tail(n_values, errors)
+    return ConvergenceReport(
+        n_values=n_values,
+        errors=errors,
+        fitted_rate=rate,
+        fit_r2=r2,
+        reference_n=n_ref,
+        t_star=t_star,
+        dt=dt,
+        failures=failures,
+        w_linf_max=linf_max if track_linf else None,
+    )
 
 
 def self_convergence(
@@ -170,24 +186,17 @@ def self_convergence(
     final-time value, a lower bound for the max over [0, t_star];
     ``track_max`` compares at ~32 aligned snapshot times instead.
     """
-    n_values = _check_study_inputs(n_values, n_ref, t_star)
-    policy = integrator_policy or IntegratorPolicy()
-    dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
-    dt, n_steps = _snap_dt(t_star, dt_target)
-
-    u0_ref = build_field(data_spec, params, n_ref)
+    n_values, method, dt, n_steps, u0_ref = _prepare_study(
+        params, data_spec, n_values, n_ref, t_star, integrator_policy
+    )
     stride = max(1, n_steps // 32) if track_max else n_steps
-    ref_config = IntegratorConfig(policy.method, dt / 4.0, t_star, 4 * stride)
+    ref_config = IntegratorConfig(method, dt / 4.0, t_star, 4 * stride)
     ref_result = evolve(u0_ref, params, ref_config)
     ref_states = {round(t / dt, 6): f for t, f in ref_result.snapshots}
 
-    def run_one(n: int):
-        u0 = project(u0_ref, n)
-        config = IntegratorConfig(policy.method, dt, t_star, stride)
-        try:
-            result = evolve(u0, params, config)
-        except DivergenceError as exc:
-            return np.nan, f"diverged: {exc}"
+    def member(n: int):
+        config = IntegratorConfig(method, dt, t_star, stride)
+        result = evolve(project(u0_ref, n), params, config)
         errors_t = []
         for t, f in result.snapshots:
             ref = ref_states.get(round(t / dt, 6))
@@ -196,24 +205,7 @@ def self_convergence(
                 errors_t.append(l2_norm(ref.with_coeffs(diff)))
         return max(errors_t), None
 
-    outcomes = _parallel_map(run_one, n_values)
-    errors, failures = [], {}
-    for n, (err, fail) in zip(n_values, outcomes):
-        errors.append(err)
-        if fail:
-            failures[n] = fail
-
-    rate, r2 = _fit_tail(n_values, errors)
-    return ConvergenceReport(
-        n_values=n_values,
-        errors=errors,
-        fitted_rate=rate,
-        fit_r2=r2,
-        reference_n=n_ref,
-        t_star=t_star,
-        dt=dt,
-        failures=failures,
-    )
+    return _run_members(member, n_values, n_ref, t_star, dt)
 
 
 class _SteppedTrajectory:
@@ -264,16 +256,13 @@ def intermediate_problem_study(
     cubically at stage midpoints.  The sup norm of each w-run is monitored
     and reported alongside the error decay.
     """
-    n_values = _check_study_inputs(n_values, n_ref, t_star)
-    policy = integrator_policy or IntegratorPolicy()
-    dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
-    dt_measure, _ = _snap_dt(t_star, dt_target)
+    n_values, method, dt_measure, _, u0_ref = _prepare_study(
+        params, data_spec, n_values, n_ref, t_star, integrator_policy
+    )
     dt = dt_measure / 4.0
-
-    u0_ref = build_field(data_spec, params, n_ref)
     n_keep = (1 + params.q) * max(n_values)
     store = [fold_half(u0_ref.coeffs, n_keep)]
-    ref_config = IntegratorConfig(policy.method, dt, t_star, 1)
+    ref_config = IntegratorConfig(method, dt, t_star, 1)
     ref_result = evolve(
         u0_ref, params, ref_config,
         observer=lambda t, f: store.append(fold_half(f.coeffs, n_keep)),
@@ -283,42 +272,19 @@ def intermediate_problem_study(
     stored = np.array(store)
     u_ref_final = ref_result.final
 
-    def run_one(n: int):
+    def member(n: int):
         n_u = (1 + params.q) * n
         traj = _SteppedTrajectory(n_steps + 1, dt, stored[:, : n_u + 1])
         term = frozen_nonlinear_term(params, n, n_u)
         nonlinear = lambda c, t: term(traj.at(t), c)
         w0 = project(u0_ref, n)
-        stride = max(1, n_steps // 128)
-        config = IntegratorConfig(policy.method, dt, t_star, stride)
-        try:
-            result = evolve(w0, params, config, nonlinear=nonlinear)
-        except DivergenceError as exc:
-            return np.nan, np.nan, f"diverged: {exc}"
+        config = IntegratorConfig(method, dt, t_star, max(1, n_steps // 128))
+        result = evolve(w0, params, config, nonlinear=nonlinear)
         linf_values = [linf_norm(w0)] + [linf_norm(f) for _, f in result.snapshots]
         diff = u_ref_final.coeffs - embed(result.final, n_ref).coeffs
-        return l2_norm(u_ref_final.with_coeffs(diff)), max(linf_values), None
+        return l2_norm(u_ref_final.with_coeffs(diff)), max(linf_values)
 
-    outcomes = _parallel_map(run_one, n_values)
-    errors, linf_max, failures = [], [], {}
-    for n, (err, wmax, fail) in zip(n_values, outcomes):
-        errors.append(err)
-        linf_max.append(wmax)
-        if fail:
-            failures[n] = fail
-
-    rate, r2 = _fit_tail(n_values, errors)
-    return ConvergenceReport(
-        n_values=n_values,
-        errors=errors,
-        fitted_rate=rate,
-        fit_r2=r2,
-        reference_n=n_ref,
-        t_star=t_star,
-        dt=dt,
-        failures=failures,
-        w_linf_max=linf_max,
-    )
+    return _run_members(member, n_values, n_ref, t_star, dt, track_linf=True)
 
 
 def soliton_propagation_test(

@@ -146,6 +146,33 @@ def test_solve_divergence_exit_code(tmp_path):
     assert manifest["exit_code"] == EXIT_DIVERGED
 
 
+def test_solve_rerun_removes_stale_snapshots(tmp_path):
+    out = tmp_path / "out"
+    assert run_solve(tmp_path, out) == EXIT_OK
+    assert run_solve(tmp_path, out, extra=["integrator.t_end=0.01"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(list(out.glob("snap_*.txt"))) == manifest["results"]["snapshots"] == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["initial.kind=petviashvili_wave"]),
+    ("converge", ["initial.kind=petviashvili_wave", "converge.n_values=4,8"]),
+    ("soliton", []),  # gamma = 1: the profile comes from the fixed-point solver
+    ("converge", ["initial.kind=file", "initial.path=/nonexistent/datum.txt",
+                  "converge.n_values=4,8"]),
+], ids=["solve", "converge", "soliton", "converge-missing-file"])
+def test_datum_failure_exit_code(tmp_path, command, extra):
+    out = tmp_path / "out"
+    args = [command, "--config", str(write_config(tmp_path)), "--quiet",
+            "--override", f"outputs={out}", "--override", "initial.max_iter=1"]
+    for item in extra:
+        args += ["--override", item]
+    assert main(args) == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "validation-error"
+    assert manifest["exit_code"] == EXIT_CONFIG
+
+
 # --------------------------------------------------------------- invariants
 
 
@@ -194,6 +221,22 @@ def test_converge_requires_n_values(tmp_path):
     code = main(["converge", "--config", str(cfg), "--quiet",
                  "--override", f"outputs={out}"])
     assert code == EXIT_CONFIG
+
+
+def test_converge_reference_divergence_exit_code(tmp_path):
+    out = tmp_path / "conv"
+    cfg = write_config(tmp_path)
+    args = ["converge", "--config", str(cfg), "--quiet", "--override", f"outputs={out}"]
+    for item in ("converge.n_values=8,16", "initial.amplitude=80", "model.q=2",
+                 "integrator.method=ifrk4", "integrator.dt=0.5", "integrator.t_end=5"):
+        args += ["--override", item]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(args)
+    assert code == EXIT_DIVERGED
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "divergence"
+    assert manifest["exit_code"] == EXIT_DIVERGED
+    assert manifest["results"]["failed_at"] > 0
 
 
 # ------------------------------------------------------------------ soliton

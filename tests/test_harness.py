@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import benj.harness
+from benj.errors import DivergenceError
 from benj.harness import (
     IntegratorPolicy,
     _SteppedTrajectory,
@@ -90,13 +92,43 @@ def test_self_convergence_track_max_bounds_final(benjamin_params):
     for a, b in zip(tracked.errors, final.errors):
         assert a >= b * (1.0 - 1e-12)
 
-def test_member_runs_independent_of_worker_pool(benjamin_params, monkeypatch):
-    kwargs = dict(integrator_policy=IntegratorPolicy(dt=2e-3))
-    monkeypatch.setenv("BENJ_THREADS", "1")
-    serial = self_convergence(benjamin_params, GAUSS, [8, 16, 32], 128, 0.05, **kwargs)
-    monkeypatch.setenv("BENJ_THREADS", "3")
-    pooled = self_convergence(benjamin_params, GAUSS, [8, 16, 32], 128, 0.05, **kwargs)
-    assert serial.errors == pooled.errors
+# ------------------------------------------------------------ member failures
+
+def _diverge_at(monkeypatch, bad_n):
+    """Make the member run at bandwidth ``bad_n`` diverge; others call through."""
+    real = benj.harness.evolve
+
+    def evolve_or_diverge(u0, *args, **kwargs):
+        if u0.n_modes == bad_n:
+            raise DivergenceError("norm grew beyond 1e6x initial at t=0.01", time=0.01)
+        return real(u0, *args, **kwargs)
+
+    monkeypatch.setattr(benj.harness, "evolve", evolve_or_diverge)
+
+
+@pytest.mark.parametrize("study, spec", [
+    (self_convergence, GAUSS),
+    (intermediate_problem_study, ROUGH),
+], ids=["self_convergence", "intermediate_problem_study"])
+def test_diverged_member_reported_and_skipped(benjamin_params, monkeypatch, study, spec):
+    args = (benjamin_params, spec, [8, 16, 32], 128, 0.05, IntegratorPolicy(dt=2e-3))
+    clean = study(*args)
+    _diverge_at(monkeypatch, 16)
+    report = study(*args)
+    assert np.isnan(report.errors[1])
+    assert list(report.failures) == [16]
+    assert report.failures[16].startswith("diverged:")
+    kept = [0, 2]
+    assert [repr(report.errors[i]) for i in kept] == [repr(clean.errors[i]) for i in kept]
+    rate, r2 = estimate_rate([8, 32], [clean.errors[i] for i in kept])
+    assert (report.fitted_rate, report.fit_r2) == (rate, r2)
+    if study is intermediate_problem_study:
+        assert np.isnan(report.w_linf_max[1])
+        assert [repr(report.w_linf_max[i]) for i in kept] == [
+            repr(clean.w_linf_max[i]) for i in kept
+        ]
+    else:
+        assert report.w_linf_max is None
 
 # ------------------------------------------------------- intermediate problem
 
@@ -191,13 +223,3 @@ def test_non_soliton_contrast(kdv_params):
     fat = fat.with_coeffs(2.0 * fat.coeffs)
     messy = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3, profile=fat)
     assert messy.shape_error_linf > 1e3 * clean.shape_error_linf
-
-def test_worker_env_parsing(monkeypatch):
-    from benj.harness import _resolve_workers
-
-    monkeypatch.delenv("BENJ_THREADS", raising=False)
-    assert _resolve_workers(4) >= 1
-    monkeypatch.setenv("BENJ_THREADS", "2")
-    assert _resolve_workers(4) == 2
-    monkeypatch.setenv("BENJ_THREADS", "0")
-    assert _resolve_workers(3) >= 1
