@@ -270,8 +270,10 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> int:
     manifest = _Manifest("solve", config)
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
-    for stale in outdir.glob("snap_*.txt"):  # an earlier run's snapshots
+    # an earlier run's results must not outlive a failure of this one
+    for stale in outdir.glob("snap_*.txt"):
         stale.unlink()
+    (outdir / "invariants.csv").unlink(missing_ok=True)
     try:
         u0 = build_field(config.initial, config.model, config.n_modes)
     except (ParameterError, ShapeError, SnapshotFormatError, OSError, IterationError) as exc:
@@ -315,6 +317,8 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> int:
 
 def _cmd_converge(config: RunConfig, quiet: bool) -> int:
     manifest = _Manifest("converge", config)
+    # an earlier run's result must not outlive a failure of this one
+    (config.outputs / "convergence.csv").unlink(missing_ok=True)
     n_values = config.raw["converge.n_values"]
     if not n_values:
         print("error: converge.n_values is required for the converge command",

@@ -209,14 +209,29 @@ def self_convergence(
 
 
 class _SteppedTrajectory:
-    """Cubic-in-time interpolant over states stored at every reference step."""
+    """Cubic-in-time interpolant over states stored at every reference step.
+
+    ``at`` remembers its last query, so the two midpoint stages of a step,
+    which ask for the same t, interpolate once; the states it returns are
+    read-only, since a later query may hand out the same array.
+    """
 
     def __init__(self, times_count: int, dt: float, states: np.ndarray):
         self.dt = dt
         self.states = states  # (times_count, modes) complex, folded half layout
         self.count = times_count
+        self._last = (None, None)  # (t, state) of the last query
 
     def at(self, t: float) -> np.ndarray:
+        last_t, last_state = self._last
+        if t == last_t:
+            return last_state
+        state = self._interpolate(t)
+        state.setflags(write=False)
+        self._last = (t, state)
+        return state
+
+    def _interpolate(self, t: float) -> np.ndarray:
         pos = t / self.dt
         i0 = int(math.floor(pos + 1e-9))
         i0 = min(max(i0, 0), self.count - 1)
@@ -237,7 +252,8 @@ class _SteppedTrajectory:
                 if a != b:
                     w *= (xi - b) / (a - b)
             weights.append(w)
-        return np.tensordot(weights, self.states[start : start + 4], axes=1)
+        # the (1, 4) @ (4, modes) product np.tensordot forms, without its overhead
+        return np.dot(np.array([weights]), self.states[start : start + 4])[0]
 
 
 def intermediate_problem_study(
@@ -270,6 +286,7 @@ def intermediate_problem_study(
     )
     n_steps = ref_result.n_steps
     stored = np.array(store)
+    store.clear()  # the rows live on in `stored`; free the list's copies
     u_ref_final = ref_result.final
 
     def member(n: int):

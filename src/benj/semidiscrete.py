@@ -101,15 +101,34 @@ def frozen_nonlinear_term(
     formed on a grid wide enough that its truncation to |k| <= n_w is
     alias-free.  The factor on w merges i*kappa, the sign and the M^q of
     the unnormalized transforms.
+
+    The closure keeps the grid values of u^q for the last two distinct
+    ``u_frozen`` it was given (matched by exact bytes, so a caller may
+    reuse or mutate its arrays): a stepper that asks for the same frozen
+    state at both stage midpoints and at the end of one step and the start
+    of the next synthesises u^q once per distinct time.  The output is
+    bit-identical to recomputing u^q on every call.
     """
     q = params.q
     m = next_fast_len(max(q * n_u + 2 * n_w, 2 * n_u, 2 * n_w) + 1)
     w_factor = -1j * np.arange(n_w + 1) / params.domain_scale * float(m) ** q
+    memo = []  # up to two (key of u_half, u^q grid values), oldest first
+
+    def frozen_power(u_half: np.ndarray) -> np.ndarray:
+        key = (u_half.dtype, u_half.shape, u_half.tobytes())
+        for cached_key, values in reversed(memo):  # newest first
+            if cached_key == key:
+                return values
+        values = np.fft.irfft(u_half, n=m)
+        values **= q
+        if len(memo) == 2:
+            del memo[0]
+        memo.append((key, values))
+        return values
 
     def term(u_half: np.ndarray, w_half: np.ndarray) -> np.ndarray:
-        vals = np.fft.irfft(u_half, n=m)
-        vals **= q
-        vals *= np.fft.irfft(w_factor * w_half, n=m)
+        vals = np.fft.irfft(w_factor * w_half, n=m)
+        vals *= frozen_power(u_half)
         return np.fft.rfft(vals)[: n_w + 1]
 
     return term

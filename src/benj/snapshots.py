@@ -29,16 +29,16 @@ class SnapshotFormatError(ValueError):
 
 def write_snapshot(path, field: SpectralField, t: float) -> None:
     n = field.n_modes
-    lines = [
-        f"{FORMAT_NAME} {FORMAT_VERSION}",
-        f"N {n}",
-        f"L {field.domain_scale:.17g}",
-        f"t {t:.17g}",
-    ]
-    for k, c in zip(range(-n, n + 1), field.coeffs):
-        lines.append(f"{k} {c.real:.17g} {c.imag:.17g}")
+    header = (
+        f"{FORMAT_NAME} {FORMAT_VERSION}\n"
+        f"N {n}\n"
+        f"L {field.domain_scale:.17g}\n"
+        f"t {t:.17g}\n"
+    )
+    rows = zip(range(-n, n + 1), field.coeffs.real.tolist(), field.coeffs.imag.tolist())
+    body = "%d %.17g %.17g\n" * (2 * n + 1) % tuple(v for row in rows for v in row)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + body)
 
 
 def read_snapshot(path) -> tuple[SpectralField, float]:
@@ -49,14 +49,11 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
     head = lines[0].split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise SnapshotFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if int(head[1]) != FORMAT_VERSION:
+    if not head[1].isdigit() or int(head[1]) != FORMAT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {head[1]}")
 
-    header = {}
-    for ln in lines[1:4]:
-        key, value = ln.split(maxsplit=1)
-        header[key] = value
     try:
+        header = dict(ln.split(maxsplit=1) for ln in lines[1:4])
         n = int(header["N"])
         scale = float(header["L"])
         t = float(header["t"])
@@ -73,8 +70,14 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
         parts = ln.split()
         if len(parts) != 3:
             raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}")
-        k = int(parts[0])
+        try:
+            k = int(parts[0])
+            coeffs[i] = complex(float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}: {exc}") from exc
         if k != i - n:
             raise SnapshotFormatError(f"{path}: modes out of order at line {ln!r}")
-        coeffs[i] = complex(float(parts[1]), float(parts[2]))
-    return SpectralField(n, scale, coeffs), t
+    try:
+        return SpectralField(n, scale, coeffs), t
+    except ValueError as exc:  # N < 1 or L <= 0
+        raise SnapshotFormatError(f"{path}: {exc}") from exc

@@ -157,3 +157,19 @@ def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end)
             c = e_full * c + (h / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
         c = hermitian_part(c)
     return u0.with_coeffs(c)
+
+
+def write_snapshot_per_line(path, field: SpectralField, t: float):
+    """The snapshot writer as one f-string per line: the byte-level oracle
+    for the library's single-format writer."""
+    n = field.n_modes
+    lines = [
+        "benj-snapshot 1",
+        f"N {n}",
+        f"L {field.domain_scale:.17g}",
+        f"t {t:.17g}",
+    ]
+    for k, c in zip(range(-n, n + 1), field.coeffs):
+        lines.append(f"{k} {c.real:.17g} {c.imag:.17g}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -173,7 +173,40 @@ def test_datum_failure_exit_code(tmp_path, command, extra):
     assert manifest["exit_code"] == EXIT_CONFIG
 
 
+def test_solve_failure_removes_stale_invariants(tmp_path):
+    out = tmp_path / "out"
+    assert run_solve(tmp_path, out) == EXIT_OK
+    assert (out / "invariants.csv").exists()
+    code = run_solve(tmp_path, out, extra=["initial.kind=petviashvili_wave",
+                                            "initial.max_iter=1"])
+    assert code == EXIT_CONFIG
+    assert json.loads((out / "manifest.json").read_text())["status"] == "validation-error"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+BAD_TOKEN_SNAPSHOT = "benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 x 0\n1 0 0\n"
+
+
+def test_solve_malformed_file_datum_exit_code(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(BAD_TOKEN_SNAPSHOT)
+    out = tmp_path / "out"
+    code = run_solve(tmp_path, out, extra=["initial.kind=file", f"initial.path={bad}"])
+    assert code == EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "validation-error"
+    assert manifest["exit_code"] == EXIT_CONFIG
+
+
 # --------------------------------------------------------------- invariants
+
+
+def test_invariants_malformed_snapshot_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(BAD_TOKEN_SNAPSHOT)
+    cfg = write_config(tmp_path)
+    assert main(["invariants", "--config", str(cfg), "--quiet", str(bad)]) == EXIT_CONFIG
+    assert "bad coefficient line" in capsys.readouterr().err
 
 
 def test_invariants_table_matches_run_csv(tmp_path, capsys):
@@ -223,12 +256,15 @@ def test_converge_requires_n_values(tmp_path):
     assert code == EXIT_CONFIG
 
 
+DIVERGING_REFERENCE = ("converge.n_values=8,16", "initial.amplitude=80", "model.q=2",
+                       "integrator.method=ifrk4", "integrator.dt=0.5", "integrator.t_end=5")
+
+
 def test_converge_reference_divergence_exit_code(tmp_path):
     out = tmp_path / "conv"
     cfg = write_config(tmp_path)
     args = ["converge", "--config", str(cfg), "--quiet", "--override", f"outputs={out}"]
-    for item in ("converge.n_values=8,16", "initial.amplitude=80", "model.q=2",
-                 "integrator.method=ifrk4", "integrator.dt=0.5", "integrator.t_end=5"):
+    for item in DIVERGING_REFERENCE:
         args += ["--override", item]
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(args)
@@ -237,6 +273,23 @@ def test_converge_reference_divergence_exit_code(tmp_path):
     assert manifest["status"] == "divergence"
     assert manifest["exit_code"] == EXIT_DIVERGED
     assert manifest["results"]["failed_at"] > 0
+
+
+def test_converge_failure_removes_stale_csv(tmp_path):
+    out = tmp_path / "conv"
+    cfg = write_config(
+        tmp_path,
+        BASE + "converge.n_values = 4, 8\nconverge.n_ref = 32\nconverge.t_star = 0.02\n",
+    )
+    args = ["converge", "--config", str(cfg), "--quiet", "--override", f"outputs={out}"]
+    assert main(args) == EXIT_OK
+    assert (out / "convergence.csv").exists()
+    for item in DIVERGING_REFERENCE + ("converge.n_ref=64",):
+        args += ["--override", item]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == EXIT_DIVERGED
+    assert json.loads((out / "manifest.json").read_text())["status"] == "divergence"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 # ------------------------------------------------------------------ soliton

@@ -202,6 +202,78 @@ def test_trajectory_interpolation_bit_identical_to_numpy_weights():
     for t in times:
         assert traj.at(t).tobytes() == _lagrange_at_numpy_nodes(traj, t).tobytes()
 
+def test_trajectory_repeated_query_returns_same_state():
+    rng = np.random.default_rng(15)
+    states = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    traj = _SteppedTrajectory(8, 0.1, states)
+    mid = traj.at(0.25)
+    assert traj.at(0.25) is mid and not mid.flags.writeable
+    assert traj.at(0.3).tobytes() != mid.tobytes()
+    assert traj.at(0.2).tobytes() == states[2].tobytes()
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, method):
+    # Per step a w-run queries u at t, t + dt/2 twice and t + dt, where
+    # t + dt is the next step's t: 2 syntheses of u^q per step plus the
+    # first, and one interpolation per step (its midpoint).
+    n, n_u = 8, 16  # q = 1 freezes u at bandwidth 2N
+    counts = {"syntheses": 0, "midpoints": 0, "steps": 0, "w_run": False}
+    irfft, interpolate = np.fft.irfft, _SteppedTrajectory._interpolate
+    evolve_ = benj.harness.evolve
+
+    def counting_irfft(a, *args, **kwargs):
+        if counts["w_run"] and len(a) == n_u + 1:
+            counts["syntheses"] += 1
+        return irfft(a, *args, **kwargs)
+
+    def counting_interpolate(self, t):
+        pos = t / self.dt
+        if abs(pos - round(pos)) > 1e-8:
+            counts["midpoints"] += 1
+        return interpolate(self, t)
+
+    def counting_evolve(u0, params, config, **kwargs):
+        counts["w_run"] = "nonlinear" in kwargs
+        try:
+            result = evolve_(u0, params, config, **kwargs)
+        finally:
+            counts["w_run"] = False
+        if "nonlinear" in kwargs:
+            counts["steps"] += result.n_steps
+        return result
+
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(_SteppedTrajectory, "_interpolate", counting_interpolate)
+    monkeypatch.setattr(benj.harness, "evolve", counting_evolve)
+    intermediate_problem_study(benjamin_params, ROUGH, [n], 32, 0.02,
+                               IntegratorPolicy(method=method, dt=2e-3))
+    steps = counts["steps"]
+    assert steps == 40
+    assert counts["syntheses"] == 2 * steps + 1
+    assert counts["midpoints"] == steps
+
+def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
+    # Criterion 6's configuration over the linearized benchmark's horizon:
+    # the memoised frozen term and trajectory against a fresh closure and
+    # an unmemoised interpolation at every call, every field by repr.
+    params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1)
+    spec = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=0)
+    args = (params, spec, [32, 64, 128, 256], 1024, 0.1, IntegratorPolicy(method="ifrk4", dt=4e-4))
+    memoised = intermediate_problem_study(*args)
+
+    factory = benj.harness.frozen_nonlinear_term
+
+    def fresh_per_call(params, n_w, n_u):
+        return lambda u, w: factory(params, n_w, n_u)(u, w)
+
+    monkeypatch.setattr(benj.harness, "frozen_nonlinear_term", fresh_per_call)
+    monkeypatch.setattr(_SteppedTrajectory, "at", _SteppedTrajectory._interpolate)
+    fresh = intermediate_problem_study(*args)
+    assert {k: repr(v) for k, v in vars(memoised).items()} == {
+        k: repr(v) for k, v in vars(fresh).items()
+    }
+    assert not memoised.failures
+
 # ----------------------------------------------------------------- solitons
 
 def test_soliton_zero_horizon(kdv_params):

@@ -136,6 +136,24 @@ def test_half_layout_frozen_term_matches_linearized_rhs(q, n_w):
     assert np.max(np.abs(got - frozen_term_direct(p, w, u))) < 1e-13
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_frozen_term_memo_matches_fresh_closure(q):
+    # An interleaved sequence of frozen states evicts and revisits the
+    # closure's two cached u^q; every output must equal a fresh closure's.
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
+    n_w, n_u = 8, (1 + q) * 8
+    us = [fold_half(rand_field(n_u, seed=40 + i).coeffs, n_u) for i in range(3)]
+    sequence = [us[0], us[0], us[1], us[0], us[2], us[1], us[1].copy(), us[2], us[0]]
+    moving = us[2].copy()
+    sequence += [moving] * 3  # mutated in place between the calls below
+    term = frozen_nonlinear_term(p, n_w, n_u)
+    for i, u in enumerate(sequence):
+        w = fold_half(rand_field(n_w, seed=60 + i).coeffs, n_w)
+        expected = frozen_nonlinear_term(p, n_w, n_u)(u, w)
+        assert term(u, w).tobytes() == expected.tobytes()
+        moving[3] += 1e-3
+
+
 def test_linearized_domain_scale_mismatch(benjamin_params):
     w = rand_field(8, seed=2)
     u = rand_field(8, seed=9, domain_scale=2.0)

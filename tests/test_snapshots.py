@@ -5,7 +5,7 @@ from benj.errors import ShapeError
 from benj.initdata import InitialDataSpec, build_field
 from benj.snapshots import SnapshotFormatError, read_snapshot, write_snapshot
 
-from oracles import rand_field
+from oracles import rand_field, write_snapshot_per_line
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -25,6 +25,41 @@ def test_write_is_deterministic(tmp_path):
     write_snapshot(a, f, t=1.0 / 3.0)
     write_snapshot(b, f, t=1.0 / 3.0)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_writer_bytes_match_per_line_oracle(tmp_path):
+    f = rand_field(20, seed=5, domain_scale=1.0 / 3.0)
+    c = f.coeffs.copy()
+    n = f.n_modes
+    # Hermitian pairs, so the field keeps them exactly
+    for k, v in {1: complex(-0.0, 0.0), 2: complex(5e-324, -5e-324),
+                 3: complex(1e300, -1e300), 4: complex(2.2250738585072014e-308, 0.1),
+                 5: complex(-1.5, -0.0)}.items():
+        c[n + k], c[n - k] = v, v.conjugate()
+    g = f.with_coeffs(c)
+    assert np.signbit(g.coeffs[n + 1].real) and np.signbit(g.coeffs[n + 5].imag)
+    assert g.coeffs[n + 2].real == 5e-324 and g.coeffs[n + 3].real == 1e300
+    for field, t in ((f, 1.0 / 3.0), (g, 1.0 / 3.0), (g, -0.0), (rand_field(1, seed=0), 1e300)):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_snapshot(a, field, t)
+        write_snapshot_per_line(b, field, t)
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("benj-snapshot x\nN 1\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "version"),
+    ("benj-snapshot 1\nN\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "header"),
+    ("benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 x 0\n1 0 0\n", "coefficient line"),
+    ("benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 1j\n", "coefficient line"),
+    ("benj-snapshot 1\nN 1\nL 1\nt 0\nk 0 0\n0 0 0\n1 0 0\n", "coefficient line"),
+    ("benj-snapshot 1\nN 0\nL 1\nt 0\n0 0 0\n", "n_modes"),
+    ("benj-snapshot 1\nN 1\nL -1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "domain_scale"),
+], ids=["version", "header", "re", "im", "mode", "n-zero", "negative-scale"])
+def test_rejects_malformed_tokens(tmp_path, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(SnapshotFormatError, match=match):
+        read_snapshot(path)
 
 
 def test_rejects_foreign_file(tmp_path):
