@@ -17,33 +17,48 @@ Lines starting with '#' are comments; unknown or duplicate keys are
 rejected.  Subcommands: solve, converge, soliton, invariants.  Values can
 be overridden on the command line with repeated ``--override key=value``.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 divergence
-of a time integration.  Diagnostics go to stderr; results go to files in
-the output directory (plus stdout for the ``invariants`` table).  A run
-manifest is written exactly once per run, last, even when the run fails.
+Exit codes: 0 success, 2 configuration or validation error (a non-finite
+number counts as one), 3 divergence of a time integration.  Each command
+raises on failure, and ``main`` maps the exception to a status and an exit
+code through one table.  Diagnostics go to stderr; results go to files in
+the output directory (plus stdout for the ``invariants`` table).  Once the
+configuration parses, ``solve``, ``converge`` and ``soliton`` write a run
+manifest exactly once, last, even when the run fails; an exception outside
+the table is a bug, whose traceback propagates after a manifest with status
+``incomplete`` is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, DivergenceError, IterationError, ParameterError, ShapeError
+from .errors import ConfigError, DivergenceError, IterationError
 from .harness import IntegratorPolicy, self_convergence, soliton_propagation_test
 from .initdata import KINDS, InitialDataSpec, build_field
 from .invariants import c_pi, e_pi, i_pi, record_invariants
 from .model import ModelParams
-from .snapshots import SnapshotFormatError, read_snapshot, write_snapshot
+from .snapshots import read_snapshot, write_snapshot
 from .timestep import IntegratorConfig, default_dt, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+
+# A failed run's exception types -> (manifest status, exit code).  Any other
+# exception is a bug: its traceback propagates.
+_FAILURES = {
+    DivergenceError: ("divergence", EXIT_DIVERGED),
+    ValueError: ("validation-error", EXIT_CONFIG),
+    OSError: ("validation-error", EXIT_CONFIG),
+    IterationError: ("validation-error", EXIT_CONFIG),
+}
 
 
 def _fmt(x: float) -> str:
@@ -64,41 +79,48 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return x
+
+
 def _parse_int_list(s: str) -> list:
     return [int(p) for p in s.replace(" ", "").split(",") if p]
 
 
 _SCHEMA = {
     "model.m": (int, 1),
-    "model.r": (float, 0.5),
-    "model.gamma": (float, 1.0),
-    "model.delta": (float, 1.0),
+    "model.r": (_parse_float, 0.5),
+    "model.gamma": (_parse_float, 1.0),
+    "model.delta": (_parse_float, 1.0),
     "model.q": (int, 1),
-    "model.domain_scale": (float, 1.0),
+    "model.domain_scale": (_parse_float, 1.0),
     "n_modes": (int, _REQUIRED),
     "seed": (int, 0),
     "outputs": (str, "out"),
     "initial.kind": (str, "gaussian"),
-    "initial.amplitude": (float, 1.0),
-    "initial.width": (float, 0.5),
-    "initial.center": (float, 0.0),
-    "initial.speed": (float, 0.5),
-    "initial.regularity": (float, 4.0),
+    "initial.amplitude": (_parse_float, 1.0),
+    "initial.width": (_parse_float, 0.5),
+    "initial.center": (_parse_float, 0.0),
+    "initial.speed": (_parse_float, 0.5),
+    "initial.regularity": (_parse_float, 4.0),
     "initial.seed": (int, None),
     "initial.path": (str, None),
-    "initial.tol": (float, 1e-10),
+    "initial.tol": (_parse_float, 1e-10),
     "initial.max_iter": (int, 500),
     "integrator.method": (str, "etdrk4"),
-    "integrator.dt": (float, None),
-    "integrator.t_end": (float, 1.0),
+    "integrator.dt": (_parse_float, None),
+    "integrator.t_end": (_parse_float, 1.0),
     "integrator.snapshot_stride": (int, 10),
     "converge.n_values": (_parse_int_list, None),
     "converge.n_ref": (int, None),
-    "converge.t_star": (float, None),
+    "converge.t_star": (_parse_float, None),
     "converge.track_max": (_parse_bool, False),
-    "soliton.c": (float, 0.5),
-    "soliton.t_star": (float, None),
-    "soliton.dt": (float, None),
+    "soliton.c": (_parse_float, 0.5),
+    "soliton.t_star": (_parse_float, None),
+    "soliton.dt": (_parse_float, None),
 }
 
 
@@ -195,15 +217,12 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         max_iter=r["initial.max_iter"],
     )
 
+    # an unset integrator.dt stays None in ``raw``: each command derives its own
     t_end = r["integrator.t_end"]
     dt = r["integrator.dt"]
-    if dt is None:
-        dt = min(default_dt(model, n_modes), t_end)
-        r = dict(r)
-        r["integrator.dt"] = dt
     integrator = IntegratorConfig(
         method=r["integrator.method"],
-        dt=dt,
+        dt=min(default_dt(model, n_modes), t_end) if dt is None else dt,
         t_end=t_end,
         snapshot_stride=r["integrator.snapshot_stride"],
     )
@@ -220,14 +239,14 @@ def parse_config(text: str, overrides=None) -> RunConfig:
 
 
 class _Manifest:
-    """Collects run metadata; written exactly once, as the last output."""
+    """Run metadata; ``main`` writes it exactly once, as the last output."""
 
     def __init__(self, command: str, config: RunConfig):
         self.payload = {
             "tool": "benj",
             "version": __version__,
             "command": command,
-            "config": {k: self._jsonable(v) for k, v in config.raw.items()},
+            "config": dict(config.raw),
             "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "finished_utc": None,
             "status": "incomplete",
@@ -236,22 +255,22 @@ class _Manifest:
         }
         self.outdir = config.outputs
 
-    @staticmethod
-    def _jsonable(v):
-        if isinstance(v, (list, tuple)):
-            return list(v)
-        return v
+    def record(self, status: str, exit_code: int, results: dict):
+        self.payload.update(status=status, exit_code=exit_code, results=results)
 
-    def finish(self, status: str, exit_code: int, results: dict | None = None):
+    def finish(self) -> int:
+        """Write manifest.json and return the recorded exit code, or
+        EXIT_CONFIG when the output directory refuses the manifest."""
         self.payload["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        self.payload["status"] = status
-        self.payload["exit_code"] = exit_code
-        if results:
-            self.payload["results"] = results
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        with open(self.outdir / "manifest.json", "w") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            with open(self.outdir / "manifest.json", "w") as fh:
+                json.dump(self.payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write the manifest: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        return self.payload["exit_code"]
 
 
 def _progress(quiet: bool, message: str):
@@ -266,21 +285,14 @@ def _write_invariants_csv(path: Path, record):
             fh.write(f"{_fmt(t)},{_fmt(c)},{_fmt(i)},{_fmt(e)}\n")
 
 
-def _cmd_solve(config: RunConfig, quiet: bool) -> int:
-    manifest = _Manifest("solve", config)
+def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
     # an earlier run's results must not outlive a failure of this one
     for stale in outdir.glob("snap_*.txt"):
         stale.unlink()
     (outdir / "invariants.csv").unlink(missing_ok=True)
-    try:
-        u0 = build_field(config.initial, config.model, config.n_modes)
-    except (ParameterError, ShapeError, SnapshotFormatError, OSError, IterationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finish("validation-error", EXIT_CONFIG)
-        return EXIT_CONFIG
-
+    u0 = build_field(config.initial, config.model, config.n_modes)
     written = [(0.0, u0)]
     write_snapshot(outdir / "snap_0000.txt", u0, 0.0)
 
@@ -292,64 +304,41 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> int:
                      f"t_end={config.integrator.t_end:g}")
     try:
         evolve(u0, config.model, config.integrator, observer=observer)
-    except DivergenceError as exc:
+    finally:  # a diverged run still reports the snapshots it wrote
         record = record_invariants(written, config.model)
         _write_invariants_csv(outdir / "invariants.csv", record)
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finish("divergence", EXIT_DIVERGED, {"failed_at": exc.time})
-        return EXIT_DIVERGED
-
-    record = record_invariants(written, config.model)
-    _write_invariants_csv(outdir / "invariants.csv", record)
-    manifest.finish(
-        "ok",
-        EXIT_OK,
-        {
-            "snapshots": len(written),
-            "rel_drift_C": record.rel_drift_C,
-            "rel_drift_I": record.rel_drift_I,
-            "rel_drift_E": record.rel_drift_E,
-        },
-    )
     _progress(quiet, f"solve: wrote {len(written)} snapshots to {outdir}")
-    return EXIT_OK
+    return "ok", EXIT_OK, {
+        "snapshots": len(written),
+        "rel_drift_C": record.rel_drift_C,
+        "rel_drift_I": record.rel_drift_I,
+        "rel_drift_E": record.rel_drift_E,
+    }
 
 
-def _cmd_converge(config: RunConfig, quiet: bool) -> int:
-    manifest = _Manifest("converge", config)
+def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
     # an earlier run's result must not outlive a failure of this one
     (config.outputs / "convergence.csv").unlink(missing_ok=True)
     n_values = config.raw["converge.n_values"]
     if not n_values:
-        print("error: converge.n_values is required for the converge command",
-              file=sys.stderr)
-        manifest.finish("validation-error", EXIT_CONFIG)
-        return EXIT_CONFIG
+        raise ConfigError("converge.n_values is required for the converge command",
+                          key="converge.n_values")
     n_ref = config.raw["converge.n_ref"] or 4 * max(n_values)
     t_star = config.raw["converge.t_star"] or config.integrator.t_end
-    policy = IntegratorPolicy(
-        method=config.integrator.method,
-        dt=config.raw["integrator.dt"],
-    )
+    # an unset dt is derived by the study from the finest measured bandwidth
+    policy = IntegratorPolicy(method=config.integrator.method, dt=config.raw["integrator.dt"])
     _progress(quiet, f"converge: N in {n_values}, reference N={n_ref}, t*={t_star:g}")
-    try:
-        report = self_convergence(
-            config.model,
-            config.initial,
-            n_values,
-            n_ref,
-            t_star,
-            integrator_policy=policy,
-            track_max=config.raw["converge.track_max"],
-        )
-    except (ValueError, OSError, IterationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finish("validation-error", EXIT_CONFIG)
-        return EXIT_CONFIG
-    except DivergenceError as exc:  # the reference run; members are caught per run
-        print(f"error: reference run: {exc}", file=sys.stderr)
-        manifest.finish("divergence", EXIT_DIVERGED, {"failed_at": exc.time})
-        return EXIT_DIVERGED
+    # members that diverge are reported in ``failures``; a DivergenceError
+    # raised here comes from the reference run
+    report = self_convergence(
+        config.model,
+        config.initial,
+        n_values,
+        n_ref,
+        t_star,
+        integrator_policy=policy,
+        track_max=config.raw["converge.track_max"],
+    )
 
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
@@ -362,59 +351,42 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> int:
         fh.write(f"rate,{_fmt(rate)},{_fmt(r2)}\n")
 
     if report.failures:
-        manifest.finish("divergence", EXIT_DIVERGED, {"failures": report.failures})
         print(f"error: {len(report.failures)} member run(s) diverged", file=sys.stderr)
-        return EXIT_DIVERGED
-    manifest.finish(
-        "ok", EXIT_OK, {"fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
-    )
+        return "divergence", EXIT_DIVERGED, {"failures": report.failures}
     _progress(quiet, f"converge: fitted rate {report.fitted_rate}")
-    return EXIT_OK
+    return "ok", EXIT_OK, {"fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
 
 
-def _cmd_soliton(config: RunConfig, quiet: bool) -> int:
-    manifest = _Manifest("soliton", config)
+def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
     speed = config.raw["soliton.c"]
     t_star = config.raw["soliton.t_star"] or config.integrator.t_end
     model = config.model
-    try:
-        if model.gamma == 0.0 and model.m == 1 and model.q == 1:
-            profile = None  # closed form available
-        else:
-            spec = InitialDataSpec(
-                kind="petviashvili_wave",
-                speed=speed,
-                amplitude=config.initial.amplitude,
-                width=config.initial.width,
-                tol=config.initial.tol,
-                max_iter=config.initial.max_iter,
-            )
-            profile = build_field(spec, model, config.n_modes)
-        _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={t_star:g}")
-        report = soliton_propagation_test(
-            speed,
-            model,
-            config.n_modes,
-            t_star,
-            dt=config.raw["soliton.dt"] or config.raw["integrator.dt"],
-            profile=profile,
-            method=config.integrator.method,
+    if model.gamma == 0.0 and model.m == 1 and model.q == 1:
+        spec = InitialDataSpec(kind="kdv_soliton", speed=speed)  # closed form available
+    else:
+        spec = InitialDataSpec(
+            kind="petviashvili_wave",
+            speed=speed,
+            amplitude=config.initial.amplitude,
+            width=config.initial.width,
+            tol=config.initial.tol,
+            max_iter=config.initial.max_iter,
         )
-    except (ParameterError, ShapeError, ValueError, IterationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finish("validation-error", EXIT_CONFIG)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finish("divergence", EXIT_DIVERGED, {"failed_at": exc.time})
-        return EXIT_DIVERGED
+    profile = build_field(spec, model, config.n_modes)
+    _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={t_star:g}")
+    report = soliton_propagation_test(
+        speed,
+        model,
+        config.n_modes,
+        t_star,
+        dt=config.raw["soliton.dt"] or config.integrator.dt,
+        profile=profile,
+        method=config.integrator.method,
+    )
 
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
-    wave = profile if profile is not None else build_field(
-        InitialDataSpec(kind="kdv_soliton", speed=speed), model, config.n_modes
-    )
-    write_snapshot(outdir / "profile.txt", wave, 0.0)
+    write_snapshot(outdir / "profile.txt", profile, 0.0)
     speed_est = report.speed_estimate if report.speed_estimate is not None else float("nan")
     with open(outdir / "soliton_report.csv", "w", newline="\n") as fh:
         fh.write("c,speed_estimate,speed_error,shape_error_linf,"
@@ -424,31 +396,21 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> int:
             f"{_fmt(report.shape_error_linf)},{_fmt(report.drifts.rel_drift_C)},"
             f"{_fmt(report.drifts.rel_drift_I)},{_fmt(report.drifts.rel_drift_E)}\n"
         )
-    manifest.finish(
-        "ok",
-        EXIT_OK,
-        {
-            "speed_estimate": speed_est,
-            "shape_error_linf": report.shape_error_linf,
-        },
-    )
     _progress(quiet, f"soliton: measured speed {speed_est:.6g} "
                      f"(target {speed:g}), shape error {report.shape_error_linf:.3g}")
-    return EXIT_OK
+    return "ok", EXIT_OK, {"speed_estimate": speed_est,
+                           "shape_error_linf": report.shape_error_linf}
 
 
-def _cmd_invariants(config: RunConfig, files, quiet: bool) -> int:
+_COMMANDS = {"solve": _cmd_solve, "converge": _cmd_converge, "soliton": _cmd_soliton}
+
+
+def _cmd_invariants(config: RunConfig, files) -> int:
     if not files:
-        print("error: invariants command needs at least one snapshot file",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("invariants command needs at least one snapshot file")
     rows = []
     for path in files:
-        try:
-            field, t = read_snapshot(path)
-        except (SnapshotFormatError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        field, t = read_snapshot(path)
         rows.append((t, c_pi(field), i_pi(field), e_pi(field, config.model)))
     rows.sort(key=lambda r: r[0])
     print("t,C,I,E")
@@ -482,30 +444,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    manifest, code = None, None
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        config = parse_config(text, args.override)
-    except (ConfigError, ParameterError, ValueError) as exc:
+        config = parse_config(Path(args.config).read_text(), args.override)
+        if args.command == "invariants":  # writes no files, so no manifest
+            return _cmd_invariants(config, args.files)
+        manifest = _Manifest(args.command, config)
+        manifest.record(*_COMMANDS[args.command](config, args.quiet))
+    except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "solve":
-            return _cmd_solve(config, args.quiet)
-        if args.command == "converge":
-            return _cmd_converge(config, args.quiet)
-        if args.command == "soliton":
-            return _cmd_soliton(config, args.quiet)
-        if args.command == "invariants":
-            return _cmd_invariants(config, args.files, args.quiet)
-    except OSError as exc:  # unwritable output directory and kin
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_CONFIG
+        status, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        if manifest is not None:
+            failed_at = {"failed_at": exc.time} if code == EXIT_DIVERGED else {}
+            manifest.record(status, code, failed_at)
+    finally:
+        if manifest is not None:
+            code = manifest.finish()
+    return code
 
 
 if __name__ == "__main__":

@@ -79,7 +79,8 @@ def gaussian(
     """Projection of the periodized bump a*exp(-((x-x0)/w)^2)."""
     if width <= 0:
         raise ParameterError(f"width must be > 0, got {width}")
-    tail = abs(amplitude) * np.exp(-((domain_scale * np.pi / width) ** 2))
+    z = domain_scale * np.pi / width
+    tail = abs(amplitude) * np.exp(-(z * z))  # z * z saturates at inf where z**2 raises
     if tail > 1e-12:
         warnings.warn(
             f"gaussian tail {tail:.2e} at the domain edge exceeds 1e-12; "
@@ -200,6 +201,8 @@ def petviashvili(
         )
     if not np.any(guess.coeffs):
         raise ParameterError("guess must be a nonzero field")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
 
     p = params.q + 1
     m = next_fast_len((p + 1) * n + 1)
@@ -225,7 +228,12 @@ def petviashvili(
             )
         s = num / den
         stabilizers.append(s)
-        c = hermitian_part(s**theta * fhat / denom)
+        try:
+            c = hermitian_part(s**theta * fhat / denom)
+        except OverflowError:
+            raise IterationError(
+                f"stabilizer {s:.3g} overflows at sweep {it}", residuals=residuals
+            ) from None
 
     raise IterationError(
         f"no convergence to tol={tol:g} after {max_iter} sweeps "

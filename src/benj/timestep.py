@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ParameterError
 from .model import ModelParams
 from .semidiscrete import LinearMultipliers, folded_nonlinear_term, linear_multipliers
 from .spectral import SpectralField, fold_half, unfold_half
@@ -89,7 +89,10 @@ class EtdCoefficients:
         for name in ("e_full", "e_half", "q", "f1", "f2", "f3"):
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"nonfinite ETDRK4 weight in {name}")
+                raise ParameterError(
+                    f"nonfinite ETDRK4 weight in {name}: the linear symbol times dt "
+                    "leaves the floating-point range"
+                )
             arr.setflags(write=False)
 
 

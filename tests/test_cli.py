@@ -1,10 +1,18 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benj.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
-from benj.errors import ConfigError, ParameterError
+import benj.cli
+import benj.harness
+from benj.cli import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
+from benj.errors import ConfigError, DivergenceError, ParameterError
+from benj.initdata import KINDS
 from benj.snapshots import read_snapshot
 
 BASE = """
@@ -81,6 +89,14 @@ def test_config_comments_and_overrides():
 def test_config_bad_value_type():
     with pytest.raises(ConfigError, match="n_modes"):
         parse_config("n_modes = sixteen\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [k for k, (parse, _) in _SCHEMA.items() if parse is not str])
+def test_config_rejects_non_finite_numbers(key, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config("n_modes = 16\n", overrides=[f"{key}={value}"])
+    assert info.value.key == key
 
 
 # ------------------------------------------------------------------- solve
@@ -335,3 +351,165 @@ def test_unwritable_output_directory(tmp_path):
         assert code == EXIT_CONFIG
     finally:
         blocked.chmod(0o755)
+
+
+# ------------------------------------------------------------ failure paths
+
+
+def run_command(tmp_path, command, extra=(), text=BASE):
+    """Run ``command`` into tmp_path/out; its exit code and manifest (or None)."""
+    out = tmp_path / "out"
+    args = [command, "--config", str(write_config(tmp_path, text)), "--quiet",
+            "--override", f"outputs={out}"]
+    for item in extra:
+        args += ["--override", item]
+    code = main(args)
+    manifest = out / "manifest.json"
+    return code, json.loads(manifest.read_text()) if manifest.exists() else None
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["initial.kind=petviashvili_wave"]),
+    ("converge", ["initial.kind=petviashvili_wave", "converge.n_values=4,8"]),
+    ("soliton", []),
+], ids=["solve", "converge", "soliton"])
+def test_empty_fixed_point_budget_exit_code(tmp_path, command, extra):
+    code, manifest = run_command(tmp_path, command, ["initial.max_iter=0", *extra])
+    assert code == manifest["exit_code"] == EXIT_CONFIG
+    assert manifest["status"] == "validation-error"
+
+
+def test_solve_vanishing_width(tmp_path):
+    with np.errstate(over="ignore"):
+        code, manifest = run_command(tmp_path, "solve", ["initial.width=1e-300"])
+    assert code == manifest["exit_code"] == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_negative_random_seed_exit_code(tmp_path, command):
+    extra = ["initial.kind=random_sobolev", "seed=-1", "converge.n_values=4,8"]
+    code, manifest = run_command(tmp_path, command, extra)
+    assert code == manifest["exit_code"] == EXIT_CONFIG
+    assert manifest["status"] == "validation-error"
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_output_path_through_a_file(tmp_path, command):
+    # neither the results nor the manifest can be written, even by root
+    (tmp_path / "out").write_text("")
+    code, _ = run_command(tmp_path, command, ["outputs=" + str(tmp_path / "out" / "sub"),
+                                              "converge.n_values=4,8"])
+    assert code == EXIT_CONFIG
+
+
+def test_internal_error_leaves_incomplete_manifest(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(benj.cli, "evolve", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        run_command(tmp_path, "solve")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["exit_code"] is None
+    assert manifest["finished_utc"] is not None
+
+
+def test_converge_member_divergence_exit_code(tmp_path, monkeypatch):
+    real = benj.harness.evolve
+
+    def evolve_or_diverge(u0, *args, **kwargs):
+        if u0.n_modes == 8:
+            raise DivergenceError("norm grew beyond 1e6x initial at t=0.01", time=0.01)
+        return real(u0, *args, **kwargs)
+
+    monkeypatch.setattr(benj.harness, "evolve", evolve_or_diverge)
+    code, manifest = run_command(tmp_path, "converge", ["converge.n_values=4,8",
+                                                        "converge.t_star=0.02"])
+    assert code == manifest["exit_code"] == EXIT_DIVERGED
+    assert manifest["status"] == "divergence"
+    assert list(manifest["results"]["failures"]) == ["8"]
+    assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("dt_line, expected", [
+    ("", 2.0**-8),  # default_dt at the finest measured N = 128
+    ("integrator.dt = 1.953125e-3\n", 2.0**-9),
+], ids=["derived", "configured"])
+def test_converge_step_policy(tmp_path, monkeypatch, dt_line, expected):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    real = benj.cli.self_convergence
+    monkeypatch.setattr(benj.cli, "self_convergence", recording)
+    # n_modes = 8 alone would give dt = 5e-3, which snaps to 7 steps over t*
+    text = "n_modes = 8\nconverge.n_values = 8, 16, 128\nconverge.t_star = 0.03125\n"
+    code, _ = run_command(tmp_path, "converge", text=text + dt_line)
+    assert code == EXIT_OK
+    assert reports[0].dt == expected
+
+
+def test_soliton_builds_closed_form_once(tmp_path):
+    # a short domain leaves a visible tail, so building the profile warns
+    text = ("model.gamma = 0\nmodel.domain_scale = 1\nn_modes = 32\nsoliton.c = 0.5\n"
+            "soliton.t_star = 0.01\nsoliton.dt = 5e-3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_command(tmp_path, "soliton", text=text)
+    assert code == EXIT_OK
+    assert sum("soliton tail" in str(w.message) for w in caught) == 1
+
+
+# Overrides drawn per key.  Bandwidths stay <= 8 and horizons <= 0.01 so a
+# run is cheap; steps are never tiny positive numbers, and integers never
+# huge, since either only asks for a long or a large run.
+_TIME_VALUES = ["0", "-1", "1e-3", "0.01", "nan", "inf", "-inf", "x"]
+_NUMBER_VALUES = ["0", "-1", "-0.5", "0.5", "2", "1e-300", "1e300", "nan", "inf", "-inf",
+                  "abc", ""]
+_FUZZ_POOLS = {
+    "n_modes": ["0", "-1", "1", "4", "8", "x", "nan"],
+    "integrator.dt": _TIME_VALUES,
+    "integrator.t_end": _TIME_VALUES,
+    "converge.t_star": _TIME_VALUES,
+    "soliton.t_star": _TIME_VALUES,
+    "soliton.dt": _TIME_VALUES,
+    "converge.n_values": ["4,8", "8", "0,8", "-4,8", "4,4", "", "x"],
+    "converge.n_ref": ["0", "-1", "16", "32", "x"],
+    "converge.track_max": ["true", "maybe"],
+    "initial.kind": [*KINDS, "bogus"],
+    "initial.path": ["/nonexistent/datum.txt", str(Path(__file__).parent)],
+    "integrator.method": ["etdrk4", "ifrk4", "bogus"],
+}
+_FUZZ_KEYS = [k for k in _SCHEMA if k != "outputs"]
+FUZZ_BASE = "n_modes = 8\nintegrator.t_end = 0.01\nconverge.n_values = 4, 8\n"
+
+
+@st.composite
+def _overrides(draw):
+    keys = draw(st.lists(st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=4, unique=True))
+    return [f"{k}={draw(st.sampled_from(_FUZZ_POOLS.get(k, _NUMBER_VALUES)))}" for k in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["solve", "converge", "soliton"]), overrides=_overrides())
+def test_fuzzed_overrides_end_in_documented_exit_code(command, overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(FUZZ_BASE)
+        overrides = [*overrides, f"outputs={Path(tmp) / 'out'}"]
+        args = [command, "--config", str(cfg), "--quiet"]
+        for item in overrides:
+            args += ["--override", item]
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = main(args)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        try:
+            parse_config(FUZZ_BASE, overrides)
+        except ValueError:
+            return  # rejected before any output
+        manifest = json.loads((Path(tmp) / "out" / "manifest.json").read_text())
+        assert manifest["exit_code"] == code

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,27 @@ def test_petviashvili_iteration_budget(kdv_params):
     with pytest.raises(IterationError) as info:
         petviashvili(kdv_params, 0.5, guess, tol=1e-13, max_iter=2)
     assert len(info.value.residuals) == 2
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_petviashvili_rejects_empty_budget(kdv_params, max_iter):
+    guess = gaussian(1.0, 1.0, 0.0, 64, 8.0)
+    with pytest.raises(ParameterError, match="max_iter"):
+        petviashvili(kdv_params, 0.5, guess, max_iter=max_iter)
+
+
+def test_petviashvili_overflowing_stabilizer(kdv_params):
+    guess = gaussian(1.0, 1.0, 0.0, 64, 8.0)
+    with np.errstate(over="ignore"), pytest.raises(IterationError, match="overflows"):
+        petviashvili(kdv_params, 1e300, guess)
+
+
+def test_gaussian_vanishing_width_has_no_tail():
+    # (L*pi/w)**2 overflows a Python float here; the tail is exactly 0
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error", UserWarning)
+        f = gaussian(1.0, 1e-300, 0.0, 16, 1.0)
+    assert np.all(np.isfinite(f.coeffs))
 
 
 def test_petviashvili_zero_guess(kdv_params):

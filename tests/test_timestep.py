@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from benj.errors import DivergenceError
+from benj.errors import DivergenceError, ParameterError
 from benj.initdata import gaussian
 from benj.model import ModelParams
 from benj.semidiscrete import LinearMultipliers
@@ -56,6 +56,13 @@ def test_weights_finite_at_stiff_imaginary_mode():
     assert abs(k.e_full[0]) == pytest.approx(1.0, rel=1e-14)
     for w in (k.q, k.f1, k.f2, k.f3):
         assert np.all(np.isfinite(w))
+
+
+def test_weights_out_of_range_are_a_parameter_error():
+    # |z|**3 overflows, so the closed forms give inf/inf
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ParameterError, match="floating-point range"):
+        etd_coefficients(fake_multipliers([1e300j]), dt=1.0)
 
 
 def test_weights_scale_with_dt():
