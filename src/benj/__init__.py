@@ -1,122 +1,46 @@
 """Pseudospectral solver and verification harness for Benjamin-type
-dispersive wave equations on periodic domains."""
+dispersive wave equations on periodic domains.
+
+The package namespace holds the API of the README's library example, the
+``benj`` command and the experiment scripts; everything else is reached
+through its module (``benj.spectral``, ``benj.semidiscrete``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BandwidthError,
-    ConfigError,
-    DivergenceError,
-    IterationError,
-    ParameterError,
-    ShapeError,
-    SpectrumError,
-)
+from .errors import ConfigError, DivergenceError, IterationError
 from .harness import (
-    ConvergenceReport,
     IntegratorPolicy,
-    SolitonReport,
-    estimate_rate,
     intermediate_problem_study,
     self_convergence,
     soliton_propagation_test,
 )
-from .initdata import (
-    InitialDataSpec,
-    build_field,
-    cosine,
-    gaussian,
-    kdv_soliton,
-    petviashvili,
-    random_sobolev,
-)
-from .invariants import InvariantRecord, c_pi, e_pi, i_pi, record_invariants
-from .model import ModelParams, f_prime, nonlinear_F, nonlinear_f, symbol_l
-from .semidiscrete import LinearMultipliers, linear_multipliers, linearized_rhs, rhs
+from .initdata import InitialDataSpec, build_field, gaussian, petviashvili
+from .invariants import c_pi, e_pi, i_pi, record_invariants
+from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import (
-    PhysicalField,
-    SpectralField,
-    dealiased_power,
-    derivative,
-    embed,
-    l2_inner,
-    l2_norm,
-    linf_norm,
-    peak_position,
-    project,
-    sobolev_norm,
-    to_physical,
-    to_spectral,
-    translate,
-)
-from .timestep import (
-    EtdCoefficients,
-    EvolveResult,
-    IntegratorConfig,
-    default_dt,
-    etd_coefficients,
-    evolve,
-    step,
-)
+from .timestep import IntegratorConfig, default_dt, evolve
 
 __all__ = [
-    "BandwidthError",
     "ConfigError",
-    "ConvergenceReport",
     "DivergenceError",
-    "EtdCoefficients",
-    "EvolveResult",
     "InitialDataSpec",
     "IntegratorConfig",
     "IntegratorPolicy",
-    "InvariantRecord",
     "IterationError",
-    "LinearMultipliers",
     "ModelParams",
-    "ParameterError",
-    "PhysicalField",
-    "ShapeError",
-    "SolitonReport",
-    "SpectralField",
-    "SpectrumError",
     "build_field",
     "c_pi",
-    "cosine",
-    "dealiased_power",
     "default_dt",
-    "derivative",
     "e_pi",
-    "embed",
-    "estimate_rate",
-    "etd_coefficients",
     "evolve",
-    "f_prime",
     "gaussian",
     "i_pi",
     "intermediate_problem_study",
-    "kdv_soliton",
-    "l2_inner",
-    "l2_norm",
-    "linear_multipliers",
-    "linearized_rhs",
-    "linf_norm",
-    "nonlinear_F",
-    "nonlinear_f",
-    "peak_position",
     "petviashvili",
-    "project",
-    "random_sobolev",
     "read_snapshot",
     "record_invariants",
-    "rhs",
     "self_convergence",
-    "sobolev_norm",
     "soliton_propagation_test",
-    "step",
-    "symbol_l",
-    "to_physical",
-    "to_spectral",
-    "translate",
     "write_snapshot",
 ]

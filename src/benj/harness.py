@@ -39,6 +39,7 @@ from .spectral import (
 from .timestep import IntegratorConfig, default_dt, evolve
 
 _ERROR_FLOOR = 1e-300
+_FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def estimate_rate(n_values, errors) -> tuple[float, float]:
     return float(-slope), r2
 
 
-def _fit_tail(n_values, errors, window: int = 4):
-    """Fit the rate over the largest `window` bandwidths with usable errors."""
+def _fit_tail(n_values, errors):
+    """Fit the rate over the largest ``_FIT_WINDOW`` bandwidths with usable errors."""
     pairs = [
         (n, e)
         for n, e in zip(n_values, errors)
@@ -108,7 +109,7 @@ def _fit_tail(n_values, errors, window: int = 4):
     ]
     if len(pairs) < 2:
         return None, None
-    tail = pairs[-window:]
+    tail = pairs[-_FIT_WINDOW:]
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
@@ -282,7 +283,6 @@ def intermediate_problem_study(
     ref_result = evolve(
         u0_ref, params, ref_config,
         observer=lambda t, f: store.append(fold_half(f.coeffs, n_keep)),
-        record_snapshots=False,
     )
     n_steps = ref_result.n_steps
     stored = np.array(store)

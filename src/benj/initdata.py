@@ -28,6 +28,7 @@ from .spectral import (
     translate,
 )
 
+_IMAGES = 2  # periodic images summed on each side of a profile
 KINDS = ("gaussian", "cosine", "kdv_soliton", "random_sobolev", "petviashvili_wave", "file")
 
 
@@ -61,14 +62,13 @@ def _project_profile(
     func: Callable[[np.ndarray], np.ndarray],
     n_modes: int,
     domain_scale: float,
-    images: int = 2,
 ) -> SpectralField:
     """Truncate the periodization of a decaying profile to bandwidth N."""
     m = 4 * n_modes
     half = domain_scale * np.pi
     x = -half + 2.0 * half * np.arange(m) / m
     vals = np.zeros(m)
-    for n in range(-images, images + 1):
+    for n in range(-_IMAGES, _IMAGES + 1):
         vals += func(x + 2.0 * half * n)
     return SpectralField(n_modes, domain_scale, analyze_coeffs(vals, n_modes))
 
@@ -135,10 +135,10 @@ def kdv_soliton(
 def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> SpectralField:
     """Seeded random field normalized to unit norm of order mu.
 
-    Mode k carries magnitude (1+kappa_k^2)^(-(mu+1)/2) with a random phase,
-    so the weighted tail sum converges at order mu and diverges for every
-    higher order: the field sits at exactly the prescribed regularity,
-    which pins measured convergence rates to the theoretical exponent.
+    Mode k carries magnitude (1+kappa_k^2)^(-(mu+1)/2) with a random phase.
+    As N grows the field lies in H^s for every s < mu + 1/2 and in none
+    above, and the L2 tail beyond bandwidth N decays like N^(-(mu+1/2)):
+    that exponent, not mu itself, is the convergence rate the data allow.
     The mean is zeroed.
     """
     if mu < 0:

@@ -70,18 +70,3 @@ def symbol_l(params: ModelParams, kappa):
         low = params.gamma * ak ** (2.0 * params.r)
     out = high - low
     return float(out) if np.isscalar(kappa) else out
-
-
-def nonlinear_f(params: ModelParams, u):
-    """Power-law flux f(u) = u^(q+1)/(q+1)."""
-    return u ** (params.q + 1) / (params.q + 1)
-
-
-def nonlinear_F(params: ModelParams, u):
-    """Primitive F of f with F(0) = 0: u^(q+2)/((q+1)(q+2)).  Appears in the energy."""
-    return u ** (params.q + 2) / ((params.q + 1) * (params.q + 2))
-
-
-def f_prime(params: ModelParams, u):
-    """Derivative f'(u) = u^q, the frozen coefficient of the linearized flow."""
-    return u ** params.q

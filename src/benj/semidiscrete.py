@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError
 from .model import ModelParams, symbol_l
 from .spectral import SpectralField, fold_half, next_fast_len, unfold_half
 
@@ -48,6 +48,17 @@ def linear_multipliers(params: ModelParams, n_modes: int) -> LinearMultipliers:
     return LinearMultipliers(n_modes, lam)
 
 
+def _transform_scale(m: int, power: int) -> float:
+    """M^power, the scale of ``power`` unnormalized transforms on M points."""
+    try:
+        return float(m) ** power
+    except OverflowError:
+        raise ParameterError(
+            f"the padded grid size {m} to the power {power} leaves the "
+            "floating-point range: model.q is too large"
+        ) from None
+
+
 def folded_nonlinear_term(
     params: ModelParams, n_modes: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -60,7 +71,8 @@ def folded_nonlinear_term(
     """
     p = params.q + 1
     m = next_fast_len((p + 1) * n_modes + 1)
-    factor = -1j * np.arange(n_modes + 1) / params.domain_scale * (float(m) ** (p - 1) / p)
+    scale = _transform_scale(m, p - 1) / p
+    factor = -1j * np.arange(n_modes + 1) / params.domain_scale * scale
 
     def term(half: np.ndarray) -> np.ndarray:
         vals = np.fft.irfft(half, n=m)
@@ -111,7 +123,7 @@ def frozen_nonlinear_term(
     """
     q = params.q
     m = next_fast_len(max(q * n_u + 2 * n_w, 2 * n_u, 2 * n_w) + 1)
-    w_factor = -1j * np.arange(n_w + 1) / params.domain_scale * float(m) ** q
+    w_factor = -1j * np.arange(n_w + 1) / params.domain_scale * _transform_scale(m, q)
     memo = []  # up to two (key of u_half, u^q grid values), oldest first
 
     def frozen_power(u_half: np.ndarray) -> np.ndarray:
@@ -132,19 +144,3 @@ def frozen_nonlinear_term(
         return np.fft.rfft(vals)[: n_w + 1]
 
     return term
-
-
-def linearized_rhs(
-    params: ModelParams, w: SpectralField, u_frozen: SpectralField
-) -> SpectralField:
-    """Time derivative of w for the system with advection frozen at u_frozen."""
-    if w.domain_scale != u_frozen.domain_scale:
-        raise ShapeError(
-            f"w and u_frozen must share the domain scale: "
-            f"{w.domain_scale} vs {u_frozen.domain_scale}"
-        )
-    mult = linear_multipliers(params, w.n_modes)
-    n_w, n_u = w.n_modes, u_frozen.n_modes
-    term = frozen_nonlinear_term(params, n_w, n_u)
-    flux = term(fold_half(u_frozen.coeffs, n_u), fold_half(w.coeffs, n_w))
-    return w.with_coeffs(mult.lam * w.coeffs + unfold_half(flux))

@@ -33,6 +33,8 @@ import numpy as np
 
 from .errors import BandwidthError, ShapeError
 
+_OVERSAMPLE = 8  # grid refinement of linf_norm and peak_position
+
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -68,26 +70,6 @@ class SpectralField:
 
     def with_coeffs(self, coeffs) -> "SpectralField":
         return SpectralField(self.n_modes, self.domain_scale, coeffs)
-
-
-@dataclass(frozen=True)
-class PhysicalField:
-    """Samples on the equispaced collocation grid x_j = -L*pi + 2*L*pi*j/M."""
-
-    values: np.ndarray
-    n_points: int
-    domain_scale: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.n_points,):
-            raise ShapeError(f"expected {self.n_points} samples, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-        self.values.setflags(write=False)
-
-    def grid(self) -> np.ndarray:
-        half = self.domain_scale * np.pi
-        return -half + 2.0 * half * np.arange(self.n_points) / self.n_points
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
@@ -148,33 +130,6 @@ def analyze_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
     return unfold_half(half)
 
 
-def to_physical(field: SpectralField, n_points: int | None = None) -> PhysicalField:
-    """Synthesize the field on an M-point collocation grid (M >= 2N+1)."""
-    n = field.n_modes
-    m = 2 * n + 1 if n_points is None else n_points
-    if m < 2 * n + 1:
-        raise BandwidthError(f"need at least 2N+1={2 * n + 1} points, got {m}")
-    return PhysicalField(synth_values(field.coeffs, n, m), m, field.domain_scale)
-
-
-def to_spectral(values: PhysicalField, n_modes: int) -> SpectralField:
-    """Coefficients |k| <= N of the trigonometric interpolant of the samples.
-
-    Exact (round-trip) for samples of a bandwidth-N field with M >= 2N+1.
-    For undersampled content, mode k' > N folds onto k = k' - M times
-    (-1)^M, the extra sign coming from the grid's -L*pi origin; the caller
-    owns the bandwidth budget.
-    """
-    if values.n_points < 2 * n_modes + 1:
-        raise BandwidthError(
-            f"need at least 2N+1={2 * n_modes + 1} points to resolve bandwidth "
-            f"{n_modes}, got {values.n_points}"
-        )
-    return SpectralField(
-        n_modes, values.domain_scale, analyze_coeffs(values.values, n_modes)
-    )
-
-
 def project(field: SpectralField, n_modes: int) -> SpectralField:
     """L2-orthogonal projection: truncate coefficients to |k| <= N'."""
     if n_modes > field.n_modes:
@@ -228,21 +183,6 @@ def translate(field: SpectralField, shift: float) -> SpectralField:
     return field.with_coeffs(field.coeffs * np.exp(-1j * field.kappa * shift))
 
 
-def _check_compatible(u: SpectralField, v: SpectralField):
-    if u.n_modes != v.n_modes or u.domain_scale != v.domain_scale:
-        raise ShapeError(
-            f"fields must share bandwidth and domain scale: "
-            f"(N={u.n_modes}, L={u.domain_scale}) vs (N={v.n_modes}, L={v.domain_scale})"
-        )
-
-
-def l2_inner(u: SpectralField, v: SpectralField) -> float:
-    """L2 inner product over the period, 2*L*pi * sum_k u_hat_k conj(v_hat_k)."""
-    _check_compatible(u, v)
-    s = np.sum(u.coeffs * np.conj(v.coeffs))
-    return 2.0 * u.domain_scale * np.pi * float(s.real)
-
-
 def l2_norm(field: SpectralField) -> float:
     s = np.sum(np.abs(field.coeffs) ** 2)
     return float(np.sqrt(2.0 * field.domain_scale * np.pi * s))
@@ -257,22 +197,20 @@ def sobolev_norm(field: SpectralField, mu: float) -> float:
     return float(np.sqrt(2.0 * field.domain_scale * np.pi * s))
 
 
-def linf_norm(field: SpectralField, oversample: int = 8) -> float:
-    """Max of |u| on an oversampled grid of oversample*(2N+1) points.
+def linf_norm(field: SpectralField) -> float:
+    """Max of |u| on an oversampled grid of 8*(2N+1) points.
 
     Approximate: the true maximum of a trigonometric polynomial generally
     falls between collocation points; 8x oversampling leaves a relative gap
-    of order (pi/(2*oversample))^2 / 2 at a smooth peak.
+    of order (pi/16)^2 / 2 at a smooth peak.
     """
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    m = oversample * (2 * field.n_modes + 1)
+    m = _OVERSAMPLE * (2 * field.n_modes + 1)
     return float(np.max(np.abs(synth_values(field.coeffs, field.n_modes, m))))
 
 
-def peak_position(field: SpectralField, oversample: int = 8) -> float:
+def peak_position(field: SpectralField) -> float:
     """Location of the global maximum of u, refined by local parabolic fit."""
-    m = oversample * (2 * field.n_modes + 1)
+    m = _OVERSAMPLE * (2 * field.n_modes + 1)
     vals = synth_values(field.coeffs, field.n_modes, m)
     j = int(np.argmax(vals))
     vm, v0, vp = vals[(j - 1) % m], vals[j], vals[(j + 1) % m]

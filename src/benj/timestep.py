@@ -19,11 +19,13 @@ The loop carries the state in the folded half layout of ``spectral``
 (modes k = 0..N times (-1)^k), so a flux evaluation is one irfft and one
 rfft and the state is Hermitian by construction.  The diagonal weights
 commute with the sign fold and are computed for k = 0..N only.
-``evolve`` and ``step`` take and return full-range ``SpectralField``s and
-convert only at the start, on the snapshot/observer cadence and at the
-final state.  A ``nonlinear=`` callable replaces the flux inside the
-loop, so it receives and returns folded half-layout vectors of length
-N+1: ``nonlinear(c_half, t) -> flux_half``.  Its mode-0 entry must be real
+``evolve`` takes and returns full-range ``SpectralField``s and converts
+only at the start, on the snapshot/observer cadence and at the final
+state.  It keeps ``snapshots`` at that cadence only when no observer is
+given; an observer sees every such state and owns its retention.  A
+``nonlinear=`` callable replaces the flux inside the loop, so it receives
+and returns folded half-layout vectors of length N+1:
+``nonlinear(c_half, t) -> flux_half``.  Its mode-0 entry must be real
 (the projection of a real function's mean).
 """
 
@@ -189,21 +191,6 @@ class _Stepper:
         return _ifrk4_step(c, self.nl, self.e_full, self.e_half, self.dt, t)
 
 
-def step(
-    u: SpectralField,
-    params: ModelParams,
-    config: IntegratorConfig,
-    nonlinear: Optional[NonlinearTerm] = None,
-    t: float = 0.0,
-) -> SpectralField:
-    """Advance one step of ``config.dt`` through the stepper ``evolve`` uses."""
-    stepper = _Stepper(params, u.n_modes, config.method, config.dt, nonlinear)
-    out = stepper(fold_half(u.coeffs, u.n_modes), t)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"nonfinite coefficients after step at t={t}", time=t)
-    return u.with_coeffs(unfold_half(out))
-
-
 def _norm(half: np.ndarray) -> float:
     """l2 norm of the full-range vector: |c_0|^2 + 2*sum_{k>=1} |c_k|^2."""
     rest = half[1:]
@@ -214,7 +201,7 @@ def _norm(half: np.ndarray) -> float:
 class EvolveResult:
     final: SpectralField
     final_time: float
-    snapshots: list  # (t, SpectralField) pairs at the snapshot cadence
+    snapshots: list  # (t, SpectralField) pairs at the snapshot cadence; empty with an observer
     n_steps: int
 
 
@@ -224,16 +211,13 @@ def evolve(
     config: IntegratorConfig,
     observer: Optional[Callable[[float, SpectralField], None]] = None,
     nonlinear: Optional[NonlinearTerm] = None,
-    t0: float = 0.0,
-    record_snapshots: bool = True,
 ) -> EvolveResult:
-    """Step from t0 to t0 + t_end at fixed dt; the last step is shortened
-    to land exactly on the horizon.
+    """Step from 0 to t_end at fixed dt; the last step is shortened to
+    land exactly on the horizon.
 
     The observer (if any) fires every ``snapshot_stride`` steps and after
-    the final step; the same cadence populates ``snapshots`` unless
-    ``record_snapshots`` is off (observer-only mode, for dense cadences
-    whose retention the caller manages).  Evolution is single-threaded and
+    the final step; without one, the same cadence populates ``snapshots``
+    (with one, ``snapshots`` stays empty).  Evolution is single-threaded and
     bit-deterministic for identical inputs.  ``nonlinear`` (if given)
     replaces the flux inside the loop and so works on folded half-layout
     vectors of length N+1 (see the module docstring).
@@ -252,16 +236,16 @@ def evolve(
     c = fold_half(u0.coeffs, n)
     norm0 = _norm(c)
     snapshots = []
-    t = t0
+    t = 0.0
 
     for s in range(1, total_steps + 1):
         if s == n_full + 1:  # shortened final step
             stepper = _Stepper(params, n, config.method, remainder, nonlinear)
             c = stepper(c, t)
-            t = t0 + config.t_end
+            t = config.t_end
         else:
             c = stepper(c, t)
-            t = t0 + (s * config.dt if s < total_steps else config.t_end)
+            t = s * config.dt if s < total_steps else config.t_end
         norm = _norm(c)  # finite unless an entry is nonfinite or the sum overflows
         if not math.isfinite(norm) and not np.all(np.isfinite(c)):
             raise DivergenceError(f"nonfinite coefficients at t={t}", time=t)
@@ -269,9 +253,9 @@ def evolve(
             raise DivergenceError(f"norm grew beyond 1e6x initial at t={t}", time=t)
         if s % config.snapshot_stride == 0 or s == total_steps:
             field = u0.with_coeffs(unfold_half(c))
-            if record_snapshots:
+            if observer is None:
                 snapshots.append((t, field))
-            if observer is not None:
+            else:
                 observer(t, field)
 
     final = u0.with_coeffs(unfold_half(c)) if total_steps else u0

@@ -58,6 +58,11 @@ def periodic_trapezoid(values, domain_scale):
     return 2.0 * domain_scale * np.pi * float(np.mean(values))
 
 
+def inner(u: SpectralField, v: SpectralField):
+    """L2 inner product over the period, 2*L*pi * sum_k u_hat_k conj(v_hat_k)."""
+    return 2.0 * u.domain_scale * np.pi * float(np.sum(u.coeffs * np.conj(v.coeffs)).real)
+
+
 def grid(n_points, domain_scale):
     half = domain_scale * np.pi
     return -half + 2.0 * half * np.arange(n_points) / n_points

@@ -379,6 +379,15 @@ def test_empty_fixed_point_budget_exit_code(tmp_path, command, extra):
     assert manifest["status"] == "validation-error"
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_large_q_exit_code(tmp_path, command):
+    # the padded grid size to the power q leaves the floating-point range
+    text = "n_modes = 8\nintegrator.t_end = 0.01\nconverge.n_values = 4, 8\nmodel.q = 120\n"
+    code, manifest = run_command(tmp_path, command, text=text)
+    assert code == manifest["exit_code"] == EXIT_CONFIG
+    assert manifest["status"] == "validation-error"
+
+
 def test_solve_vanishing_width(tmp_path):
     with np.errstate(over="ignore"):
         code, manifest = run_command(tmp_path, "solve", ["initial.width=1e-300"])
@@ -465,7 +474,8 @@ def test_soliton_builds_closed_form_once(tmp_path):
 
 # Overrides drawn per key.  Bandwidths stay <= 8 and horizons <= 0.01 so a
 # run is cheap; steps are never tiny positive numbers, and integers never
-# huge, since either only asks for a long or a large run.
+# huge, since either only asks for a long or a large run.  q = 400 is the
+# exception: M^q for its padded grid M overflows, which must exit 2.
 _TIME_VALUES = ["0", "-1", "1e-3", "0.01", "nan", "inf", "-inf", "x"]
 _NUMBER_VALUES = ["0", "-1", "-0.5", "0.5", "2", "1e-300", "1e300", "nan", "inf", "-inf",
                   "abc", ""]
@@ -482,6 +492,7 @@ _FUZZ_POOLS = {
     "initial.kind": [*KINDS, "bogus"],
     "initial.path": ["/nonexistent/datum.txt", str(Path(__file__).parent)],
     "integrator.method": ["etdrk4", "ifrk4", "bogus"],
+    "model.q": ["0", "-1", "2", "3", "400", "nan", "x"],
 }
 _FUZZ_KEYS = [k for k in _SCHEMA if k != "outputs"]
 FUZZ_BASE = "n_modes = 8\nintegrator.t_end = 0.01\nconverge.n_values = 4, 8\n"

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from benj.errors import ParameterError
-from benj.model import ModelParams, f_prime, nonlinear_F, nonlinear_f, symbol_l
+from benj.model import ModelParams, symbol_l
 
 
 def test_symbol_values():
@@ -31,21 +30,6 @@ def test_symbol_kdv_reduction():
     assert np.allclose(symbol_l(p, kappa), 1.7 * kappa**2)
 
 
-def test_nonlinearity_values():
-    p1 = ModelParams(m=1, r=0.0, gamma=0.0, delta=1.0, q=1)
-    p2 = ModelParams(m=1, r=0.0, gamma=0.0, delta=1.0, q=2)
-    p3 = ModelParams(m=1, r=0.0, gamma=0.0, delta=1.0, q=3)
-    assert nonlinear_f(p1, 2.0) == pytest.approx(2.0)
-    assert nonlinear_f(p2, -1.0) == pytest.approx(-1.0 / 3.0)
-    assert nonlinear_f(p3, 0.0) == 0.0
-    assert nonlinear_F(p1, 1.0) == pytest.approx(1.0 / 6.0)
-    assert nonlinear_F(p2, 2.0) == pytest.approx(4.0 / 3.0)
-    assert nonlinear_F(p3, 0.0) == 0.0
-    assert f_prime(p1, 3.0) == pytest.approx(3.0)
-    assert f_prime(p2, -2.0) == pytest.approx(4.0)
-    assert f_prime(p3, 1.0) == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize(
     "kwargs, fragment",
     [
@@ -63,30 +47,3 @@ def test_params_validation(kwargs, fragment):
     base.update(kwargs)
     with pytest.raises(ParameterError, match=fragment):
         ModelParams(**base)
-
-
-@given(
-    u=st.floats(-3, 3),
-    v=st.floats(-3, 3),
-    q=st.integers(1, 4),
-)
-def test_flux_difference_factorization(u, v, q):
-    """f(u) - f(v) = (u - v) * (1/(q+1)) sum_j u^j v^(q-j)."""
-    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
-    lhs = nonlinear_f(p, u) - nonlinear_f(p, v)
-    g = sum(u**j * v ** (q - j) for j in range(q + 1)) / (q + 1)
-    rhs = (u - v) * g
-    assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
-
-
-@given(u=st.floats(-2, 2), q=st.integers(1, 4))
-def test_derivative_chain(u, q):
-    """F' = f and f' = u^q, checked by central differences."""
-    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
-    h = 1e-5
-    dF = (nonlinear_F(p, u + h) - nonlinear_F(p, u - h)) / (2 * h)
-    df = (nonlinear_f(p, u + h) - nonlinear_f(p, u - h)) / (2 * h)
-    scale_F = max(abs(nonlinear_f(p, u)), 1e-4)
-    scale_f = max(abs(f_prime(p, u)), 1e-4)
-    assert abs(dF - nonlinear_f(p, u)) / scale_F < 1e-6
-    assert abs(df - f_prime(p, u)) / scale_f < 1e-6

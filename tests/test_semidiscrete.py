@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from benj.errors import ShapeError
+from benj.errors import ParameterError
 from benj.model import ModelParams
 from benj.semidiscrete import (
+    folded_nonlinear_term,
     frozen_nonlinear_term,
     linear_multipliers,
-    linearized_rhs,
     rhs,
 )
-from benj.spectral import SpectralField, embed, fold_half, l2_inner, unfold_half
+from benj.spectral import SpectralField, embed, fold_half, unfold_half
 
-from oracles import frozen_term_direct, rand_field, rhs_direct
+from oracles import frozen_term_direct, inner, rand_field, rhs_direct
 
 
 def mode_field(n_modes, entries, domain_scale=1.0):
@@ -20,6 +20,15 @@ def mode_field(n_modes, entries, domain_scale=1.0):
     for k, v in entries.items():
         c[k + n_modes] = v
     return SpectralField(n_modes, domain_scale, c)
+
+
+def linearized_rhs(params, w, u_frozen):
+    """Full-range time derivative of w with advection frozen at u_frozen,
+    through the folded closure the linearized study steps with."""
+    n_w, n_u = w.n_modes, u_frozen.n_modes
+    term = frozen_nonlinear_term(params, n_w, n_u)
+    flux = unfold_half(term(fold_half(u_frozen.coeffs, n_u), fold_half(w.coeffs, n_w)))
+    return linear_multipliers(params, n_w).lam * w.coeffs + flux
 
 
 def test_multipliers_benjamin_values(benjamin_params):
@@ -76,7 +85,7 @@ def test_linear_part_skew_symmetric(seed):
     mult = linear_multipliers(params, 20)
     lv = v.with_coeffs(mult.lam * v.coeffs)
     mass = 2 * np.pi * np.sum(np.abs(mult.lam) * np.abs(v.coeffs) ** 2)
-    assert abs(l2_inner(lv, v)) < 1e-14 * max(mass, 1.0)
+    assert abs(inner(lv, v)) < 1e-14 * max(mass, 1.0)
 
 
 @given(seed=st.integers(0, 10_000), q=st.integers(1, 3))
@@ -84,7 +93,7 @@ def test_rhs_orthogonal_to_state(seed, q):
     # (du/dt, u) = 0 is the semidiscrete mechanism conserving the L2 norm.
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
     u = rand_field(16, seed=seed)
-    assert abs(l2_inner(rhs(p, u), u)) < 1e-11
+    assert abs(inner(rhs(p, u), u)) < 1e-11
 
 
 def test_linearized_pure_linear_when_frozen_zero(benjamin_params):
@@ -92,7 +101,8 @@ def test_linearized_pure_linear_when_frozen_zero(benjamin_params):
     zero = mode_field(12, {})
     mult = linear_multipliers(benjamin_params, 12)
     out = linearized_rhs(benjamin_params, w, zero)
-    assert np.allclose(out.coeffs, mult.lam * w.coeffs, atol=1e-15)
+    assert np.allclose(out, mult.lam * w.coeffs, atol=1e-15)
+    assert np.all(frozen_term_direct(benjamin_params, w, zero) == 0)
 
 
 def test_linearized_matches_full_rhs_for_q1(benjamin_params):
@@ -100,14 +110,14 @@ def test_linearized_matches_full_rhs_for_q1(benjamin_params):
     u = rand_field(16, seed=8)
     full = rhs(benjamin_params, u)
     lin = linearized_rhs(benjamin_params, u, u)
-    assert np.max(np.abs(full.coeffs - lin.coeffs)) < 1e-12
+    assert np.max(np.abs(full.coeffs - lin)) < 1e-12
 
 
 def test_linearized_zero_for_constant_w(benjamin_params):
     w = mode_field(8, {0: 2.5})
     u = rand_field(8, seed=5)
     out = linearized_rhs(benjamin_params, w, u)
-    assert np.max(np.abs(out.coeffs)) < 1e-15
+    assert np.max(np.abs(out)) < 1e-15
 
 
 def test_linearized_accepts_wider_frozen_field(benjamin_params):
@@ -117,7 +127,9 @@ def test_linearized_accepts_wider_frozen_field(benjamin_params):
     u = rand_field(8, seed=9)
     narrow = linearized_rhs(benjamin_params, w, u)
     wide = linearized_rhs(benjamin_params, w, embed(u, 24))
-    assert np.max(np.abs(narrow.coeffs - wide.coeffs)) < 1e-13
+    assert np.max(np.abs(narrow - wide)) < 1e-13
+    flux = narrow - linear_multipliers(benjamin_params, 8).lam * w.coeffs
+    assert np.max(np.abs(flux - frozen_term_direct(benjamin_params, w, u))) < 1e-13
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -130,10 +142,7 @@ def test_half_layout_frozen_term_matches_linearized_rhs(q, n_w):
     u = rand_field(n_u, seed=20 + q + n_w, decay=1.0)
     half = frozen_nonlinear_term(p, n_w, n_u)(fold_half(u.coeffs, n_u), fold_half(w.coeffs, n_w))
     assert half.shape == (n_w + 1,)
-    got = unfold_half(half)
-    lam = linear_multipliers(p, n_w).lam
-    assert np.max(np.abs(lam * w.coeffs + got - linearized_rhs(p, w, u).coeffs)) < 1e-13
-    assert np.max(np.abs(got - frozen_term_direct(p, w, u))) < 1e-13
+    assert np.max(np.abs(unfold_half(half) - frozen_term_direct(p, w, u))) < 1e-13
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -154,8 +163,12 @@ def test_frozen_term_memo_matches_fresh_closure(q):
         moving[3] += 1e-3
 
 
-def test_linearized_domain_scale_mismatch(benjamin_params):
-    w = rand_field(8, seed=2)
-    u = rand_field(8, seed=9, domain_scale=2.0)
-    with pytest.raises(ShapeError):
-        linearized_rhs(benjamin_params, w, u)
+def test_large_q_is_a_parameter_error():
+    # M^q for the padded grid M overflows a double: 1000^120 at N = 8
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=120)
+    with pytest.raises(ParameterError, match="model.q is too large"):
+        folded_nonlinear_term(p, 8)
+    with pytest.raises(ParameterError, match="model.q is too large"):
+        frozen_nonlinear_term(p, 8, 8)
+    # q = 100 (864^99 at N = 8) still fits
+    folded_nonlinear_term(ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=100), 8)
