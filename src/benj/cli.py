@@ -25,7 +25,10 @@ the output directory (plus stdout for the ``invariants`` table).  Once the
 configuration parses, ``solve``, ``converge`` and ``soliton`` write a run
 manifest exactly once, last, even when the run fails; an exception outside
 the table is a bug, whose traceback propagates after a manifest with status
-``incomplete`` is written.
+``incomplete`` is written.  Before a command runs, ``main`` removes that
+command's earlier result files (``_COMMANDS``) from the output directory.
+A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
+grid of more than ``MAX_GRID`` points, is a validation error.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ from .initdata import KINDS, InitialDataSpec, build_field
 from .invariants import c_pi, e_pi, i_pi, record_invariants
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
+from .spectral import dealiased_grid
 from .timestep import IntegratorConfig, default_dt, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+MAX_GRID = 2**21  # points of the widest padded grid a config may ask for
 
 # A failed run's exception types -> (manifest status, exit code).  Any other
 # exception is a bug: its traceback propagates.
@@ -182,55 +187,53 @@ def _resolve(pairs: dict) -> dict:
     return resolved
 
 
+def _section(resolved: dict, name: str) -> dict:
+    """The keys of one section, ``name.field``, by field name."""
+    prefix = name + "."
+    return {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
+
+
+def _check_grid(model: ModelParams, r: dict):
+    """Reject a config whose widest grid, the energy's dealiased grid for
+    u^(q+2) at the largest bandwidth (n_modes, or converge's reference),
+    exceeds MAX_GRID points.  Its lower bound (q+3)n+1 is tested first, so
+    a huge n is rejected without a next_fast_len search or any array."""
+    n = max(r["n_modes"], r["converge.n_ref"] or 4 * max(r["converge.n_values"] or [0]))
+    p = model.q + 2
+    if (p + 1) * n + 1 > MAX_GRID or dealiased_grid(n, p) > MAX_GRID:
+        raise ConfigError(f"model.q={model.q} at bandwidth {n} needs a grid of "
+                          f"more than {MAX_GRID} points")
+
+
 def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse and fully validate a configuration document."""
     pairs = _apply_overrides(_read_pairs(text), overrides)
     r = _resolve(pairs)
 
-    model = ModelParams(
-        m=r["model.m"],
-        r=r["model.r"],
-        gamma=r["model.gamma"],
-        delta=r["model.delta"],
-        q=r["model.q"],
-        domain_scale=r["model.domain_scale"],
-    )
+    model = ModelParams(**_section(r, "model"))
     n_modes = r["n_modes"]
     if n_modes < 1:
         raise ConfigError(f"n_modes must satisfy N >= 1, got {n_modes}", key="n_modes")
+    _check_grid(model, r)
 
     if r["initial.kind"] not in KINDS:
         raise ConfigError(
             f"initial.kind must be one of {KINDS}, got {r['initial.kind']!r}",
             key="initial.kind",
         )
-    initial = InitialDataSpec(
-        kind=r["initial.kind"],
-        amplitude=r["initial.amplitude"],
-        width=r["initial.width"],
-        center=r["initial.center"],
-        speed=r["initial.speed"],
-        regularity=r["initial.regularity"],
-        seed=r["initial.seed"] if r["initial.seed"] is not None else r["seed"],
-        path=r["initial.path"],
-        tol=r["initial.tol"],
-        max_iter=r["initial.max_iter"],
-    )
+    initial = _section(r, "initial")
+    if initial["seed"] is None:
+        initial["seed"] = r["seed"]
 
     # an unset integrator.dt stays None in ``raw``: each command derives its own
-    t_end = r["integrator.t_end"]
-    dt = r["integrator.dt"]
-    integrator = IntegratorConfig(
-        method=r["integrator.method"],
-        dt=min(default_dt(model, n_modes), t_end) if dt is None else dt,
-        t_end=t_end,
-        snapshot_stride=r["integrator.snapshot_stride"],
-    )
+    integrator = _section(r, "integrator")
+    if integrator["dt"] is None:
+        integrator["dt"] = min(default_dt(model, n_modes), integrator["t_end"])
 
     return RunConfig(
         model=model,
-        initial=initial,
-        integrator=integrator,
+        initial=InitialDataSpec(**initial),
+        integrator=IntegratorConfig(**integrator),
         n_modes=n_modes,
         outputs=Path(r["outputs"]),
         seed=r["seed"],
@@ -288,10 +291,6 @@ def _write_invariants_csv(path: Path, record):
 def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
     outdir = config.outputs
     outdir.mkdir(parents=True, exist_ok=True)
-    # an earlier run's results must not outlive a failure of this one
-    for stale in outdir.glob("snap_*.txt"):
-        stale.unlink()
-    (outdir / "invariants.csv").unlink(missing_ok=True)
     u0 = build_field(config.initial, config.model, config.n_modes)
     written = [(0.0, u0)]
     write_snapshot(outdir / "snap_0000.txt", u0, 0.0)
@@ -317,8 +316,6 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
 
 
 def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
-    # an earlier run's result must not outlive a failure of this one
-    (config.outputs / "convergence.csv").unlink(missing_ok=True)
     n_values = config.raw["converge.n_values"]
     if not n_values:
         raise ConfigError("converge.n_values is required for the converge command",
@@ -402,7 +399,12 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
                            "shape_error_linf": report.shape_error_linf}
 
 
-_COMMANDS = {"solve": _cmd_solve, "converge": _cmd_converge, "soliton": _cmd_soliton}
+# command -> (runner, glob patterns of the result files it writes)
+_COMMANDS = {
+    "solve": (_cmd_solve, ("snap_*.txt", "invariants.csv")),
+    "converge": (_cmd_converge, ("convergence.csv",)),
+    "soliton": (_cmd_soliton, ("profile.txt", "soliton_report.csv")),
+}
 
 
 def _cmd_invariants(config: RunConfig, files) -> int:
@@ -450,7 +452,12 @@ def main(argv=None) -> int:
         if args.command == "invariants":  # writes no files, so no manifest
             return _cmd_invariants(config, args.files)
         manifest = _Manifest(args.command, config)
-        manifest.record(*_COMMANDS[args.command](config, args.quiet))
+        command, results = _COMMANDS[args.command]
+        # an earlier run's results must not outlive a failure of this one
+        for pattern in results:
+            for stale in config.outputs.glob(pattern):
+                stale.unlink()
+        manifest.record(*command(config, args.quiet))
     except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))

@@ -7,10 +7,10 @@ which keeps the reference error well below every measured error.  The
 member runs follow the reference one after another, in bandwidth order.
 
 Studies exchange full-range ``SpectralField``s with ``evolve``.  The one
-exception is the linearized study: its stored reference trajectory and the
-frozen advection term it feeds to ``evolve(nonlinear=...)`` use the folded
-half layout of ``spectral`` (modes k = 0..N times (-1)^k), the layout the
-stepper's inner loop carries.
+exception is the linearized study: its reference trajectory, one array for
+the planned steps that the observer fills in place, and the frozen advection
+term it feeds to ``evolve(nonlinear=...)`` use the folded half layout of
+``spectral`` (modes k = 0..N times (-1)^k), which the stepper carries.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .spectral import (
     project,
     translate,
 )
-from .timestep import IntegratorConfig, default_dt, evolve
+from .timestep import IntegratorConfig, check_step_count, default_dt, evolve
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
@@ -115,7 +115,7 @@ def _fit_tail(n_values, errors):
 
 def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
     """Largest dt <= target such that an integer number of steps spans t_star."""
-    n_steps = max(1, math.ceil(t_star / dt_target - 1e-9))
+    n_steps = max(1, math.ceil(check_step_count(t_star / dt_target) - 1e-9))
     return t_star / n_steps, n_steps
 
 
@@ -192,18 +192,16 @@ def self_convergence(
     )
     stride = max(1, n_steps // 32) if track_max else n_steps
     ref_config = IntegratorConfig(method, dt / 4.0, t_star, 4 * stride)
-    ref_result = evolve(u0_ref, params, ref_config)
-    ref_states = {round(t / dt, 6): f for t, f in ref_result.snapshots}
+    ref_snapshots = evolve(u0_ref, params, ref_config).snapshots
 
     def member(n: int):
         config = IntegratorConfig(method, dt, t_star, stride)
         result = evolve(project(u0_ref, n), params, config)
-        errors_t = []
-        for t, f in result.snapshots:
-            ref = ref_states.get(round(t / dt, 6))
-            if ref is not None:
-                diff = ref.coeffs - embed(f, n_ref).coeffs
-                errors_t.append(l2_norm(ref.with_coeffs(diff)))
+        # the member's k-th snapshot is at the reference's k-th time
+        errors_t = [
+            l2_norm(ref.with_coeffs(ref.coeffs - embed(f, n_ref).coeffs))
+            for (_, ref), (_, f) in zip(ref_snapshots, result.snapshots, strict=True)
+        ]
         return max(errors_t), None
 
     return _run_members(member, n_values, n_ref, t_star, dt)
@@ -273,21 +271,24 @@ def intermediate_problem_study(
     cubically at stage midpoints.  The sup norm of each w-run is monitored
     and reported alongside the error decay.
     """
-    n_values, method, dt_measure, _, u0_ref = _prepare_study(
+    n_values, method, dt_measure, n_measure, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy
     )
-    dt = dt_measure / 4.0
+    dt, n_steps = dt_measure / 4.0, 4 * n_measure
     n_keep = (1 + params.q) * max(n_values)
-    store = [fold_half(u0_ref.coeffs, n_keep)]
+    stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)
+    stored[0] = fold_half(u0_ref.coeffs, n_keep)
+    filled = 0
+
+    def keep(t, f):
+        nonlocal filled
+        filled += 1  # a step past the last row raises IndexError
+        stored[filled] = fold_half(f.coeffs, n_keep)
+
     ref_config = IntegratorConfig(method, dt, t_star, 1)
-    ref_result = evolve(
-        u0_ref, params, ref_config,
-        observer=lambda t, f: store.append(fold_half(f.coeffs, n_keep)),
-    )
-    n_steps = ref_result.n_steps
-    stored = np.array(store)
-    store.clear()  # the rows live on in `stored`; free the list's copies
-    u_ref_final = ref_result.final
+    u_ref_final = evolve(u0_ref, params, ref_config, observer=keep).final
+    if filled != n_steps:
+        raise RuntimeError(f"the reference run took {filled} steps, not {n_steps}")
 
     def member(n: int):
         n_u = (1 + params.q) * n

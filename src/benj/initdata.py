@@ -19,12 +19,10 @@ from .model import ModelParams, symbol_l
 from .spectral import (
     SpectralField,
     analyze_coeffs,
-    hermitian_part,
-    next_fast_len,
+    dealiased_power,
     peak_position,
     project,
     sobolev_norm,
-    synth_values,
     translate,
 )
 
@@ -205,18 +203,17 @@ def petviashvili(
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
 
     p = params.q + 1
-    m = next_fast_len((p + 1) * n + 1)
     theta = (params.q + 1) / params.q
-    c = guess.coeffs.copy()
+    field = guess
     residuals, stabilizers = [], []
 
     for it in range(1, max_iter + 1):
-        fhat = analyze_coeffs(synth_values(c, n, m) ** p, n) / p
+        c = field.coeffs
+        fhat = dealiased_power(field, p).coeffs / p
         mismatch = denom * c - fhat
         res = float(np.sqrt(np.sum(np.abs(mismatch) ** 2) / np.sum(np.abs(c) ** 2)))
         residuals.append(res)
         if res <= tol:
-            field = SpectralField(n, params.domain_scale, c)
             field = translate(field, -peak_position(field))
             return field, PetviashviliReport(True, it - 1, residuals, stabilizers)
         num = float(np.sum(denom * np.abs(c) ** 2))
@@ -229,7 +226,7 @@ def petviashvili(
         s = num / den
         stabilizers.append(s)
         try:
-            c = hermitian_part(s**theta * fhat / denom)
+            field = field.with_coeffs(s**theta * fhat / denom)
         except OverflowError:
             raise IterationError(
                 f"stabilizer {s:.3g} overflows at sweep {it}", residuals=residuals

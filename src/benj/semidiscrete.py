@@ -14,38 +14,33 @@ The linearized companion system freezes the advection coefficient at a
 reference solution u:
 
     d/dt w_hat_k = Lambda_k w_hat_k - P_N[f'(u) w_x]_hat_k.
+
+Multipliers and flux closures use the folded half layout k = 0..N of
+``spectral`` that the stepper carries; ``rhs`` and ``nonlinear_term`` unfold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError
 from .model import ModelParams, symbol_l
-from .spectral import SpectralField, fold_half, next_fast_len, unfold_half
+from .spectral import SpectralField, dealiased_grid, fold_half, next_fast_len, unfold_half
 
 # Re-exported: perfbench's tracer patches these names on this module.
 from .spectral import analyze_coeffs, synth_values  # noqa: F401
 
 
-@dataclass(frozen=True)
-class LinearMultipliers:
-    """Per-mode dispersive factors Lambda_k = i*kappa_k*symbol(kappa_k)."""
-
-    n_modes: int
-    lam: np.ndarray  # complex128, purely imaginary, Lambda_0 = 0; k = -N..N, or k = 0..N
-
-    def __post_init__(self):
-        self.lam.setflags(write=False)
-
-
-def linear_multipliers(params: ModelParams, n_modes: int) -> LinearMultipliers:
-    kappa = np.arange(-n_modes, n_modes + 1) / params.domain_scale
+def linear_multipliers(params: ModelParams, n_modes: int) -> np.ndarray:
+    """Read-only Lambda_k = i*kappa_k*symbol(kappa_k) for k = 0..N, purely
+    imaginary with Lambda_0 = 0.  They commute with the sign fold, so they
+    act on the folded half layout as they stand."""
+    kappa = np.arange(n_modes + 1) / params.domain_scale
     lam = 1j * kappa * symbol_l(params, kappa)
-    return LinearMultipliers(n_modes, lam)
+    lam.setflags(write=False)
+    return lam
 
 
 def _transform_scale(m: int, power: int) -> float:
@@ -70,7 +65,7 @@ def folded_nonlinear_term(
     so its flux is exactly zero.  This is the integrator's inner loop.
     """
     p = params.q + 1
-    m = next_fast_len((p + 1) * n_modes + 1)
+    m = dealiased_grid(n_modes, p)
     scale = _transform_scale(m, p - 1) / p
     factor = -1j * np.arange(n_modes + 1) / params.domain_scale * scale
 
@@ -91,14 +86,15 @@ def nonlinear_term(
 
 
 def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
-    """Time derivative of the coefficient vector for the full nonlinear system.
+    """Time derivative of the coefficient vector for the full nonlinear system,
+    from the multipliers and flux kernel that ``evolve`` steps with.
 
     The k = 0 component vanishes identically (factor i*kappa at kappa = 0),
     which is the discrete mechanism behind mass conservation.
     """
-    mult = linear_multipliers(params, u.n_modes)
-    nl = nonlinear_term(params, u.n_modes)
-    return u.with_coeffs(mult.lam * u.coeffs + nl(u.coeffs))
+    half = fold_half(u.coeffs, u.n_modes)
+    flux = folded_nonlinear_term(params, u.n_modes)(half)
+    return u.with_coeffs(unfold_half(linear_multipliers(params, u.n_modes) * half + flux))
 
 
 def frozen_nonlinear_term(

@@ -92,6 +92,12 @@ def next_fast_len(n: int) -> int:
         n += 1
 
 
+def dealiased_grid(n_modes: int, p: int) -> int:
+    """Padded grid size M = next_fast_len((p+1)N + 1), on which the power
+    u^p of a bandwidth-N field keeps every alias image outside |k| <= N."""
+    return next_fast_len((p + 1) * n_modes + 1)
+
+
 @lru_cache(maxsize=None)
 def _alternating_signs(n_modes: int) -> np.ndarray:
     """(-1)^k for k = 0..N; converts between grid phase and centered-domain phase."""
@@ -157,19 +163,18 @@ def embed(field: SpectralField, n_modes: int) -> SpectralField:
 def dealiased_power(field: SpectralField, p: int) -> SpectralField:
     """Exact truncated coefficients of the pointwise power u^p.
 
-    The power of a bandwidth-N series has bandwidth p*N; synthesizing on a
-    padded grid of M >= (p+1)N + 1 points keeps every alias image p*N +- M
-    outside |k| <= N, so the returned coefficients carry no aliasing error
-    beyond rounding.  This makes pseudospectral products coincide with the
-    Galerkin ones.
+    The power of a bandwidth-N series has bandwidth p*N; synthesizing on
+    the ``dealiased_grid`` of M >= (p+1)N + 1 points keeps every alias
+    image p*N +- M outside |k| <= N, so the returned coefficients carry no
+    aliasing error beyond rounding.  This makes pseudospectral products
+    coincide with the Galerkin ones.
     """
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
     if p == 1:
         return field
     n = field.n_modes
-    m = next_fast_len((p + 1) * n + 1)
-    vals = synth_values(field.coeffs, n, m)
+    vals = synth_values(field.coeffs, n, dealiased_grid(n, p))
     return field.with_coeffs(analyze_coeffs(vals**p, n))
 
 

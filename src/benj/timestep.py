@@ -17,8 +17,10 @@ nonlinear increment there, so the mean is conserved bit-exactly.
 
 The loop carries the state in the folded half layout of ``spectral``
 (modes k = 0..N times (-1)^k), so a flux evaluation is one irfft and one
-rfft and the state is Hermitian by construction.  The diagonal weights
-commute with the sign fold and are computed for k = 0..N only.
+rfft and the state is Hermitian by construction.  The multipliers, and
+so the diagonal weights, are k = 0..N too.  ``evolve`` builds the
+multipliers and the flux closure once per run; a shortened final step
+rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
 ``evolve`` takes and returns full-range ``SpectralField``s and converts
 only at the start, on the snapshot/observer cadence and at the final
 state.  It keeps ``snapshots`` at that cadence only when no observer is
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .model import ModelParams
-from .semidiscrete import LinearMultipliers, folded_nonlinear_term, linear_multipliers
+from .semidiscrete import folded_nonlinear_term, linear_multipliers
 from .spectral import SpectralField, fold_half, unfold_half
 
 # Re-exported: perfbench's tracer patches these names on this module.
@@ -50,6 +52,7 @@ _METHODS = ("etdrk4", "ifrk4")
 _GROWTH_LIMIT = 1e6
 _CONTOUR_POINTS = 64
 _SMALL_Z = 0.5
+MAX_STEPS = 1_000_000  # bound on a run's step count, 25x the largest in the acceptance suite
 
 NonlinearTerm = Callable[[np.ndarray, float], np.ndarray]
 
@@ -71,8 +74,16 @@ class IntegratorConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.dt > self.t_end * (1 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+        check_step_count(self.t_end / self.dt)
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+
+
+def check_step_count(steps: float) -> float:
+    """A planned step count (a float, possibly inf), if it is <= MAX_STEPS."""
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"{steps:.3g} time steps exceed the bound of {MAX_STEPS}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,8 @@ def _etd_weight_formulas(z: np.ndarray):
     return q, f1, f2, f3
 
 
-def etd_coefficients(multipliers: LinearMultipliers, dt: float) -> EtdCoefficients:
-    """Precompute ETDRK4 weights for every mode of the linear part.
+def etd_coefficients(lam: np.ndarray, dt: float) -> EtdCoefficients:
+    """Precompute ETDRK4 weights for every multiplier in ``lam``.
 
     Modes with |Lambda_k*dt| below a small threshold (including Lambda = 0,
     where the weights reduce to the classical RK4 values dt/2 and dt/6) are
@@ -118,32 +129,15 @@ def etd_coefficients(multipliers: LinearMultipliers, dt: float) -> EtdCoefficien
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    z = multipliers.lam * dt
-    q = np.empty_like(z)
-    f1, f2, f3 = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-
+    z = lam * dt
     small = np.abs(z) < _SMALL_Z
-    if np.any(~small):
-        q[~small], f1[~small], f2[~small], f3[~small] = _etd_weight_formulas(z[~small])
-    if np.any(small):
-        angles = 2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS
-        circle = np.exp(angles)
-        zc = z[small, None] + circle[None, :]
-        qc, f1c, f2c, f3c = _etd_weight_formulas(zc)
-        q[small] = qc.mean(axis=1)
-        f1[small] = f1c.mean(axis=1)
-        f2[small] = f2c.mean(axis=1)
-        f3[small] = f3c.mean(axis=1)
-
-    return EtdCoefficients(
-        dt=dt,
-        e_full=np.exp(z),
-        e_half=np.exp(z / 2.0),
-        q=dt * q,
-        f1=dt * f1,
-        f2=dt * f2,
-        f3=dt * f3,
-    )
+    weights = np.empty((4,) + z.shape, dtype=np.complex128)  # q, f1, f2, f3 at dt = 1
+    weights[:, ~small] = _etd_weight_formulas(z[~small])
+    angles = 2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS
+    contour = z[small, None] + np.exp(angles)[None, :]
+    weights[:, small] = np.mean(_etd_weight_formulas(contour), axis=-1)
+    q, f1, f2, f3 = dt * weights
+    return EtdCoefficients(dt, np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
 
 
 def _etdrk4_step(c: np.ndarray, nl: NonlinearTerm, k: EtdCoefficients, t: float):
@@ -166,29 +160,13 @@ def _ifrk4_step(c, nl, e_full, e_half, dt: float, t: float):
     return e_full * c + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-class _Stepper:
-    """One-step kernel in the folded half layout, bound to a method, step
-    size and nonlinear term (the folded flux of ``params`` by default)."""
-
-    def __init__(self, params: ModelParams, n_modes: int, method: str, dt: float,
-                 nonlinear: Optional[NonlinearTerm] = None):
-        if nonlinear is None:
-            term = folded_nonlinear_term(params, n_modes)
-            nonlinear = lambda c, t: term(c)
-        lam = linear_multipliers(params, n_modes).lam[n_modes:]
-        self.method = method
-        self.dt = dt
-        self.nl = nonlinear
-        if method == "etdrk4":
-            self.coeffs = etd_coefficients(LinearMultipliers(n_modes, lam), dt)
-        else:
-            self.e_full = np.exp(lam * dt)
-            self.e_half = np.exp(lam * dt / 2.0)
-
-    def __call__(self, c: np.ndarray, t: float) -> np.ndarray:
-        if self.method == "etdrk4":
-            return _etdrk4_step(c, self.nl, self.coeffs, t)
-        return _ifrk4_step(c, self.nl, self.e_full, self.e_half, self.dt, t)
+def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
+    """One step of size dt, ``step(c, t) -> c``, in the folded half layout."""
+    if method == "etdrk4":
+        weights = etd_coefficients(lam, dt)
+        return lambda c, t: _etdrk4_step(c, nl, weights, t)
+    e_full, e_half = np.exp(lam * dt), np.exp(lam * dt / 2.0)
+    return lambda c, t: _ifrk4_step(c, nl, e_full, e_half, dt, t)
 
 
 def _norm(half: np.ndarray) -> float:
@@ -232,20 +210,21 @@ def evolve(
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0.0 else 0)
 
-    stepper = _Stepper(params, n, config.method, config.dt, nonlinear)
+    lam = linear_multipliers(params, n)
+    if nonlinear is None:
+        term = folded_nonlinear_term(params, n)
+        nonlinear = lambda c, t: term(c)
+    step = _step_function(lam, config.method, nonlinear, config.dt)
     c = fold_half(u0.coeffs, n)
     norm0 = _norm(c)
     snapshots = []
     t = 0.0
 
     for s in range(1, total_steps + 1):
-        if s == n_full + 1:  # shortened final step
-            stepper = _Stepper(params, n, config.method, remainder, nonlinear)
-            c = stepper(c, t)
-            t = config.t_end
-        else:
-            c = stepper(c, t)
-            t = s * config.dt if s < total_steps else config.t_end
+        if s == n_full + 1:  # shortened final step: only its weights change
+            step = _step_function(lam, config.method, nonlinear, remainder)
+        c = step(c, t)
+        t = s * config.dt if s < total_steps else config.t_end
         norm = _norm(c)  # finite unless an entry is nonfinite or the sum overflows
         if not math.isfinite(norm) and not np.all(np.isfinite(c)):
             raise DivergenceError(f"nonfinite coefficients at t={t}", time=t)

@@ -128,14 +128,16 @@ def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end)
     full-range ETDRK4/IFRK4 update formulas and a Hermitian projection after
     every step; the last step is shortened to land on t_end.
 
-    It takes the library's multipliers and ETD weights (checked on their
-    own elsewhere), so it checks the stepper's half layout, not the weights.
+    It takes the library's half-range multipliers, mirrored here to
+    k = -N..N, and its ETD weights (both checked on their own elsewhere),
+    so it checks the stepper's half layout, not the weights.
     """
     from benj.semidiscrete import linear_multipliers
     from benj.spectral import hermitian_part
     from benj.timestep import etd_coefficients
 
-    lam = linear_multipliers(params, u0.n_modes).lam
+    half = linear_multipliers(params, u0.n_modes)
+    lam = np.concatenate([np.conj(half[:0:-1]), half])  # Lambda_{-k} = conj(Lambda_k)
     flux = _flux_full_range(params, u0.n_modes)
     n_full = int(np.floor(t_end / dt + 1e-9))
     steps = [dt] * n_full
@@ -144,7 +146,7 @@ def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end)
     c = u0.coeffs.copy()
     for h in steps:
         if method == "etdrk4":
-            k = etd_coefficients(linear_multipliers(params, u0.n_modes), h)
+            k = etd_coefficients(lam, h)
             na = flux(c)
             a = k.e_half * c + k.q * na
             nb = flux(a)

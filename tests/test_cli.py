@@ -1,6 +1,8 @@
 import json
 import tempfile
+import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,10 @@ import benj.cli
 import benj.harness
 from benj.cli import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
 from benj.errors import ConfigError, DivergenceError, ParameterError
-from benj.initdata import KINDS
+from benj.initdata import KINDS, InitialDataSpec
+from benj.model import ModelParams
 from benj.snapshots import read_snapshot
+from benj.timestep import IntegratorConfig
 
 BASE = """
 model.m = 1
@@ -89,6 +93,27 @@ def test_config_comments_and_overrides():
 def test_config_bad_value_type():
     with pytest.raises(ConfigError, match="n_modes"):
         parse_config("n_modes = sixteen\n")
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("model", ModelParams), ("initial", InitialDataSpec), ("integrator", IntegratorConfig)])
+def test_config_sections_name_the_dataclass_fields(section, cls):
+    keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith(section + ".")}
+    assert keys == {f.name for f in fields(cls)}
+
+
+@pytest.mark.parametrize("text", [
+    "n_modes = 8\nmodel.q = 1000000\n",
+    "n_modes = 1000000000\n",
+    "n_modes = 1000000000000000000000000\n",
+    "n_modes = 8\nconverge.n_values = 8, 1000000\n",
+    "n_modes = 8\nconverge.n_ref = 1000000\n",
+], ids=["q", "n_modes", "n_modes-huge", "n_values", "n_ref"])
+def test_config_rejects_oversized_grids(text):
+    # checked from the sizes alone: no grid of that size is ever built
+    with pytest.raises(ConfigError, match="needs a grid of more than"):
+        parse_config(text)
+    parse_config("n_modes = 8\nmodel.q = 100\nconverge.n_ref = 4096\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -331,6 +356,20 @@ def test_soliton_command(tmp_path):
     assert float(values["shape_error_linf"]) < 1e-4
 
 
+def test_soliton_failure_removes_stale_results(tmp_path):
+    text = ("model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"
+            "soliton.t_star = 0.01\nsoliton.dt = 5e-3\n")
+    code, _ = run_command(tmp_path, "soliton", text=text)
+    assert code == EXIT_OK
+    assert (tmp_path / "out" / "profile.txt").exists()
+    # gamma > 0 needs the fixed-point solver, which one sweep cannot converge
+    code, manifest = run_command(tmp_path, "soliton", ["model.gamma=0.5", "initial.max_iter=1"],
+                                 text=text)
+    assert code == manifest["exit_code"] == EXIT_CONFIG
+    assert manifest["status"] == "validation-error"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
 def test_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
 
@@ -386,6 +425,24 @@ def test_large_q_exit_code(tmp_path, command):
     code, manifest = run_command(tmp_path, command, text=text)
     assert code == manifest["exit_code"] == EXIT_CONFIG
     assert manifest["status"] == "validation-error"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["integrator.dt=1e-300"]),
+    ("converge", ["integrator.dt=5e-324"]),
+    ("soliton", ["soliton.dt=5e-324"]),
+    ("soliton", ["soliton.dt=1e-300"]),
+    ("solve", ["model.q=1000000"]),
+], ids=["solve-1e-300", "converge-5e-324", "soliton-5e-324", "soliton-1e-300", "solve-q"])
+def test_over_bound_run_exit_code(tmp_path, command, extra):
+    text = "n_modes = 8\nintegrator.t_end = 0.01\nconverge.n_values = 4, 8\n"
+    start = time.perf_counter()
+    code, manifest = run_command(tmp_path, command, extra, text=text)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    if manifest is not None:  # the config parsed: the run itself was refused
+        assert manifest["status"] == "validation-error"
+    assert (manifest is None) == (command != "soliton")
 
 
 def test_solve_vanishing_width(tmp_path):
@@ -473,10 +530,11 @@ def test_soliton_builds_closed_form_once(tmp_path):
 
 
 # Overrides drawn per key.  Bandwidths stay <= 8 and horizons <= 0.01 so a
-# run is cheap; steps are never tiny positive numbers, and integers never
-# huge, since either only asks for a long or a large run.  q = 400 is the
-# exception: M^q for its padded grid M overflows, which must exit 2.
-_TIME_VALUES = ["0", "-1", "1e-3", "0.01", "nan", "inf", "-inf", "x"]
+# run is cheap.  Tiny steps (1e-300, 5e-324) plan more than the step bound
+# and q = 1000000 a grid wider than the grid bound, so both exit 2 before
+# any long or large run; at q = 400, M^q for the padded grid M overflows,
+# which must exit 2 too.  Other integers are never huge.
+_TIME_VALUES = ["0", "-1", "1e-3", "0.01", "1e-300", "5e-324", "nan", "inf", "-inf", "x"]
 _NUMBER_VALUES = ["0", "-1", "-0.5", "0.5", "2", "1e-300", "1e300", "nan", "inf", "-inf",
                   "abc", ""]
 _FUZZ_POOLS = {
@@ -492,7 +550,7 @@ _FUZZ_POOLS = {
     "initial.kind": [*KINDS, "bogus"],
     "initial.path": ["/nonexistent/datum.txt", str(Path(__file__).parent)],
     "integrator.method": ["etdrk4", "ifrk4", "bogus"],
-    "model.q": ["0", "-1", "2", "3", "400", "nan", "x"],
+    "model.q": ["0", "-1", "2", "3", "400", "1000000", "nan", "x"],
 }
 _FUZZ_KEYS = [k for k in _SCHEMA if k != "outputs"]
 FUZZ_BASE = "n_modes = 8\nintegrator.t_end = 0.01\nconverge.n_values = 4, 8\n"

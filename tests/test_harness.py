@@ -177,6 +177,33 @@ def test_intermediate_study_smoke(benjamin_params):
     assert report.fitted_rate is not None and report.fitted_rate > 1.5
 
 
+@pytest.mark.parametrize("shift, error", [(-1, RuntimeError), (1, IndexError)],
+                         ids=["fewer", "more"])
+def test_intermediate_study_refuses_an_unplanned_step_count(
+        monkeypatch, benjamin_params, shift, error):
+    # the reference store has one row per planned step: a reference run
+    # one step short or long must fail, never leave or overrun rows
+    real = benj.harness.evolve
+
+    def shifted(u0, params, config, observer=None, **kwargs):
+        if observer is not None:
+            config = IntegratorConfig(config.method, config.dt,
+                                      config.t_end + shift * config.dt, 1)
+        return real(u0, params, config, observer=observer, **kwargs)
+
+    monkeypatch.setattr(benj.harness, "evolve", shifted)
+    with pytest.raises(error):
+        intermediate_problem_study(benjamin_params, ROUGH, [4, 8], 32, 0.01,
+                                   IntegratorPolicy(dt=2e-3))
+
+
+@pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
+def test_study_step_over_the_bound_is_a_value_error(benjamin_params, study):
+    # t*/dt is inf here; it must not reach math.ceil
+    with pytest.raises(ValueError, match="exceed the bound"):
+        study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(dt=5e-324))
+
+
 def _lagrange_at_numpy_nodes(traj, t):
     """The interpolation weights computed over numpy nodes, as before."""
     pos = t / traj.dt
@@ -286,6 +313,11 @@ def test_soliton_short_propagation(kdv_params):
     assert report.speed_estimate == pytest.approx(0.5, abs=1e-3)
     assert report.shape_error_linf < 1e-4
     assert report.drifts.rel_drift_I < 1e-10
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_soliton_step_over_the_bound_is_a_value_error(kdv_params, dt):
+    with pytest.raises(ValueError, match="exceed the bound"):
+        soliton_propagation_test(0.5, kdv_params, 64, 1.0, dt=dt)
 
 def test_non_soliton_contrast(kdv_params):
     # Doubling the amplitude breaks the traveling-wave balance: the shape

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from benj.errors import ParameterError
-from benj.model import ModelParams
+from benj.model import ModelParams, symbol_l
 from benj.semidiscrete import (
     folded_nonlinear_term,
     frozen_nonlinear_term,
@@ -24,26 +24,38 @@ def mode_field(n_modes, entries, domain_scale=1.0):
 
 def linearized_rhs(params, w, u_frozen):
     """Full-range time derivative of w with advection frozen at u_frozen,
-    through the folded closure the linearized study steps with."""
+    through the half-layout multipliers and folded closure the linearized
+    study steps with."""
     n_w, n_u = w.n_modes, u_frozen.n_modes
     term = frozen_nonlinear_term(params, n_w, n_u)
-    flux = unfold_half(term(fold_half(u_frozen.coeffs, n_u), fold_half(w.coeffs, n_w)))
-    return linear_multipliers(params, n_w).lam * w.coeffs + flux
+    w_half = fold_half(w.coeffs, n_w)
+    flux = term(fold_half(u_frozen.coeffs, n_u), w_half)
+    return unfold_half(linear_multipliers(params, n_w) * w_half + flux)
+
+
+def linear_part(params, w):
+    """Full-range Lambda_k * w_hat_k from the half-layout multipliers."""
+    return unfold_half(linear_multipliers(params, w.n_modes) * fold_half(w.coeffs, w.n_modes))
 
 
 def test_multipliers_benjamin_values(benjamin_params):
-    mult = linear_multipliers(benjamin_params, 4)
-    n = 4
-    assert mult.lam[n + 0] == 0.0
-    assert mult.lam[n + 1] == pytest.approx(0.0, abs=1e-15)  # symbol zero at kappa=1
-    assert mult.lam[n + 2] == pytest.approx(4.0j, abs=1e-14)
+    lam = linear_multipliers(benjamin_params, 4)
+    assert lam.shape == (5,)  # k = 0..N
+    assert lam[0] == 0.0
+    assert lam[1] == pytest.approx(0.0, abs=1e-15)  # symbol zero at kappa=1
+    assert lam[2] == pytest.approx(4.0j, abs=1e-14)
 
 
 def test_multipliers_invariants(benjamin_params):
-    mult = linear_multipliers(benjamin_params, 16)
-    assert np.allclose(mult.lam, np.conj(mult.lam[::-1]))
-    assert np.all(mult.lam.real == 0.0)
-    assert mult.lam[16] == 0.0
+    lam = linear_multipliers(benjamin_params, 16)
+    assert not lam.flags.writeable
+    assert np.all(lam.real == 0.0)
+    assert lam[0] == 0.0
+    # the k >= 0 half of the odd, purely imaginary full-range operator
+    kappa = np.arange(-16, 17)
+    full = 1j * kappa * symbol_l(benjamin_params, kappa)
+    assert np.allclose(full, np.conj(full[::-1]))
+    assert np.array_equal(lam, full[16:])
 
 
 def test_rhs_two_mode_hand_convolution():
@@ -82,9 +94,8 @@ def test_linear_part_skew_symmetric(seed):
     # since |Lambda| reaches ~8e3 at this bandwidth
     params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1)
     v = rand_field(20, seed=seed)
-    mult = linear_multipliers(params, 20)
-    lv = v.with_coeffs(mult.lam * v.coeffs)
-    mass = 2 * np.pi * np.sum(np.abs(mult.lam) * np.abs(v.coeffs) ** 2)
+    lv = v.with_coeffs(linear_part(params, v))
+    mass = 2 * np.pi * np.sum(np.abs(lv.coeffs * np.conj(v.coeffs)))
     assert abs(inner(lv, v)) < 1e-14 * max(mass, 1.0)
 
 
@@ -99,9 +110,8 @@ def test_rhs_orthogonal_to_state(seed, q):
 def test_linearized_pure_linear_when_frozen_zero(benjamin_params):
     w = rand_field(12, seed=3)
     zero = mode_field(12, {})
-    mult = linear_multipliers(benjamin_params, 12)
     out = linearized_rhs(benjamin_params, w, zero)
-    assert np.allclose(out, mult.lam * w.coeffs, atol=1e-15)
+    assert np.allclose(out, linear_part(benjamin_params, w), atol=1e-15)
     assert np.all(frozen_term_direct(benjamin_params, w, zero) == 0)
 
 
@@ -128,7 +138,7 @@ def test_linearized_accepts_wider_frozen_field(benjamin_params):
     narrow = linearized_rhs(benjamin_params, w, u)
     wide = linearized_rhs(benjamin_params, w, embed(u, 24))
     assert np.max(np.abs(narrow - wide)) < 1e-13
-    flux = narrow - linear_multipliers(benjamin_params, 8).lam * w.coeffs
+    flux = narrow - linear_part(benjamin_params, w)
     assert np.max(np.abs(flux - frozen_term_direct(benjamin_params, w, u))) < 1e-13
 
 

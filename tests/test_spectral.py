@@ -35,12 +35,12 @@ def mode_field(n_modes, entries, domain_scale=1.0):
 # ------------------------ transforms: synth_values (physical), analyze_coeffs (spectral)
 
 
-def test_to_physical_constant():
+def test_synth_values_constant():
     f = mode_field(4, {0: 2.0})
     assert np.allclose(synth_values(f.coeffs, 4, 16), 2.0)
 
 
-def test_to_physical_cosine_on_four_points():
+def test_synth_values_cosine_on_four_points():
     f = mode_field(1, {1: 0.5, -1: 0.5})
     # x = (-pi, -pi/2, 0, pi/2)
     assert np.allclose(synth_values(f.coeffs, 1, 4), [-1.0, 0.0, 1.0, 0.0], atol=1e-15)
@@ -52,7 +52,7 @@ def test_round_trip_exact():
     assert np.max(np.abs(back - f.coeffs)) < 1e-14
 
 
-def test_to_physical_matches_direct_series():
+def test_synth_values_matches_direct_series():
     f = rand_field(9, seed=11, domain_scale=2.5)
     assert np.allclose(synth_values(f.coeffs, 9, 41), sample_field(f, 41), atol=1e-12)
 
@@ -69,20 +69,20 @@ def test_half_layout_round_trip_and_grid_phase():
     assert np.array_equal(fold_half(u.coeffs, 4), fold_half(project(u, 4).coeffs, 4))
 
 
-def test_to_spectral_constant_samples():
+def test_analyze_coeffs_constant_samples():
     c = analyze_coeffs(np.full(11, 3.25), 5)
     expected = np.zeros(11, dtype=np.complex128)
     expected[5] = 3.25
     assert np.allclose(c, expected, atol=1e-15)
 
 
-def test_to_spectral_sine_mode():
+def test_analyze_coeffs_sine_mode():
     c = analyze_coeffs(np.sin(2 * grid(9, 1.0)), 3)
     assert c[3 + 2] == pytest.approx(-0.5j, abs=1e-15)
     assert c[3 - 2] == pytest.approx(0.5j, abs=1e-15)
 
 
-def test_to_spectral_aliasing_folds_high_mode():
+def test_analyze_coeffs_aliasing_folds_high_mode():
     # cos((N+1)x) sampled on M = 2N+1 points folds onto k = -N and k = N;
     # on the grid starting at -L*pi the fold carries the factor (-1)^M = -1.
     n = 6

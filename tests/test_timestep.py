@@ -4,9 +4,9 @@ import pytest
 from benj.errors import DivergenceError, ParameterError
 from benj.initdata import gaussian
 from benj.model import ModelParams
-from benj.semidiscrete import LinearMultipliers
-from benj.spectral import l2_norm
+from benj.spectral import fold_half, l2_norm, unfold_half
 from benj.timestep import (
+    MAX_STEPS,
     IntegratorConfig,
     default_dt,
     etd_coefficients,
@@ -17,8 +17,8 @@ from oracles import etd_weights_highprec, evolve_full_range, rand_field
 
 
 def fake_multipliers(values):
-    lam = np.asarray(values, dtype=np.complex128)
-    return LinearMultipliers((len(lam) - 1) // 2, lam)
+    """Half-layout multipliers Lambda_k, k = 0..len(values) - 1."""
+    return np.asarray(values, dtype=np.complex128)
 
 
 def zero_term(c, t):
@@ -65,7 +65,7 @@ def test_weights_out_of_range_are_a_parameter_error():
 
 
 def test_weights_scale_with_dt():
-    lam = fake_multipliers([0.2j, -0.2j, 0.0])
+    lam = fake_multipliers([0.0, 0.2j, -0.2j])
     a = etd_coefficients(lam, dt=0.5)
     b = etd_coefficients(lam, dt=0.25)
     # e^z changes, but the phi-combinations at z -> z/2 stay finite and smooth
@@ -84,8 +84,8 @@ def test_pure_linear_step_is_exact_diagonal_flow(method, benjamin_params):
     out = evolve(u, benjamin_params, config, nonlinear=zero_term).final
     from benj.semidiscrete import linear_multipliers
 
-    lam = linear_multipliers(benjamin_params, 24).lam
-    expect = np.exp(lam * dt) * u.coeffs
+    lam = linear_multipliers(benjamin_params, 24)
+    expect = unfold_half(np.exp(lam * dt) * fold_half(u.coeffs, 24))
     assert np.max(np.abs(out.coeffs - expect)) < 1e-14 * max(1.0, np.max(np.abs(expect)))
 
 
@@ -166,6 +166,22 @@ def test_shortened_final_step(benjamin_params):
     result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 0.4e-2, 1.0e-2, 1))
     assert result.n_steps == 3
     assert result.final_time == pytest.approx(1.0e-2, rel=1e-15)
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_shortened_final_step_rebuilds_only_its_weights(method, benjamin_params, monkeypatch):
+    import benj.timestep
+
+    real, built = benj.timestep.folded_nonlinear_term, []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(benj.timestep, "folded_nonlinear_term", counting)
+    config = IntegratorConfig(method, 0.4e-2, 1.0e-2, 1)
+    assert evolve(rand_field(8, seed=4), benjamin_params, config).n_steps == 3
+    assert len(built) == 1
 
 
 def test_evolve_deterministic_bit_identical(benjamin_params):
@@ -277,6 +293,13 @@ def test_config_validation():
         IntegratorConfig(dt=2.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-2, t_end=1.0, snapshot_stride=0)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324, 0.5 / MAX_STEPS])
+def test_config_rejects_step_counts_over_the_bound(dt):
+    with pytest.raises(ValueError, match="exceed the bound"):
+        IntegratorConfig(dt=dt, t_end=1.0)
+    IntegratorConfig(dt=1.0 / MAX_STEPS, t_end=1.0)  # at the bound
 
 
 def test_default_dt_scales(benjamin_params):
