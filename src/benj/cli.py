@@ -28,7 +28,9 @@ the table is a bug, whose traceback propagates after a manifest with status
 ``incomplete`` is written.  Before a command runs, ``main`` removes that
 command's earlier result files (``_COMMANDS``) from the output directory.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
-grid of more than ``MAX_GRID`` points, is a validation error.
+grid of more than ``MAX_GRID`` points, is a validation error, and so is a
+set ``converge.n_ref``, ``converge.t_star``, ``soliton.t_star`` or
+``soliton.dt`` that is not positive (only an unset one takes a default).
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ _SCHEMA = {
     "soliton.t_star": (_parse_float, None),
     "soliton.dt": (_parse_float, None),
 }
+# keys whose unset value (None) falls back to another; a set value must be > 0
+_POSITIVE = ("converge.n_ref", "converge.t_star", "soliton.t_star", "soliton.dt")
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,17 @@ def _section(resolved: dict, name: str) -> dict:
     return {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
 
 
+def _given(value, default):
+    """``value``, or ``default`` when its key was left unset (None)."""
+    return default if value is None else value
+
+
 def _check_grid(model: ModelParams, r: dict):
     """Reject a config whose widest grid, the energy's dealiased grid for
     u^(q+2) at the largest bandwidth (n_modes, or converge's reference),
     exceeds MAX_GRID points.  Its lower bound (q+3)n+1 is tested first, so
     a huge n is rejected without a next_fast_len search or any array."""
-    n = max(r["n_modes"], r["converge.n_ref"] or 4 * max(r["converge.n_values"] or [0]))
+    n = max(r["n_modes"], _given(r["converge.n_ref"], 4 * max(r["converge.n_values"] or [0])))
     p = model.q + 2
     if (p + 1) * n + 1 > MAX_GRID or dealiased_grid(n, p) > MAX_GRID:
         raise ConfigError(f"model.q={model.q} at bandwidth {n} needs a grid of "
@@ -214,6 +223,9 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     n_modes = r["n_modes"]
     if n_modes < 1:
         raise ConfigError(f"n_modes must satisfy N >= 1, got {n_modes}", key="n_modes")
+    for key in _POSITIVE:
+        if r[key] is not None and not r[key] > 0:
+            raise ConfigError(f"{key} must be > 0, got {r[key]}", key=key)
     _check_grid(model, r)
 
     if r["initial.kind"] not in KINDS:
@@ -320,8 +332,8 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
     if not n_values:
         raise ConfigError("converge.n_values is required for the converge command",
                           key="converge.n_values")
-    n_ref = config.raw["converge.n_ref"] or 4 * max(n_values)
-    t_star = config.raw["converge.t_star"] or config.integrator.t_end
+    n_ref = _given(config.raw["converge.n_ref"], 4 * max(n_values))
+    t_star = _given(config.raw["converge.t_star"], config.integrator.t_end)
     # an unset dt is derived by the study from the finest measured bandwidth
     policy = IntegratorPolicy(method=config.integrator.method, dt=config.raw["integrator.dt"])
     _progress(quiet, f"converge: N in {n_values}, reference N={n_ref}, t*={t_star:g}")
@@ -356,7 +368,7 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
 
 def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
     speed = config.raw["soliton.c"]
-    t_star = config.raw["soliton.t_star"] or config.integrator.t_end
+    t_star = _given(config.raw["soliton.t_star"], config.integrator.t_end)
     model = config.model
     if model.gamma == 0.0 and model.m == 1 and model.q == 1:
         spec = InitialDataSpec(kind="kdv_soliton", speed=speed)  # closed form available
@@ -376,7 +388,7 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
         model,
         config.n_modes,
         t_star,
-        dt=config.raw["soliton.dt"] or config.integrator.dt,
+        dt=_given(config.raw["soliton.dt"], config.integrator.dt),
         profile=profile,
         method=config.integrator.method,
     )

@@ -10,7 +10,8 @@ Studies exchange full-range ``SpectralField``s with ``evolve``.  The one
 exception is the linearized study: its reference trajectory, one array for
 the planned steps that the observer fills in place, and the frozen advection
 term it feeds to ``evolve(nonlinear=...)`` use the folded half layout of
-``spectral`` (modes k = 0..N times (-1)^k), which the stepper carries.
+``spectral`` (modes k = 0..N times (-1)^k), which the stepper carries.  The
+term keeps u^q for the last stage time it saw, the study's one cache.
 """
 
 from __future__ import annotations
@@ -207,52 +208,25 @@ def self_convergence(
     return _run_members(member, n_values, n_ref, t_star, dt)
 
 
-class _SteppedTrajectory:
-    """Cubic-in-time interpolant over states stored at every reference step.
-
-    ``at`` remembers its last query, so the two midpoint stages of a step,
-    which ask for the same t, interpolate once; the states it returns are
-    read-only, since a later query may hand out the same array.
-    """
-
-    def __init__(self, times_count: int, dt: float, states: np.ndarray):
-        self.dt = dt
-        self.states = states  # (times_count, modes) complex, folded half layout
-        self.count = times_count
-        self._last = (None, None)  # (t, state) of the last query
-
-    def at(self, t: float) -> np.ndarray:
-        last_t, last_state = self._last
-        if t == last_t:
-            return last_state
-        state = self._interpolate(t)
-        state.setflags(write=False)
-        self._last = (t, state)
-        return state
-
-    def _interpolate(self, t: float) -> np.ndarray:
-        pos = t / self.dt
-        i0 = int(math.floor(pos + 1e-9))
-        i0 = min(max(i0, 0), self.count - 1)
-        frac = pos - i0
-        if abs(frac) < 1e-8:
-            return self.states[i0]
-        if abs(frac - 1.0) < 1e-8:
-            return self.states[min(i0 + 1, self.count - 1)]
-        if self.count < 4:
-            nxt = min(i0 + 1, self.count - 1)
-            return (1.0 - frac) * self.states[i0] + frac * self.states[nxt]
-        start = min(max(i0 - 1, 0), self.count - 4)
-        xi = pos - start
-        weights = []
-        for a in range(4):
-            w = 1.0
-            for b in range(4):
-                if a != b:
-                    w *= (xi - b) / (a - b)
-            weights.append(w)
-        # the (1, 4) @ (4, modes) product np.tensordot forms, without its overhead
-        return np.dot(np.array([weights]), self.states[start : start + 4])[0]
+def _interpolate(states: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """Cubic-in-time interpolant at t of ``states``, stored at every step of
+    size dt (at least 4 rows): the stored state within 1e-8 steps of a step
+    time, else the Lagrange polynomial through the 4 rows around t."""
+    pos = t / dt
+    nearest = round(pos)
+    if abs(pos - nearest) < 1e-8:
+        return states[min(max(nearest, 0), len(states) - 1)]
+    start = min(max(math.floor(pos) - 1, 0), len(states) - 4)
+    xi = pos - start
+    weights = []
+    for a in range(4):
+        w = 1.0
+        for b in range(4):
+            if a != b:
+                w *= (xi - b) / (a - b)
+        weights.append(w)
+    # the (1, 4) @ (4, modes) product np.tensordot forms, without its overhead
+    return np.dot(np.array([weights]), states[start : start + 4])[0]
 
 
 def intermediate_problem_study(
@@ -292,12 +266,11 @@ def intermediate_problem_study(
 
     def member(n: int):
         n_u = (1 + params.q) * n
-        traj = _SteppedTrajectory(n_steps + 1, dt, stored[:, : n_u + 1])
-        term = frozen_nonlinear_term(params, n, n_u)
-        nonlinear = lambda c, t: term(traj.at(t), c)
+        states = stored[:, : n_u + 1]
+        term = frozen_nonlinear_term(params, n, n_u, lambda t: _interpolate(states, dt, t))
         w0 = project(u0_ref, n)
         config = IntegratorConfig(method, dt, t_star, max(1, n_steps // 128))
-        result = evolve(w0, params, config, nonlinear=nonlinear)
+        result = evolve(w0, params, config, nonlinear=term)
         linf_values = [linf_norm(w0)] + [linf_norm(f) for _, f in result.snapshots]
         diff = u_ref_final.coeffs - embed(result.final, n_ref).coeffs
         return l2_norm(u_ref_final.with_coeffs(diff)), max(linf_values)

@@ -98,45 +98,38 @@ def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
 
 
 def frozen_nonlinear_term(
-    params: ModelParams, n_w: int, n_u: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Closure for -P_N[f'(u_frozen) w_x]_hat in the folded half layout.
+    params: ModelParams, n_w: int, n_u: int, frozen: Callable[[float], np.ndarray]
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Closure ``term(w_half, t)`` for -P_N[f'(u(t)) w_x]_hat in the folded
+    half layout, the ``nonlinear(c, t)`` hook of ``evolve``.
 
-    Takes ``u_frozen`` (length n_u + 1) and w (length n_w + 1) and returns
-    length n_w + 1.  ``u_frozen`` may carry a larger bandwidth than w (the
+    ``frozen(t)`` gives the frozen state u(t) (length n_u + 1); w and the
+    output have length n_w + 1.  u may carry a larger bandwidth than w (the
     linearized study freezes a finer reference solution).  The pointwise
     product of f'(u) = u^q (bandwidth q*n_u) with w_x (bandwidth n_w) is
     formed on a grid wide enough that its truncation to |k| <= n_w is
     alias-free.  The factor on w merges i*kappa, the sign and the M^q of
     the unnormalized transforms.
 
-    The closure keeps the grid values of u^q for the last two distinct
-    ``u_frozen`` it was given (matched by exact bytes, so a caller may
-    reuse or mutate its arrays): a stepper that asks for the same frozen
-    state at both stage midpoints and at the end of one step and the start
-    of the next synthesises u^q once per distinct time.  The output is
-    bit-identical to recomputing u^q on every call.
+    The closure keeps the grid values of u^q for the last t it was given,
+    so ``frozen`` is called, and u^q synthesised, once per distinct time:
+    the stepper's two midpoint stages share a time, and its final stage
+    runs at the next step's exact start time.  The output is bit-identical
+    to recomputing u^q on every call.
     """
     q = params.q
     m = next_fast_len(max(q * n_u + 2 * n_w, 2 * n_u, 2 * n_w) + 1)
     w_factor = -1j * np.arange(n_w + 1) / params.domain_scale * _transform_scale(m, q)
-    memo = []  # up to two (key of u_half, u^q grid values), oldest first
+    last_t, power = None, None  # the time of the last call and u^q on the grid there
 
-    def frozen_power(u_half: np.ndarray) -> np.ndarray:
-        key = (u_half.dtype, u_half.shape, u_half.tobytes())
-        for cached_key, values in reversed(memo):  # newest first
-            if cached_key == key:
-                return values
-        values = np.fft.irfft(u_half, n=m)
-        values **= q
-        if len(memo) == 2:
-            del memo[0]
-        memo.append((key, values))
-        return values
-
-    def term(u_half: np.ndarray, w_half: np.ndarray) -> np.ndarray:
+    def term(w_half: np.ndarray, t: float) -> np.ndarray:
+        nonlocal last_t, power
+        if t != last_t:
+            power = np.fft.irfft(frozen(t), n=m)
+            power **= q
+            last_t = t
         vals = np.fft.irfft(w_factor * w_half, n=m)
-        vals *= frozen_power(u_half)
+        vals *= power
         return np.fft.rfft(vals)[: n_w + 1]
 
     return term

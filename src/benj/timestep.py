@@ -28,7 +28,9 @@ given; an observer sees every such state and owns its retention.  A
 ``nonlinear=`` callable replaces the flux inside the loop, so it receives
 and returns folded half-layout vectors of length N+1:
 ``nonlinear(c_half, t) -> flux_half``.  Its mode-0 entry must be real
-(the projection of a real function's mean).
+(the projection of a real function's mean).  A step calls it at its t,
+twice at t + dt/2, and last at the next step's exact t (``s*dt``, or
+``t_end``), so a callable may cache what it derives from t.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def etd_coefficients(lam: np.ndarray, dt: float) -> EtdCoefficients:
     return EtdCoefficients(dt, np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
 
 
-def _etdrk4_step(c: np.ndarray, nl: NonlinearTerm, k: EtdCoefficients, t: float):
+def _etdrk4_step(c, nl: NonlinearTerm, k: EtdCoefficients, t: float, t_next: float):
     na = nl(c, t)
     ec = k.e_half * c
     a = ec + k.q * na
@@ -148,25 +150,25 @@ def _etdrk4_step(c: np.ndarray, nl: NonlinearTerm, k: EtdCoefficients, t: float)
     b = ec + k.q * nb
     nc = nl(b, t + 0.5 * k.dt)
     cstage = k.e_half * a + k.q * (2.0 * nc - na)
-    nd = nl(cstage, t + k.dt)
+    nd = nl(cstage, t_next)
     return k.e_full * c + k.f1 * na + 2.0 * k.f2 * (nb + nc) + k.f3 * nd
 
 
-def _ifrk4_step(c, nl, e_full, e_half, dt: float, t: float):
+def _ifrk4_step(c, nl, e_full, e_half, dt: float, t: float, t_next: float):
     k1 = nl(c, t)
     k2 = nl(e_half * (c + 0.5 * dt * k1), t + 0.5 * dt)
     k3 = nl(e_half * c + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = nl(e_full * c + dt * e_half * k3, t + dt)
+    k4 = nl(e_full * c + dt * e_half * k3, t_next)
     return e_full * c + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
 def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
-    """One step of size dt, ``step(c, t) -> c``, in the folded half layout."""
+    """One step of size dt, ``step(c, t, t_next) -> c``, in the folded half layout."""
     if method == "etdrk4":
         weights = etd_coefficients(lam, dt)
-        return lambda c, t: _etdrk4_step(c, nl, weights, t)
+        return lambda c, t, t_next: _etdrk4_step(c, nl, weights, t, t_next)
     e_full, e_half = np.exp(lam * dt), np.exp(lam * dt / 2.0)
-    return lambda c, t: _ifrk4_step(c, nl, e_full, e_half, dt, t)
+    return lambda c, t, t_next: _ifrk4_step(c, nl, e_full, e_half, dt, t, t_next)
 
 
 def _norm(half: np.ndarray) -> float:
@@ -223,22 +225,22 @@ def evolve(
     for s in range(1, total_steps + 1):
         if s == n_full + 1:  # shortened final step: only its weights change
             step = _step_function(lam, config.method, nonlinear, remainder)
-        c = step(c, t)
-        t = s * config.dt if s < total_steps else config.t_end
+        t_next = s * config.dt if s < total_steps else config.t_end
+        c = step(c, t, t_next)
+        t = t_next
         norm = _norm(c)  # finite unless an entry is nonfinite or the sum overflows
         if not math.isfinite(norm) and not np.all(np.isfinite(c)):
             raise DivergenceError(f"nonfinite coefficients at t={t}", time=t)
         if norm0 > 0 and norm > _GROWTH_LIMIT * norm0:
             raise DivergenceError(f"norm grew beyond 1e6x initial at t={t}", time=t)
         if s % config.snapshot_stride == 0 or s == total_steps:
-            field = u0.with_coeffs(unfold_half(c))
+            field = u0.with_coeffs(unfold_half(c))  # the last step always builds one
             if observer is None:
                 snapshots.append((t, field))
             else:
                 observer(t, field)
 
-    final = u0.with_coeffs(unfold_half(c)) if total_steps else u0
-    return EvolveResult(final=final, final_time=t, snapshots=snapshots, n_steps=total_steps)
+    return EvolveResult(final=field, final_time=t, snapshots=snapshots, n_steps=total_steps)
 
 
 def default_dt(params: ModelParams, n_modes: int) -> float:

@@ -445,6 +445,23 @@ def test_over_bound_run_exit_code(tmp_path, command, extra):
     assert (manifest is None) == (command != "soliton")
 
 
+@pytest.mark.parametrize("command, override", [
+    ("soliton", "soliton.dt=-1"),
+    ("soliton", "soliton.dt=0"),
+    ("soliton", "soliton.t_star=0"),
+    ("converge", "converge.t_star=0"),
+    ("converge", "converge.n_ref=0"),
+])
+def test_non_positive_value_is_a_config_error(tmp_path, command, override):
+    # only an unset key falls back to a default; a set value no run can use
+    # is refused at parse time, before the manifest could echo it
+    text = ("model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"
+            "integrator.t_end = 0.01\nconverge.n_values = 4, 8\n")
+    code, manifest = run_command(tmp_path, command, [override], text=text)
+    assert code == EXIT_CONFIG
+    assert manifest is None
+
+
 def test_solve_vanishing_width(tmp_path):
     with np.errstate(over="ignore"):
         code, manifest = run_command(tmp_path, "solve", ["initial.width=1e-300"])

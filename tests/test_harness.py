@@ -6,7 +6,7 @@ import benj.harness
 from benj.errors import DivergenceError
 from benj.harness import (
     IntegratorPolicy,
-    _SteppedTrajectory,
+    _interpolate,
     estimate_rate,
     intermediate_problem_study,
     self_convergence,
@@ -204,10 +204,10 @@ def test_study_step_over_the_bound_is_a_value_error(benjamin_params, study):
         study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(dt=5e-324))
 
 
-def _lagrange_at_numpy_nodes(traj, t):
+def _lagrange_at_numpy_nodes(states, dt, t):
     """The interpolation weights computed over numpy nodes, as before."""
-    pos = t / traj.dt
-    start = min(max(int(np.floor(pos + 1e-9)) - 1, 0), traj.count - 4)
+    pos = t / dt
+    start = min(max(int(np.floor(pos + 1e-9)) - 1, 0), len(states) - 4)
     xi = pos - start
     nodes = np.arange(4.0)
     weights = np.ones(4)
@@ -215,37 +215,30 @@ def _lagrange_at_numpy_nodes(traj, t):
         for b in range(4):
             if a != b:
                 weights[a] *= (xi - nodes[b]) / (nodes[a] - nodes[b])
-    return np.tensordot(weights, traj.states[start : start + 4], axes=1)
+    return np.tensordot(weights, states[start : start + 4], axes=1)
 
 
 def test_trajectory_interpolation_bit_identical_to_numpy_weights():
     rng = np.random.default_rng(14)
     count, dt = 12, 2.5e-4
     states = rng.standard_normal((count, 9)) + 1j * rng.standard_normal((count, 9))
-    traj = _SteppedTrajectory(count, dt, states)
     # stage midpoints, as the linearized runs query them, plus arbitrary times
     times = [(i + 0.5) * dt for i in range(count - 1)]
     times += list(rng.uniform(0.0, (count - 1) * dt, 40))
     for t in times:
-        assert traj.at(t).tobytes() == _lagrange_at_numpy_nodes(traj, t).tobytes()
-
-def test_trajectory_repeated_query_returns_same_state():
-    rng = np.random.default_rng(15)
-    states = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-    traj = _SteppedTrajectory(8, 0.1, states)
-    mid = traj.at(0.25)
-    assert traj.at(0.25) is mid and not mid.flags.writeable
-    assert traj.at(0.3).tobytes() != mid.tobytes()
-    assert traj.at(0.2).tobytes() == states[2].tobytes()
+        expected = _lagrange_at_numpy_nodes(states, dt, t)
+        assert _interpolate(states, dt, t).tobytes() == expected.tobytes()
+    for i in range(count):  # a step time gives its stored state
+        assert _interpolate(states, dt, i * dt).tobytes() == states[i].tobytes()
 
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
 def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, method):
-    # Per step a w-run queries u at t, t + dt/2 twice and t + dt, where
-    # t + dt is the next step's t: 2 syntheses of u^q per step plus the
+    # Per step a w-run asks for u at t, t + dt/2 twice and at the step's
+    # end, which is the next step's t: 2 syntheses of u^q per step plus the
     # first, and one interpolation per step (its midpoint).
     n, n_u = 8, 16  # q = 1 freezes u at bandwidth 2N
     counts = {"syntheses": 0, "midpoints": 0, "steps": 0, "w_run": False}
-    irfft, interpolate = np.fft.irfft, _SteppedTrajectory._interpolate
+    irfft, interpolate = np.fft.irfft, _interpolate
     evolve_ = benj.harness.evolve
 
     def counting_irfft(a, *args, **kwargs):
@@ -253,11 +246,11 @@ def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, 
             counts["syntheses"] += 1
         return irfft(a, *args, **kwargs)
 
-    def counting_interpolate(self, t):
-        pos = t / self.dt
+    def counting_interpolate(states, dt, t):
+        pos = t / dt
         if abs(pos - round(pos)) > 1e-8:
             counts["midpoints"] += 1
-        return interpolate(self, t)
+        return interpolate(states, dt, t)
 
     def counting_evolve(u0, params, config, **kwargs):
         counts["w_run"] = "nonlinear" in kwargs
@@ -270,7 +263,7 @@ def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, 
         return result
 
     monkeypatch.setattr(np.fft, "irfft", counting_irfft)
-    monkeypatch.setattr(_SteppedTrajectory, "_interpolate", counting_interpolate)
+    monkeypatch.setattr(benj.harness, "_interpolate", counting_interpolate)
     monkeypatch.setattr(benj.harness, "evolve", counting_evolve)
     intermediate_problem_study(benjamin_params, ROUGH, [n], 32, 0.02,
                                IntegratorPolicy(method=method, dt=2e-3))
@@ -281,25 +274,24 @@ def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, 
 
 def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
     # Criterion 6's configuration over the linearized benchmark's horizon:
-    # the memoised frozen term and trajectory against a fresh closure and
-    # an unmemoised interpolation at every call, every field by repr.
+    # the frozen term's cached u^q against a fresh closure, and so a fresh
+    # interpolation and synthesis, at every call, every field by repr.
     params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1)
     spec = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=0)
     args = (params, spec, [32, 64, 128, 256], 1024, 0.1, IntegratorPolicy(method="ifrk4", dt=4e-4))
-    memoised = intermediate_problem_study(*args)
+    cached = intermediate_problem_study(*args)
 
     factory = benj.harness.frozen_nonlinear_term
 
-    def fresh_per_call(params, n_w, n_u):
-        return lambda u, w: factory(params, n_w, n_u)(u, w)
+    def fresh_per_call(params, n_w, n_u, frozen):
+        return lambda w, t: factory(params, n_w, n_u, frozen)(w, t)
 
     monkeypatch.setattr(benj.harness, "frozen_nonlinear_term", fresh_per_call)
-    monkeypatch.setattr(_SteppedTrajectory, "at", _SteppedTrajectory._interpolate)
     fresh = intermediate_problem_study(*args)
-    assert {k: repr(v) for k, v in vars(memoised).items()} == {
+    assert {k: repr(v) for k, v in vars(cached).items()} == {
         k: repr(v) for k, v in vars(fresh).items()
     }
-    assert not memoised.failures
+    assert not cached.failures
 
 # ----------------------------------------------------------------- solitons
 

@@ -27,9 +27,9 @@ def linearized_rhs(params, w, u_frozen):
     through the half-layout multipliers and folded closure the linearized
     study steps with."""
     n_w, n_u = w.n_modes, u_frozen.n_modes
-    term = frozen_nonlinear_term(params, n_w, n_u)
+    u_half = fold_half(u_frozen.coeffs, n_u)
     w_half = fold_half(w.coeffs, n_w)
-    flux = term(fold_half(u_frozen.coeffs, n_u), w_half)
+    flux = frozen_nonlinear_term(params, n_w, n_u, lambda t: u_half)(w_half, 0.0)
     return unfold_half(linear_multipliers(params, n_w) * w_half + flux)
 
 
@@ -150,27 +150,34 @@ def test_half_layout_frozen_term_matches_linearized_rhs(q, n_w):
     n_u = (1 + q) * n_w
     w = rand_field(n_w, seed=q + n_w)
     u = rand_field(n_u, seed=20 + q + n_w, decay=1.0)
-    half = frozen_nonlinear_term(p, n_w, n_u)(fold_half(u.coeffs, n_u), fold_half(w.coeffs, n_w))
+    u_half = fold_half(u.coeffs, n_u)
+    half = frozen_nonlinear_term(p, n_w, n_u, lambda t: u_half)(fold_half(w.coeffs, n_w), 0.0)
     assert half.shape == (n_w + 1,)
     assert np.max(np.abs(unfold_half(half) - frozen_term_direct(p, w, u))) < 1e-13
 
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_frozen_term_memo_matches_fresh_closure(q):
-    # An interleaved sequence of frozen states evicts and revisits the
-    # closure's two cached u^q; every output must equal a fresh closure's.
+    # An interleaved sequence of times, with repeats and revisits, against
+    # one closure: every output must equal a fresh closure's, and frozen(t)
+    # is asked again only when t differs from the previous call's.
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
     n_w, n_u = 8, (1 + q) * 8
-    us = [fold_half(rand_field(n_u, seed=40 + i).coeffs, n_u) for i in range(3)]
-    sequence = [us[0], us[0], us[1], us[0], us[2], us[1], us[1].copy(), us[2], us[0]]
-    moving = us[2].copy()
-    sequence += [moving] * 3  # mutated in place between the calls below
-    term = frozen_nonlinear_term(p, n_w, n_u)
-    for i, u in enumerate(sequence):
+    states = {t: fold_half(rand_field(n_u, seed=40 + i).coeffs, n_u)
+              for i, t in enumerate([0.0, 0.05, 0.1])}
+    asked = []
+
+    def frozen(t):
+        asked.append(t)
+        return states[t]
+
+    times = [0.0, 0.0, 0.05, 0.05, 0.1, 0.05, 0.0, 0.1, 0.1, 0.1, 0.0]
+    term = frozen_nonlinear_term(p, n_w, n_u, frozen)
+    for i, t in enumerate(times):
         w = fold_half(rand_field(n_w, seed=60 + i).coeffs, n_w)
-        expected = frozen_nonlinear_term(p, n_w, n_u)(u, w)
-        assert term(u, w).tobytes() == expected.tobytes()
-        moving[3] += 1e-3
+        expected = frozen_nonlinear_term(p, n_w, n_u, states.get)(w, t)
+        assert term(w, t).tobytes() == expected.tobytes()
+    assert asked == [0.0, 0.05, 0.1, 0.05, 0.0, 0.1, 0.0]
 
 
 def test_large_q_is_a_parameter_error():
@@ -179,6 +186,6 @@ def test_large_q_is_a_parameter_error():
     with pytest.raises(ParameterError, match="model.q is too large"):
         folded_nonlinear_term(p, 8)
     with pytest.raises(ParameterError, match="model.q is too large"):
-        frozen_nonlinear_term(p, 8, 8)
+        frozen_nonlinear_term(p, 8, 8, None)
     # q = 100 (864^99 at N = 8) still fits
     folded_nonlinear_term(ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=100), 8)

@@ -242,6 +242,28 @@ def test_nonlinear_callable_gets_half_layout(benjamin_params):
     assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
 
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_hook_final_stage_runs_at_the_next_step_time(method, benjamin_params):
+    # At dt = 1e-4, t + dt and (s + 1)*dt round apart on hundreds of steps.
+    # A hook that caches by time needs each step's 4th call and the next
+    # step's 1st call to get the same float: the step time evolve reports.
+    dt, steps = 1e-4, 1000
+    times, observed = [], []
+
+    def hook(c, t):
+        times.append(t)
+        return np.zeros_like(c)
+
+    config = IntegratorConfig(method, dt, steps * dt, 1)
+    result = evolve(rand_field(4, seed=12), benjamin_params, config,
+                    observer=lambda t, f: observed.append(t), nonlinear=hook)
+    assert result.n_steps == steps and len(times) == 4 * steps
+    ends, starts = times[3::4], times[4::4]
+    assert sum(a != b for a, b in zip(ends, starts)) == 0  # bitwise equal floats
+    assert ends == observed
+    assert times[1::4] == times[2::4] == [t + 0.5 * dt for t in times[0::4]]
+
+
 def test_divergence_detection(benjamin_params):
     u0 = rand_field(8, seed=7)
     grow = lambda c, t: 30.0 * c
