@@ -27,6 +27,9 @@ manifest exactly once, last, even when the run fails; an exception outside
 the table is a bug, whose traceback propagates after a manifest with status
 ``incomplete`` is written.  Before a command runs, ``main`` removes that
 command's earlier result files (``_COMMANDS``) from the output directory.
+An output directory that holds another command's result files or
+manifest is a validation error raised before anything is removed or
+written, so no manifest is written over the other run's.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref``, ``converge.t_star``, ``soliton.t_star`` or
@@ -419,6 +422,30 @@ _COMMANDS = {
 }
 
 
+def _check_outputs_free(command: str, outdir: Path) -> None:
+    """Refuse an output directory holding another command's results: files
+    matching another command's ``_COMMANDS`` patterns, or a manifest that
+    another command (or nothing readable) wrote."""
+    foreign = sorted(
+        path.name
+        for other, (_, patterns) in _COMMANDS.items() if other != command
+        for pattern in patterns
+        for path in outdir.glob(pattern)
+    )
+    manifest = outdir / "manifest.json"
+    if manifest.is_file():
+        try:
+            owner = json.loads(manifest.read_text()).get("command")
+        except (ValueError, AttributeError):
+            owner = None
+        if owner != command:
+            foreign.append(manifest.name)
+    if foreign:
+        shown = ", ".join(foreign[:3]) + (", ..." if len(foreign) > 3 else "")
+        raise ConfigError(f"outputs directory {outdir} holds another command's results "
+                          f"({shown}); choose another directory", key="outputs")
+
+
 def _cmd_invariants(config: RunConfig, files) -> int:
     if not files:
         raise ConfigError("invariants command needs at least one snapshot file")
@@ -463,8 +490,9 @@ def main(argv=None) -> int:
         config = parse_config(Path(args.config).read_text(), args.override)
         if args.command == "invariants":  # writes no files, so no manifest
             return _cmd_invariants(config, args.files)
-        manifest = _Manifest(args.command, config)
         command, results = _COMMANDS[args.command]
+        _check_outputs_free(args.command, config.outputs)  # no manifest: it is not ours
+        manifest = _Manifest(args.command, config)
         # an earlier run's results must not outlive a failure of this one
         for pattern in results:
             for stale in config.outputs.glob(pattern):

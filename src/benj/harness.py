@@ -4,14 +4,20 @@ intermediate-problem diagnostic, and soliton propagation benchmarks.
 All studies measure against a self-computed reference run at a bandwidth
 at least four times the finest measured one and a step four times smaller,
 which keeps the reference error well below every measured error.  The
-member runs follow the reference one after another, in bandwidth order.
+member runs follow the reference as one stack (``timestep.evolve_rows``):
+row i is the bandwidth-n_i member posed at the finest member's bandwidth
+with its flux masked to |k| <= n_i, the same Galerkin system up to
+rounding.  A row that diverges becomes its member's ``failures`` entry;
+the other rows go on.
 
-Studies exchange full-range ``SpectralField``s with ``evolve``.  The one
-exception is the linearized study: its reference trajectory, one array for
-the planned steps that the observer fills in place, and the frozen advection
-term it feeds to ``evolve(nonlinear=...)`` use the folded half layout of
-``spectral`` (modes k = 0..N times (-1)^k), which the stepper carries.  The
-term keeps u^q for the last stage time it saw, the study's one cache.
+Studies exchange full-range ``SpectralField``s with ``evolve`` for the
+reference runs, and convert the member rows, kept in the folded half
+layout of ``spectral`` (modes k = 0..N times (-1)^k) that the stepper
+carries, only where they are measured.  The linearized study's reference
+trajectory, one array for the planned steps that the observer fills in
+place, uses that layout too, and so does the frozen advection term it
+hands to the stack.  The term keeps every row's u^q for the last stage
+time it saw, the study's one cache.
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError
 from .initdata import InitialDataSpec, build_field, kdv_soliton
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
-from .semidiscrete import frozen_nonlinear_term
+from .semidiscrete import folded_nonlinear_term, frozen_nonlinear_term
 from .spectral import (
     SpectralField,
     embed,
@@ -34,10 +39,10 @@ from .spectral import (
     l2_norm,
     linf_norm,
     peak_position,
-    project,
     translate,
+    unfold_half,
 )
-from .timestep import IntegratorConfig, check_step_count, default_dt, evolve
+from .timestep import IntegratorConfig, check_step_count, default_dt, evolve, evolve_rows
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
@@ -139,23 +144,35 @@ def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy
     return n_values, policy.method, dt, n_steps, build_field(data_spec, params, n_ref)
 
 
-def _run_members(member, n_values, n_ref, t_star, dt, track_linf=False):
-    """Run ``member(n)`` for each bandwidth in order and assemble the report.
+def _stack(u0_ref: SpectralField, n_values) -> np.ndarray:
+    """The members' initial rows: the datum projected to each bandwidth, in
+    the folded half layout of the finest one (zero above a row's own)."""
+    top = fold_half(u0_ref.coeffs, n_values[-1])
+    return np.where(np.arange(len(top)) <= np.array(n_values)[:, None], top, 0)
 
-    ``member(n)`` returns the member's error and its sup-norm maximum (None
-    when the study does not ``track_linf``).  A member that diverges gets
-    NaN for both and a ``failures`` entry; the rate is fitted on the rest.
+
+def _member(row: np.ndarray, n: int, domain_scale: float) -> SpectralField:
+    """The bandwidth-n field of a stack row."""
+    return SpectralField(n, domain_scale, unfold_half(row[: n + 1]))
+
+
+def _error(ref: SpectralField, row: np.ndarray, n: int) -> float:
+    """L2 distance from ``ref`` to the bandwidth-n member of a stack row,
+    zero-extended to the reference bandwidth."""
+    member = embed(_member(row, n, ref.domain_scale), ref.n_modes)
+    return l2_norm(ref.with_coeffs(ref.coeffs - member.coeffs))
+
+
+def _report(n_values, errors, failures, n_ref, t_star, dt, linf_max=None):
+    """Assemble the report from the members' per-row results.
+
+    A row in ``failures`` (row index -> DivergenceError) reads NaN for its
+    error and sup norm and gets a ``failures`` entry under its bandwidth;
+    the rate is fitted on the rest.
     """
-    errors, linf_max, failures = [], [], {}
-    for n in n_values:
-        try:
-            err, wmax = member(n)
-        except DivergenceError as exc:
-            err, wmax = np.nan, np.nan
-            failures[n] = f"diverged: {exc}"
-        errors.append(err)
-        linf_max.append(wmax)
-
+    errors = [np.nan if i in failures else e for i, e in enumerate(errors)]
+    if linf_max is not None:
+        linf_max = [np.nan if i in failures else w for i, w in enumerate(linf_max)]
     rate, r2 = _fit_tail(n_values, errors)
     return ConvergenceReport(
         n_values=n_values,
@@ -165,8 +182,8 @@ def _run_members(member, n_values, n_ref, t_star, dt, track_linf=False):
         reference_n=n_ref,
         t_star=t_star,
         dt=dt,
-        failures=failures,
-        w_linf_max=linf_max if track_linf else None,
+        failures={n_values[i]: f"diverged: {exc}" for i, exc in failures.items()},
+        w_linf_max=linf_max,
     )
 
 
@@ -195,17 +212,20 @@ def self_convergence(
     ref_config = IntegratorConfig(method, dt / 4.0, t_star, 4 * stride)
     ref_snapshots = evolve(u0_ref, params, ref_config).snapshots
 
-    def member(n: int):
-        config = IntegratorConfig(method, dt, t_star, stride)
-        result = evolve(project(u0_ref, n), params, config)
-        # the member's k-th snapshot is at the reference's k-th time
-        errors_t = [
-            l2_norm(ref.with_coeffs(ref.coeffs - embed(f, n_ref).coeffs))
-            for (_, ref), (_, f) in zip(ref_snapshots, result.snapshots, strict=True)
-        ]
-        return max(errors_t), None
-
-    return _run_members(member, n_values, n_ref, t_star, dt)
+    flux = folded_nonlinear_term(params, n_values)
+    member_snapshots = []
+    result = evolve_rows(
+        _stack(u0_ref, n_values), params, IntegratorConfig(method, dt, t_star, stride),
+        lambda c, t: flux(c), lambda t, rows: member_snapshots.append(rows.copy()),
+    )
+    # the members' k-th snapshot is at the reference's k-th time; a run
+    # whose every row failed stops early, and its errors read NaN
+    errors = [
+        max((_error(ref, rows[i], n) for (_, ref), rows in zip(ref_snapshots, member_snapshots)),
+            default=np.nan)
+        for i, n in enumerate(n_values)
+    ]
+    return _report(n_values, errors, result.failures, n_ref, t_star, dt)
 
 
 def _interpolate(states: np.ndarray, dt: float, t: float) -> np.ndarray:
@@ -239,11 +259,11 @@ def intermediate_problem_study(
 ) -> ConvergenceReport:
     """Decay of ||u - w^N|| for the advection-frozen linearized systems.
 
-    A reference trajectory is stored at every integrator step; each w-run
-    reuses that exact step size, freezing the advection coefficient at the
-    reference solution projected to bandwidth (1+q)N and interpolated
-    cubically at stage midpoints.  The sup norm of each w-run is monitored
-    and reported alongside the error decay.
+    A reference trajectory is stored at every integrator step; the w-runs,
+    one stack, reuse that exact step size, each freezing the advection
+    coefficient at the reference solution projected to bandwidth (1+q)N and
+    interpolated cubically at stage midpoints.  The sup norm of each w-run
+    is monitored and reported alongside the error decay.
     """
     n_values, method, dt_measure, n_measure, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy
@@ -264,18 +284,19 @@ def intermediate_problem_study(
     if filled != n_steps:
         raise RuntimeError(f"the reference run took {filled} steps, not {n_steps}")
 
-    def member(n: int):
-        n_u = (1 + params.q) * n
-        states = stored[:, : n_u + 1]
-        term = frozen_nonlinear_term(params, n, n_u, lambda t: _interpolate(states, dt, t))
-        w0 = project(u0_ref, n)
-        config = IntegratorConfig(method, dt, t_star, max(1, n_steps // 128))
-        result = evolve(w0, params, config, nonlinear=term)
-        linf_values = [linf_norm(w0)] + [linf_norm(f) for _, f in result.snapshots]
-        diff = u_ref_final.coeffs - embed(result.final, n_ref).coeffs
-        return l2_norm(u_ref_final.with_coeffs(diff)), max(linf_values)
+    n_u = [(1 + params.q) * n for n in n_values]
+    term = frozen_nonlinear_term(params, n_values, n_u, lambda t: _interpolate(stored, dt, t))
+    w0 = _stack(u0_ref, n_values)
+    linf_max = [linf_norm(_member(row, n, u0_ref.domain_scale)) for row, n in zip(w0, n_values)]
 
-    return _run_members(member, n_values, n_ref, t_star, dt, track_linf=True)
+    def watch(t, rows):
+        for i, n in enumerate(n_values):
+            linf_max[i] = max(linf_max[i], linf_norm(_member(rows[i], n, u0_ref.domain_scale)))
+
+    config = IntegratorConfig(method, dt, t_star, max(1, n_steps // 128))
+    result = evolve_rows(w0, params, config, term, watch)
+    errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]
+    return _report(n_values, errors, result.failures, n_ref, t_star, dt, linf_max)
 
 
 def soliton_propagation_test(

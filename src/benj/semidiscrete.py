@@ -17,6 +17,11 @@ reference solution u:
 
 Multipliers and flux closures use the folded half layout k = 0..N of
 ``spectral`` that the stepper carries; ``rhs`` and ``nonlinear_term`` unfold.
+The flux closures take and return (B, N+1) stacks of rows, as the stepper
+carries them: row i is the bandwidth-n_i system posed at the stack's
+largest bandwidth N, with its flux masked to |k| <= n_i.  The padded grid
+of N is alias-free for every n_i <= N, so each row is the same Galerkin
+system as a run at its own bandwidth, up to rounding.
 """
 
 from __future__ import annotations
@@ -54,25 +59,38 @@ def _transform_scale(m: int, power: int) -> float:
         ) from None
 
 
-def folded_nonlinear_term(
-    params: ModelParams, n_modes: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure for the flux term -i*kappa*P_N[f(u)]_hat in the folded half
-    layout (see ``spectral``): one irfft, the power, one rfft.
+def _row_mask(bandwidths, n_modes: int) -> np.ndarray:
+    """(B, n_modes + 1) booleans, row i true at k <= bandwidths[i]."""
+    return np.arange(n_modes + 1) <= np.asarray(bandwidths)[:, None]
 
-    The padded grid M and one factor merging -i*kappa/p with the M^(p-1)
-    of the unnormalized transforms are precomputed; mode 0 gets factor 0,
-    so its flux is exactly zero.  This is the integrator's inner loop.
+
+def folded_nonlinear_term(
+    params: ModelParams, bandwidths
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Closure for the flux term -i*kappa*P_N[f(u)]_hat of a stack of rows
+    in the folded half layout (see ``spectral``): one irfft, the power, one
+    rfft, along the last axis.
+
+    Row i is the bandwidth-``bandwidths[i]`` system posed at the largest
+    bandwidth N: it takes and returns (B, N+1) stacks, and its flux is zero
+    above its own bandwidth, so a row that starts there at zero stays zero.
+    The padded grid M of N is alias-free for every smaller bandwidth too.
+    M and one factor per row merging -i*kappa/p, the M^(p-1) of the
+    unnormalized transforms and the row's mask are precomputed; mode 0 gets
+    factor 0, so its flux is exactly zero.  This is the integrator's inner
+    loop.
     """
     p = params.q + 1
+    n_modes = max(bandwidths)
     m = dealiased_grid(n_modes, p)
     scale = _transform_scale(m, p - 1) / p
     factor = -1j * np.arange(n_modes + 1) / params.domain_scale * scale
+    factor = np.where(_row_mask(bandwidths, n_modes), factor, 0)
 
     def term(half: np.ndarray) -> np.ndarray:
         vals = np.fft.irfft(half, n=m)
         vals **= p
-        return factor * np.fft.rfft(vals)[: n_modes + 1]
+        return factor * np.fft.rfft(vals)[:, : n_modes + 1]
 
     return term
 
@@ -81,8 +99,8 @@ def nonlinear_term(
     params: ModelParams, n_modes: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Full-range closure for the flux term -i*kappa*P_N[f(u)]_hat."""
-    term = folded_nonlinear_term(params, n_modes)
-    return lambda coeffs: unfold_half(term(fold_half(coeffs, n_modes)))
+    term = folded_nonlinear_term(params, [n_modes])
+    return lambda coeffs: unfold_half(term(fold_half(coeffs, n_modes)[None])[0])
 
 
 def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
@@ -93,43 +111,49 @@ def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
     which is the discrete mechanism behind mass conservation.
     """
     half = fold_half(u.coeffs, u.n_modes)
-    flux = folded_nonlinear_term(params, u.n_modes)(half)
+    flux = folded_nonlinear_term(params, [u.n_modes])(half[None])[0]
     return u.with_coeffs(unfold_half(linear_multipliers(params, u.n_modes) * half + flux))
 
 
 def frozen_nonlinear_term(
-    params: ModelParams, n_w: int, n_u: int, frozen: Callable[[float], np.ndarray]
+    params: ModelParams, n_w, n_u, frozen: Callable[[float], np.ndarray]
 ) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Closure ``term(w_half, t)`` for -P_N[f'(u(t)) w_x]_hat in the folded
-    half layout, the ``nonlinear(c, t)`` hook of ``evolve``.
+    """Closure ``term(w_rows, t)`` for -P_N[f'(u(t)) w_x]_hat of a stack of
+    rows in the folded half layout, the ``nonlinear(c, t)`` hook of
+    ``timestep.evolve_rows``.
 
-    ``frozen(t)`` gives the frozen state u(t) (length n_u + 1); w and the
-    output have length n_w + 1.  u may carry a larger bandwidth than w (the
-    linearized study freezes a finer reference solution).  The pointwise
-    product of f'(u) = u^q (bandwidth q*n_u) with w_x (bandwidth n_w) is
-    formed on a grid wide enough that its truncation to |k| <= n_w is
-    alias-free.  The factor on w merges i*kappa, the sign and the M^q of
-    the unnormalized transforms.
+    Row i holds a w of bandwidth ``n_w[i]`` frozen at u(t) projected to
+    bandwidth ``n_u[i]``; w and the output are (B, max(n_w) + 1) stacks,
+    and ``frozen(t)`` gives u(t) at bandwidth max(n_u).  u may carry a
+    larger bandwidth than w (the linearized study freezes a finer reference
+    solution).  The pointwise product of f'(u) = u^q (bandwidth q*n_u) with
+    w_x (bandwidth n_w) is formed on a grid wide enough that its truncation
+    to |k| <= n_w is alias-free for the largest bandwidths, and so for
+    every row.  The factor on w merges i*kappa, the sign and the M^q of the
+    unnormalized transforms; the output is masked to each row's bandwidth,
+    so a zero row stays zero.
 
-    The closure keeps the grid values of u^q for the last t it was given,
-    so ``frozen`` is called, and u^q synthesised, once per distinct time:
-    the stepper's two midpoint stages share a time, and its final stage
-    runs at the next step's exact start time.  The output is bit-identical
-    to recomputing u^q on every call.
+    The closure keeps the grid values of every row's u^q for the last t it
+    was given, so ``frozen`` is called, and u^q synthesised (one batched
+    transform), once per distinct time: the stepper's two midpoint stages
+    share a time, and its final stage runs at the next step's exact start
+    time.  The output is bit-identical to recomputing u^q on every call.
     """
     q = params.q
-    m = next_fast_len(max(q * n_u + 2 * n_w, 2 * n_u, 2 * n_w) + 1)
-    w_factor = -1j * np.arange(n_w + 1) / params.domain_scale * _transform_scale(m, q)
+    w_top, u_top = max(n_w), max(n_u)
+    m = next_fast_len(max(q * u_top + 2 * w_top, 2 * u_top, 2 * w_top) + 1)
+    w_factor = -1j * np.arange(w_top + 1) / params.domain_scale * _transform_scale(m, q)
+    w_mask, u_mask = _row_mask(n_w, w_top), _row_mask(n_u, u_top)
     last_t, power = None, None  # the time of the last call and u^q on the grid there
 
-    def term(w_half: np.ndarray, t: float) -> np.ndarray:
+    def term(w_rows: np.ndarray, t: float) -> np.ndarray:
         nonlocal last_t, power
         if t != last_t:
-            power = np.fft.irfft(frozen(t), n=m)
+            power = np.fft.irfft(np.where(u_mask, frozen(t), 0), n=m)
             power **= q
             last_t = t
-        vals = np.fft.irfft(w_factor * w_half, n=m)
+        vals = np.fft.irfft(w_factor * w_rows, n=m)
         vals *= power
-        return np.fft.rfft(vals)[: n_w + 1]
+        return np.where(w_mask, np.fft.rfft(vals)[:, : w_top + 1], 0)
 
     return term

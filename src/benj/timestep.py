@@ -15,22 +15,25 @@ are fourth order in the nonlinear dynamics:
 Both multiply mode 0 by exp(0) = 1 and receive an identically zero
 nonlinear increment there, so the mean is conserved bit-exactly.
 
-The loop carries the state in the folded half layout of ``spectral``
-(modes k = 0..N times (-1)^k), so a flux evaluation is one irfft and one
-rfft and the state is Hermitian by construction.  The multipliers, and
-so the diagonal weights, are k = 0..N too.  ``evolve`` builds the
-multipliers and the flux closure once per run; a shortened final step
-rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
-``evolve`` takes and returns full-range ``SpectralField``s and converts
-only at the start, on the snapshot/observer cadence and at the final
-state.  It keeps ``snapshots`` at that cadence only when no observer is
-given; an observer sees every such state and owns its retention.  A
-``nonlinear=`` callable replaces the flux inside the loop, so it receives
-and returns folded half-layout vectors of length N+1:
-``nonlinear(c_half, t) -> flux_half``.  Its mode-0 entry must be real
-(the projection of a real function's mean).  A step calls it at its t,
-twice at t + dt/2, and last at the next step's exact t (``s*dt``, or
-``t_end``), so a callable may cache what it derives from t.
+The loop, ``evolve_rows``, carries a (B, N+1) stack of rows in the folded
+half layout of ``spectral`` (modes k = 0..N times (-1)^k), so a flux
+evaluation is one irfft and one rfft along the last axis for the whole
+stack, and every row is Hermitian by construction.  The rows share N, dt
+and the multipliers, and so the diagonal weights, k = 0..N; a convergence
+study steps its members as one stack, each posed at the largest member's
+bandwidth.  The loop builds the weights once per run; a shortened final
+step rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
+``evolve`` is the stack of one row: it takes and returns full-range
+``SpectralField``s, builds the flux closure once, and converts only at the
+start, on the snapshot/observer cadence and at the final state.  It keeps
+``snapshots`` at that cadence only when no observer is given; an observer
+sees every such state and owns its retention.  A ``nonlinear`` callable
+replaces the flux inside the loop, so it receives and returns (B, N+1)
+stacks of folded half-layout rows: ``nonlinear(c_rows, t) -> flux_rows``.
+Its mode-0 entries must be real (the projection of a real function's
+mean).  A step calls it at its t, twice at t + dt/2, and last at the next
+step's exact t (``s*dt``, or ``t_end``), so a callable may cache what it
+derives from t.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def etd_coefficients(lam: np.ndarray, dt: float) -> EtdCoefficients:
     return EtdCoefficients(dt, np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
 
 
-def _etdrk4_step(c, nl: NonlinearTerm, k: EtdCoefficients, t: float, t_next: float):
+def _etdrk4_step(c, nl: NonlinearTerm, k: EtdCoefficients, two_f2, t: float, t_next: float):
     na = nl(c, t)
     ec = k.e_half * c
     a = ec + k.q * na
@@ -151,30 +154,35 @@ def _etdrk4_step(c, nl: NonlinearTerm, k: EtdCoefficients, t: float, t_next: flo
     nc = nl(b, t + 0.5 * k.dt)
     cstage = k.e_half * a + k.q * (2.0 * nc - na)
     nd = nl(cstage, t_next)
-    return k.e_full * c + k.f1 * na + 2.0 * k.f2 * (nb + nc) + k.f3 * nd
+    return k.e_full * c + k.f1 * na + two_f2 * (nb + nc) + k.f3 * nd
 
 
-def _ifrk4_step(c, nl, e_full, e_half, dt: float, t: float, t_next: float):
+def _ifrk4_step(c, nl, e_full, e_half, dt_e_half, two_e_half, dt: float, t: float,
+                t_next: float):
     k1 = nl(c, t)
     k2 = nl(e_half * (c + 0.5 * dt * k1), t + 0.5 * dt)
     k3 = nl(e_half * c + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = nl(e_full * c + dt * e_half * k3, t_next)
-    return e_full * c + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    ec = e_full * c
+    k4 = nl(ec + dt_e_half * k3, t_next)
+    return ec + (dt / 6.0) * (e_full * k1 + two_e_half * (k2 + k3) + k4)
 
 
 def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
     """One step of size dt, ``step(c, t, t_next) -> c``, in the folded half layout."""
+    # products of weights (2*f2; dt*e_half, 2*e_half) are formed once: the
+    # same bits as forming them inside every step
     if method == "etdrk4":
         weights = etd_coefficients(lam, dt)
-        return lambda c, t, t_next: _etdrk4_step(c, nl, weights, t, t_next)
+        two_f2 = 2.0 * weights.f2
+        return lambda c, t, t_next: _etdrk4_step(c, nl, weights, two_f2, t, t_next)
     e_full, e_half = np.exp(lam * dt), np.exp(lam * dt / 2.0)
-    return lambda c, t, t_next: _ifrk4_step(c, nl, e_full, e_half, dt, t, t_next)
+    w = (e_full, e_half, dt * e_half, 2.0 * e_half)
+    return lambda c, t, t_next: _ifrk4_step(c, nl, *w, dt, t, t_next)
 
 
-def _norm(half: np.ndarray) -> float:
-    """l2 norm of the full-range vector: |c_0|^2 + 2*sum_{k>=1} |c_k|^2."""
-    rest = half[1:]
-    return math.sqrt(abs(half[0]) ** 2 + 2.0 * np.vdot(rest, rest).real)
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared l2 norm of each row's full-range vector, |c_0|^2 + 2*sum_{k>=1} |c_k|^2."""
+    return np.array([abs(r[0]) ** 2 + 2.0 * np.vdot(r[1:], r[1:]).real for r in rows])
 
 
 @dataclass
@@ -185,41 +193,49 @@ class EvolveResult:
     n_steps: int
 
 
-def evolve(
-    u0: SpectralField,
+@dataclass
+class RowsResult:
+    final: np.ndarray  # (B, N+1) folded rows at t_end; a failed row is zero
+    n_steps: int
+    failures: dict  # row index -> DivergenceError, in the order the rows failed
+
+
+def evolve_rows(
+    rows: np.ndarray,
     params: ModelParams,
     config: IntegratorConfig,
-    observer: Optional[Callable[[float, SpectralField], None]] = None,
-    nonlinear: Optional[NonlinearTerm] = None,
-) -> EvolveResult:
-    """Step from 0 to t_end at fixed dt; the last step is shortened to
-    land exactly on the horizon.
+    nonlinear: NonlinearTerm,
+    observer: Optional[Callable[[float, np.ndarray], None]] = None,
+) -> RowsResult:
+    """Step a (B, N+1) stack of folded half-layout rows from 0 to t_end at
+    fixed dt; the last step is shortened to land exactly on the horizon.
 
-    The observer (if any) fires every ``snapshot_stride`` steps and after
-    the final step; without one, the same cadence populates ``snapshots``
-    (with one, ``snapshots`` stays empty).  Evolution is single-threaded and
-    bit-deterministic for identical inputs.  ``nonlinear`` (if given)
-    replaces the flux inside the loop and so works on folded half-layout
-    vectors of length N+1 (see the module docstring).
-
-    Raises DivergenceError, tagged with the failure time, if coefficients
-    go nonfinite or the norm grows by more than a factor of 1e6.
+    Every row shares the multipliers of bandwidth N and the flux
+    ``nonlinear(rows, t)`` (see the module docstring).  The observer (if
+    any) sees the stack every ``snapshot_stride`` steps and after the final
+    step; it must copy what it keeps.  Divergence is checked per row: a row
+    whose coefficients go nonfinite or whose norm grows by more than a
+    factor of 1e6 over its own initial norm becomes a ``failures`` entry,
+    tagged with the failure time, and is zeroed, which both flux terms keep
+    at zero; the other rows go on.  The run stops early once every row has
+    failed.
     """
-    n = u0.n_modes
     n_full = int(math.floor(config.t_end / config.dt + 1e-9))
     remainder = config.t_end - n_full * config.dt
     if remainder <= 1e-9 * config.dt:
         remainder = 0.0
     total_steps = n_full + (1 if remainder > 0.0 else 0)
 
-    lam = linear_multipliers(params, n)
-    if nonlinear is None:
-        term = folded_nonlinear_term(params, n)
-        nonlinear = lambda c, t: term(c)
+    # a (1, N+1) row: a one-row stack then multiplies same-shape arrays,
+    # which numpy does faster than broadcasting
+    lam = linear_multipliers(params, rows.shape[-1] - 1)[None]
     step = _step_function(lam, config.method, nonlinear, config.dt)
-    c = fold_half(u0.coeffs, n)
-    norm0 = _norm(c)
-    snapshots = []
+    c = rows
+    squares = _squared_norms(c)
+    # a row that starts at zero has no growth bound, only the finiteness check
+    limit = np.where(squares > 0.0, _GROWTH_LIMIT**2 * squares, math.inf)
+    tightest = limit.min()
+    failures = {}
     t = 0.0
 
     for s in range(1, total_steps + 1):
@@ -228,19 +244,65 @@ def evolve(
         t_next = s * config.dt if s < total_steps else config.t_end
         c = step(c, t, t_next)
         t = t_next
-        norm = _norm(c)  # finite unless an entry is nonfinite or the sum overflows
-        if not math.isfinite(norm) and not np.all(np.isfinite(c)):
-            raise DivergenceError(f"nonfinite coefficients at t={t}", time=t)
-        if norm0 > 0 and norm > _GROWTH_LIMIT * norm0:
-            raise DivergenceError(f"norm grew beyond 1e6x initial at t={t}", time=t)
-        if s % config.snapshot_stride == 0 or s == total_steps:
-            field = u0.with_coeffs(unfold_half(c))  # the last step always builds one
-            if observer is None:
-                snapshots.append((t, field))
-            else:
-                observer(t, field)
+        # twice the stack's squared sum bounds every row's squared norm, and
+        # is nonfinite when an entry is; only past the tightest limit are
+        # the rows checked one by one
+        if not 2.0 * np.vdot(c, c).real <= tightest:
+            for i, square in enumerate(_squared_norms(c)):
+                if square <= limit[i]:  # false for a nonfinite norm
+                    continue
+                if not np.all(np.isfinite(c[i])):
+                    failures[i] = DivergenceError(f"nonfinite coefficients at t={t}", time=t)
+                else:
+                    failures[i] = DivergenceError(f"norm grew beyond 1e6x initial at t={t}", time=t)
+                c[i] = 0.0
+                limit[i] = math.inf
+            tightest = limit.min()
+            if len(failures) == len(c):
+                return RowsResult(c, s, failures)
+        if observer is not None and (s % config.snapshot_stride == 0 or s == total_steps):
+            observer(t, c)
 
-    return EvolveResult(final=field, final_time=t, snapshots=snapshots, n_steps=total_steps)
+    return RowsResult(c, total_steps, failures)
+
+
+def evolve(
+    u0: SpectralField,
+    params: ModelParams,
+    config: IntegratorConfig,
+    observer: Optional[Callable[[float, SpectralField], None]] = None,
+    nonlinear: Optional[NonlinearTerm] = None,
+) -> EvolveResult:
+    """Step one field from 0 to t_end: ``evolve_rows`` on a stack of one row.
+
+    The observer (if any) fires every ``snapshot_stride`` steps and after
+    the final step; without one, the same cadence populates ``snapshots``
+    (with one, ``snapshots`` stays empty).  Evolution is single-threaded and
+    bit-deterministic for identical inputs.  ``nonlinear`` (if given)
+    replaces the flux inside the loop and so works on (1, N+1) stacks of
+    folded half-layout rows (see the module docstring).
+
+    Raises DivergenceError, tagged with the failure time, if coefficients
+    go nonfinite or the norm grows by more than a factor of 1e6.
+    """
+    n = u0.n_modes
+    if nonlinear is None:
+        term = folded_nonlinear_term(params, [n])
+        nonlinear = lambda c, t: term(c)
+    snapshots, final = [], None
+
+    def seen(t, rows):
+        nonlocal final
+        final = u0.with_coeffs(unfold_half(rows[0]))  # the last step always builds one
+        if observer is None:
+            snapshots.append((t, final))
+        else:
+            observer(t, final)
+
+    result = evolve_rows(fold_half(u0.coeffs, n)[None], params, config, nonlinear, seen)
+    if result.failures:
+        raise result.failures[0]
+    return EvolveResult(final, config.t_end, snapshots, result.n_steps)
 
 
 def default_dt(params: ModelParams, n_modes: int) -> float:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import benj.cli
 import benj.harness
 from benj.cli import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
-from benj.errors import ConfigError, DivergenceError, ParameterError
+from benj.errors import ConfigError, ParameterError
 from benj.initdata import KINDS, InitialDataSpec
 from benj.model import ModelParams
 from benj.snapshots import read_snapshot
@@ -499,20 +499,61 @@ def test_internal_error_leaves_incomplete_manifest(tmp_path, monkeypatch):
 
 
 def test_converge_member_divergence_exit_code(tmp_path, monkeypatch):
-    real = benj.harness.evolve
+    # the members run as one stack; the row of N = 8 gets a flux that
+    # blows up at the first step, and the per-row check fails that row only
+    real = benj.harness.evolve_rows
 
-    def evolve_or_diverge(u0, *args, **kwargs):
-        if u0.n_modes == 8:
-            raise DivergenceError("norm grew beyond 1e6x initial at t=0.01", time=0.01)
-        return real(u0, *args, **kwargs)
+    def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
+        def blow_up(c, t):
+            flux = nonlinear(c, t)
+            flux[1] += 1e6 * c[1]
+            return flux
 
-    monkeypatch.setattr(benj.harness, "evolve", evolve_or_diverge)
+        return real(rows, params, config, blow_up, observer)
+
+    monkeypatch.setattr(benj.harness, "evolve_rows", evolve_rows_with_a_bad_row)
     code, manifest = run_command(tmp_path, "converge", ["converge.n_values=4,8",
                                                         "converge.t_star=0.02"])
     assert code == manifest["exit_code"] == EXIT_DIVERGED
     assert manifest["status"] == "divergence"
     assert list(manifest["results"]["failures"]) == ["8"]
     assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+def _listing(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("solve", "converge"), ("converge", "solve"), ("solve", "soliton"), ("soliton", "converge"),
+])
+def test_foreign_outputs_directory_is_refused(tmp_path, first, second):
+    # a second command into the first one's directory exits 2 before it
+    # removes or writes anything, its manifest included
+    soliton = "model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\nsoliton.t_star = 0.01\n"
+    texts = {"soliton": soliton}
+    extra = ["converge.n_values=4,8", "converge.t_star=0.02"]
+    code, _ = run_command(tmp_path, first, extra, texts.get(first, BASE))
+    assert code == EXIT_OK
+    before = _listing(tmp_path / "out")
+    code, manifest = run_command(tmp_path, second, extra, texts.get(second, BASE))
+    assert code == EXIT_CONFIG
+    assert manifest["command"] == first
+    assert _listing(tmp_path / "out") == before
+    # the first command still reruns into its own directory
+    assert run_command(tmp_path, first, extra, texts.get(first, BASE))[0] == EXIT_OK
+
+
+def test_foreign_manifest_alone_is_refused(tmp_path):
+    # a failed converge run leaves only its manifest; solve must not overwrite it
+    code, _ = run_command(tmp_path, "converge", ["converge.n_values=4,8",
+                                                 "initial.kind=petviashvili_wave",
+                                                 "initial.max_iter=1"])
+    assert code == EXIT_CONFIG
+    before = _listing(tmp_path / "out")
+    assert list(before) == ["manifest.json"]
+    assert run_command(tmp_path, "solve")[0] == EXIT_CONFIG
+    assert _listing(tmp_path / "out") == before
 
 
 @pytest.mark.parametrize("dt_line, expected", [

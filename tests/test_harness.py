@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import benj.harness
-from benj.errors import DivergenceError
 from benj.harness import (
     IntegratorPolicy,
     _interpolate,
@@ -94,16 +93,22 @@ def test_self_convergence_track_max_bounds_final(benjamin_params):
 
 # ------------------------------------------------------------ member failures
 
-def _diverge_at(monkeypatch, bad_n):
-    """Make the member run at bandwidth ``bad_n`` diverge; others call through."""
-    real = benj.harness.evolve
+def _diverge_at(monkeypatch, row):
+    """Make the stacked members' row ``row`` blow up: its flux gains a huge
+    linear growth term, which the real per-row check catches at the first
+    step.  The term vanishes on the zeroed row; the other rows see the
+    real flux."""
+    real = benj.harness.evolve_rows
 
-    def evolve_or_diverge(u0, *args, **kwargs):
-        if u0.n_modes == bad_n:
-            raise DivergenceError("norm grew beyond 1e6x initial at t=0.01", time=0.01)
-        return real(u0, *args, **kwargs)
+    def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
+        def blow_up(c, t):
+            flux = nonlinear(c, t)
+            flux[row] += 1e6 * c[row]
+            return flux
 
-    monkeypatch.setattr(benj.harness, "evolve", evolve_or_diverge)
+        return real(rows, params, config, blow_up, observer)
+
+    monkeypatch.setattr(benj.harness, "evolve_rows", evolve_rows_with_a_bad_row)
 
 
 @pytest.mark.parametrize("study, spec", [
@@ -113,7 +118,7 @@ def _diverge_at(monkeypatch, bad_n):
 def test_diverged_member_reported_and_skipped(benjamin_params, monkeypatch, study, spec):
     args = (benjamin_params, spec, [8, 16, 32], 128, 0.05, IntegratorPolicy(dt=2e-3))
     clean = study(*args)
-    _diverge_at(monkeypatch, 16)
+    _diverge_at(monkeypatch, 1)  # the member at N = 16
     report = study(*args)
     assert np.isnan(report.errors[1])
     assert list(report.failures) == [16]
@@ -129,6 +134,35 @@ def test_diverged_member_reported_and_skipped(benjamin_params, monkeypatch, stud
         ]
     else:
         assert report.w_linf_max is None
+
+# ------------------------------------------------------------ stacked members
+
+@pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
+@pytest.mark.parametrize("spec", [GAUSS, ROUGH], ids=["gaussian", "rough"])
+def test_stacked_members_match_runs_alone(benjamin_params, study, spec):
+    # A study steps its members as one stack posed at the finest bandwidth;
+    # a study of one member runs it alone at its own bandwidth against the
+    # same reference.  The Galerkin systems agree, so only rounding may
+    # differ: the bound is 17x the largest relative change (5.8e-10) seen
+    # when the stacked rows were emulated one at a time before the stack
+    # existed.  The finest row, which no mask touches, matches bit for bit.
+    n_values, rest = [8, 16, 32, 64], (256, 0.05, IntegratorPolicy(dt=2e-3))
+    stacked = study(benjamin_params, spec, n_values, *rest)
+    again = study(benjamin_params, spec, n_values, *rest)
+    assert {k: repr(v) for k, v in vars(stacked).items()} == {
+        k: repr(v) for k, v in vars(again).items()
+    }
+    assert not stacked.failures
+    for i, n in enumerate(n_values):
+        alone = study(benjamin_params, spec, [n], *rest)
+        pairs = [(alone.errors[0], stacked.errors[i])]
+        if study is intermediate_problem_study:
+            pairs.append((alone.w_linf_max[0], stacked.w_linf_max[i]))
+        for a, b in pairs:
+            assert b == pytest.approx(a, rel=1e-8, abs=0.0)
+            if n == n_values[-1]:
+                assert repr(a) == repr(b)
+
 
 # ------------------------------------------------------- intermediate problem
 
@@ -233,44 +267,48 @@ def test_trajectory_interpolation_bit_identical_to_numpy_weights():
 
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
 def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, method):
-    # Per step a w-run asks for u at t, t + dt/2 twice and at the step's
-    # end, which is the next step's t: 2 syntheses of u^q per step plus the
-    # first, and one interpolation per step (its midpoint).
-    n, n_u = 8, 16  # q = 1 freezes u at bandwidth 2N
-    counts = {"syntheses": 0, "midpoints": 0, "steps": 0, "w_run": False}
+    # Per step the stacked w-run asks for u at t, t + dt/2 twice and at the
+    # step's end, which is the next step's t: 2 syntheses of u^q (one
+    # batched transform for the whole stack) per step plus the first, and
+    # one interpolation per distinct time, for one member as for three.
     irfft, interpolate = np.fft.irfft, _interpolate
-    evolve_ = benj.harness.evolve
+    evolve_rows = benj.harness.evolve_rows
+    for n_values, n_ref in (([8], 32), ([4, 8, 16], 64)):
+        n_keep = 2 * max(n_values)  # q = 1 freezes u at bandwidth 2N
+        counts = {"syntheses": 0, "interpolations": 0, "midpoints": 0, "steps": 0,
+                  "w_run": False}
 
-    def counting_irfft(a, *args, **kwargs):
-        if counts["w_run"] and len(a) == n_u + 1:
-            counts["syntheses"] += 1
-        return irfft(a, *args, **kwargs)
+        def counting_irfft(a, *args, **kwargs):
+            if counts["w_run"] and np.shape(a)[-1] == n_keep + 1:
+                counts["syntheses"] += 1
+            return irfft(a, *args, **kwargs)
 
-    def counting_interpolate(states, dt, t):
-        pos = t / dt
-        if abs(pos - round(pos)) > 1e-8:
-            counts["midpoints"] += 1
-        return interpolate(states, dt, t)
+        def counting_interpolate(states, dt, t):
+            counts["interpolations"] += 1
+            pos = t / dt
+            if abs(pos - round(pos)) > 1e-8:
+                counts["midpoints"] += 1
+            return interpolate(states, dt, t)
 
-    def counting_evolve(u0, params, config, **kwargs):
-        counts["w_run"] = "nonlinear" in kwargs
-        try:
-            result = evolve_(u0, params, config, **kwargs)
-        finally:
-            counts["w_run"] = False
-        if "nonlinear" in kwargs:
+        def counting_evolve_rows(*args, **kwargs):
+            counts["w_run"] = True
+            try:
+                result = evolve_rows(*args, **kwargs)
+            finally:
+                counts["w_run"] = False
             counts["steps"] += result.n_steps
-        return result
+            return result
 
-    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
-    monkeypatch.setattr(benj.harness, "_interpolate", counting_interpolate)
-    monkeypatch.setattr(benj.harness, "evolve", counting_evolve)
-    intermediate_problem_study(benjamin_params, ROUGH, [n], 32, 0.02,
-                               IntegratorPolicy(method=method, dt=2e-3))
-    steps = counts["steps"]
-    assert steps == 40
-    assert counts["syntheses"] == 2 * steps + 1
-    assert counts["midpoints"] == steps
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        monkeypatch.setattr(benj.harness, "_interpolate", counting_interpolate)
+        monkeypatch.setattr(benj.harness, "evolve_rows", counting_evolve_rows)
+        report = intermediate_problem_study(benjamin_params, ROUGH, n_values, n_ref, 0.02,
+                                            IntegratorPolicy(method=method, dt=2e-3))
+        assert len(report.errors) == len(n_values) and not report.failures
+        steps = counts["steps"]
+        assert steps == 40
+        assert counts["syntheses"] == counts["interpolations"] == 2 * steps + 1
+        assert counts["midpoints"] == steps
 
 def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
     # Criterion 6's configuration over the linearized benchmark's horizon:
@@ -283,7 +321,7 @@ def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
 
     factory = benj.harness.frozen_nonlinear_term
 
-    def fresh_per_call(params, n_w, n_u, frozen):
+    def fresh_per_call(params, n_w, n_u, frozen):  # per-row bandwidths
         return lambda w, t: factory(params, n_w, n_u, frozen)(w, t)
 
     monkeypatch.setattr(benj.harness, "frozen_nonlinear_term", fresh_per_call)

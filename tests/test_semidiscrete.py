@@ -10,7 +10,7 @@ from benj.semidiscrete import (
     linear_multipliers,
     rhs,
 )
-from benj.spectral import SpectralField, embed, fold_half, unfold_half
+from benj.spectral import SpectralField, embed, fold_half, project, unfold_half
 
 from oracles import frozen_term_direct, inner, rand_field, rhs_direct
 
@@ -29,8 +29,8 @@ def linearized_rhs(params, w, u_frozen):
     n_w, n_u = w.n_modes, u_frozen.n_modes
     u_half = fold_half(u_frozen.coeffs, n_u)
     w_half = fold_half(w.coeffs, n_w)
-    flux = frozen_nonlinear_term(params, n_w, n_u, lambda t: u_half)(w_half, 0.0)
-    return unfold_half(linear_multipliers(params, n_w) * w_half + flux)
+    flux = frozen_nonlinear_term(params, [n_w], [n_u], lambda t: u_half)(w_half[None], 0.0)
+    return unfold_half(linear_multipliers(params, n_w) * w_half + flux[0])
 
 
 def linear_part(params, w):
@@ -151,9 +151,35 @@ def test_half_layout_frozen_term_matches_linearized_rhs(q, n_w):
     w = rand_field(n_w, seed=q + n_w)
     u = rand_field(n_u, seed=20 + q + n_w, decay=1.0)
     u_half = fold_half(u.coeffs, n_u)
-    half = frozen_nonlinear_term(p, n_w, n_u, lambda t: u_half)(fold_half(w.coeffs, n_w), 0.0)
-    assert half.shape == (n_w + 1,)
-    assert np.max(np.abs(unfold_half(half) - frozen_term_direct(p, w, u))) < 1e-13
+    w_half = fold_half(w.coeffs, n_w)[None]
+    half = frozen_nonlinear_term(p, [n_w], [n_u], lambda t: u_half)(w_half, 0.0)
+    assert half.shape == (1, n_w + 1)
+    assert np.max(np.abs(unfold_half(half[0]) - frozen_term_direct(p, w, u))) < 1e-13
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_stacked_terms_match_each_row_alone(q):
+    # Rows of bandwidths 4, 7 and 8 posed at N = 8: the flux of each row is
+    # the single-row flux at its own bandwidth, and the frozen term of each
+    # row is the direct convolution with u projected to the row's own
+    # (1+q)*n, both up to rounding; every row is zero above its bandwidth.
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
+    n_w = [4, 7, 8]
+    n_u = [(1 + q) * n for n in n_w]
+    u = rand_field(n_u[-1], seed=70 + q, decay=1.0)
+    u_half = fold_half(u.coeffs, n_u[-1])
+    fields = [rand_field(n, seed=80 + n) for n in n_w]
+    rows = np.zeros((3, 9), dtype=np.complex128)
+    for row, w in zip(rows, fields):
+        row[: w.n_modes + 1] = fold_half(w.coeffs, w.n_modes)
+    flux = folded_nonlinear_term(p, n_w)(rows)
+    frozen = frozen_nonlinear_term(p, n_w, n_u, lambda t: u_half)(rows, 0.0)
+    for i, (n, w) in enumerate(zip(n_w, fields)):
+        assert np.all(flux[i, n + 1:] == 0) and np.all(frozen[i, n + 1:] == 0)
+        alone = folded_nonlinear_term(p, [n])(rows[i : i + 1, : n + 1])[0]
+        assert np.max(np.abs(flux[i, : n + 1] - alone)) < 1e-13
+        direct = frozen_term_direct(p, w, project(u, n_u[i]))
+        assert np.max(np.abs(unfold_half(frozen[i, : n + 1]) - direct)) < 1e-13
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -172,10 +198,10 @@ def test_frozen_term_memo_matches_fresh_closure(q):
         return states[t]
 
     times = [0.0, 0.0, 0.05, 0.05, 0.1, 0.05, 0.0, 0.1, 0.1, 0.1, 0.0]
-    term = frozen_nonlinear_term(p, n_w, n_u, frozen)
+    term = frozen_nonlinear_term(p, [n_w], [n_u], frozen)
     for i, t in enumerate(times):
-        w = fold_half(rand_field(n_w, seed=60 + i).coeffs, n_w)
-        expected = frozen_nonlinear_term(p, n_w, n_u, states.get)(w, t)
+        w = fold_half(rand_field(n_w, seed=60 + i).coeffs, n_w)[None]
+        expected = frozen_nonlinear_term(p, [n_w], [n_u], states.get)(w, t)
         assert term(w, t).tobytes() == expected.tobytes()
     assert asked == [0.0, 0.05, 0.1, 0.05, 0.0, 0.1, 0.0]
 
@@ -184,8 +210,8 @@ def test_large_q_is_a_parameter_error():
     # M^q for the padded grid M overflows a double: 1000^120 at N = 8
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=120)
     with pytest.raises(ParameterError, match="model.q is too large"):
-        folded_nonlinear_term(p, 8)
+        folded_nonlinear_term(p, [8])
     with pytest.raises(ParameterError, match="model.q is too large"):
-        frozen_nonlinear_term(p, 8, 8, None)
+        frozen_nonlinear_term(p, [8], [8], None)
     # q = 100 (864^99 at N = 8) still fits
-    folded_nonlinear_term(ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=100), 8)
+    folded_nonlinear_term(ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=100), [8])

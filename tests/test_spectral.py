@@ -271,3 +271,21 @@ def test_peak_position_of_shifted_bump():
     bump = np.exp(-(((grid(m, 1.0) - x0) / 0.4) ** 2))
     f = SpectralField(n, 1.0, analyze_coeffs(bump, n))
     assert peak_position(f) == pytest.approx(x0, abs=1e-4)
+
+
+@pytest.mark.parametrize("m", [50, 100, 200, 400, 800, 1600, 3125, 135, 270, 540, 1080])
+def test_batched_fft_rows_equal_single_calls(m):
+    # The stepper transforms (B, N+1) stacks along the last axis, and
+    # evolve's single field is the stack of one row: each row of a batched
+    # irfft/rfft must equal the 1-D call bit for bit.  The lengths are the
+    # flux grids (N = 16..1024: 50..3125) and frozen-term grids (N = 32..256:
+    # 135..1080) of the acceptance configurations.
+    rng = np.random.default_rng(m)
+    half = rng.standard_normal((4, m // 2 + 1)) + 1j * rng.standard_normal((4, m // 2 + 1))
+    vals = np.fft.irfft(half, n=m)
+    spectra = np.fft.rfft(vals)
+    for stack in (half[:1], half):
+        assert np.fft.irfft(stack, n=m).tobytes() == vals[: len(stack)].tobytes()
+    for i in range(4):
+        assert vals[i].tobytes() == np.fft.irfft(half[i], n=m).tobytes()
+        assert spectra[i].tobytes() == np.fft.rfft(vals[i]).tobytes()

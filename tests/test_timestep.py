@@ -11,6 +11,7 @@ from benj.timestep import (
     default_dt,
     etd_coefficients,
     evolve,
+    evolve_rows,
 )
 
 from oracles import etd_weights_highprec, evolve_full_range, rand_field
@@ -222,13 +223,13 @@ def test_half_layout_matches_full_range_stepper(method, q, n):
 
 def test_nonlinear_callable_gets_half_layout(benjamin_params):
     # The callable replaces the flux inside the loop: it sees and returns
-    # the folded half layout, k = 0..N, so the folded default flux passed
-    # explicitly reproduces the default run bit for bit.
+    # a stack of one row in the folded half layout, k = 0..N, so the folded
+    # default flux passed explicitly reproduces the default run bit for bit.
     from benj.semidiscrete import folded_nonlinear_term
 
     n = 12
     u0 = rand_field(n, seed=11)
-    term = folded_nonlinear_term(benjamin_params, n)
+    term = folded_nonlinear_term(benjamin_params, [n])
     lengths = set()
 
     def flux(c, t):
@@ -238,7 +239,7 @@ def test_nonlinear_callable_gets_half_layout(benjamin_params):
     config = IntegratorConfig("etdrk4", 1e-3, 5e-3, 5)
     a = evolve(u0, benjamin_params, config, nonlinear=flux).final
     b = evolve(u0, benjamin_params, config).final
-    assert lengths == {(n + 1,)}
+    assert lengths == {(1, n + 1)}
     assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
 
@@ -281,6 +282,70 @@ def test_nonfinite_detection(benjamin_params):
         with pytest.raises(DivergenceError):
             evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1.0, 2.0, 1),
                    nonlinear=blow)
+
+
+def _rows(n, seeds):
+    return np.stack([fold_half(rand_field(n, seed=s).coeffs, n) for s in seeds])
+
+
+@pytest.mark.parametrize("kind", ["growth", "nonfinite"])
+def test_a_diverging_row_is_zeroed_and_the_others_go_on(benjamin_params, kind):
+    from benj.semidiscrete import folded_nonlinear_term
+
+    n = 8
+    rows = _rows(n, (20, 21, 22))
+    term = folded_nonlinear_term(benjamin_params, [n, n, n])
+
+    def bad_row_1(c, t):
+        flux = term(c)
+        if kind == "growth":  # vanishes on the zeroed row
+            flux[1] += 1e6 * c[1]
+        elif np.any(c[1] != 0):
+            flux[1] = np.nan
+        return flux
+
+    config = IntegratorConfig("etdrk4", 1e-3, 1e-2, 1)
+    seen = []
+    with np.errstate(invalid="ignore"):
+        bad = evolve_rows(rows, benjamin_params, config, bad_row_1,
+                          lambda t, c: seen.append(c.copy()))
+    clean = evolve_rows(rows, benjamin_params, config, lambda c, t: term(c))
+    assert list(bad.failures) == [1]
+    assert bad.failures[1].time == 1e-3
+    message = "norm grew beyond 1e6x" if kind == "growth" else "nonfinite coefficients"
+    assert str(bad.failures[1]).startswith(message)
+    assert bad.n_steps == clean.n_steps == len(seen) == 10
+    assert all(np.all(c[1] == 0) for c in seen)
+    assert bad.final[[0, 2]].tobytes() == clean.final[[0, 2]].tobytes()
+
+
+def test_rows_stop_once_every_row_has_failed(benjamin_params):
+    rows = _rows(8, (23, 24))
+    grow = lambda c, t: 1e6 * c
+    result = evolve_rows(rows, benjamin_params, IntegratorConfig("ifrk4", 1e-3, 1.0, 1), grow)
+    assert sorted(result.failures) == [0, 1]
+    assert result.n_steps < 1000
+    assert np.all(result.final == 0)
+
+
+def test_masked_row_is_the_run_at_its_own_bandwidth(benjamin_params):
+    # a bandwidth-4 row posed at N = 8: its modes above 4 start at zero and
+    # the masked flux keeps them there, so the row is the bandwidth-4 run up
+    # to rounding; the unmasked row is the bandwidth-8 run bit for bit
+    from benj.semidiscrete import folded_nonlinear_term
+    from benj.spectral import project
+
+    fields = [rand_field(8, seed=25), rand_field(8, seed=26)]
+    config = IntegratorConfig("etdrk4", 1e-3, 2e-2, 5)
+    rows = np.stack([fold_half(f.coeffs, 8) for f in fields])
+    rows[0, 5:] = 0
+    term = folded_nonlinear_term(benjamin_params, [4, 8])
+    out = evolve_rows(rows, benjamin_params, config, lambda c, t: term(c)).final
+    assert np.all(out[0, 5:] == 0)
+    narrow = fold_half(evolve(project(fields[0], 4), benjamin_params, config).final.coeffs, 4)
+    assert np.max(np.abs(out[0, :5] - narrow)) < 1e-14 * np.max(np.abs(narrow))
+    wide = fold_half(evolve(fields[1], benjamin_params, config).final.coeffs, 8)
+    assert out[1].tobytes() == wide.tobytes()
 
 
 def test_higher_dispersion_order_stable():
