@@ -25,11 +25,13 @@ the output directory (plus stdout for the ``invariants`` table).  Once the
 configuration parses, ``solve``, ``converge`` and ``soliton`` write a run
 manifest exactly once, last, even when the run fails; an exception outside
 the table is a bug, whose traceback propagates after a manifest with status
-``incomplete`` is written.  Before a command runs, ``main`` removes that
-command's earlier result files (``_COMMANDS``) from the output directory.
-An output directory that holds another command's result files or
-manifest is a validation error raised before anything is removed or
-written, so no manifest is written over the other run's.
+``incomplete`` is written.  Before anything is computed, ``main`` claims
+the output directory: one that holds another command's result files
+(``_COMMANDS``) or manifest is a validation error, so no manifest is
+written over the other run's; otherwise the directory is created and
+this command's earlier result files are removed.  A directory that cannot
+be claimed gets no manifest.  The ``invariants`` table on stdout is
+formatted as ``solve`` formats ``invariants.csv``.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref``, ``converge.t_star``, ``soliton.t_star`` or
@@ -50,11 +52,14 @@ from . import __version__
 from .errors import ConfigError, DivergenceError, IterationError
 from .harness import IntegratorPolicy, self_convergence, soliton_propagation_test
 from .initdata import KINDS, InitialDataSpec, build_field
-from .invariants import c_pi, e_pi, i_pi, record_invariants
+from .invariants import record_invariants
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import dealiased_grid
 from .timestep import IntegratorConfig, default_dt, evolve
+
+# Re-exported: perfbench's tracer patches this name on this module.
+from .invariants import e_pi  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,7 +148,6 @@ class RunConfig:
     integrator: IntegratorConfig
     n_modes: int
     outputs: Path
-    seed: int
     raw: dict  # resolved key -> value, echoed into the manifest
 
 
@@ -251,7 +255,6 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         integrator=IntegratorConfig(**integrator),
         n_modes=n_modes,
         outputs=Path(r["outputs"]),
-        seed=r["seed"],
         raw=r,
     )
 
@@ -281,7 +284,6 @@ class _Manifest:
         EXIT_CONFIG when the output directory refuses the manifest."""
         self.payload["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         try:
-            self.outdir.mkdir(parents=True, exist_ok=True)
             with open(self.outdir / "manifest.json", "w") as fh:
                 json.dump(self.payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -296,16 +298,14 @@ def _progress(quiet: bool, message: str):
         print(message, file=sys.stderr)
 
 
-def _write_invariants_csv(path: Path, record):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,C,I,E\n")
-        for t, c, i, e in zip(record.times, record.C, record.I, record.E):
-            fh.write(f"{_fmt(t)},{_fmt(c)},{_fmt(i)},{_fmt(e)}\n")
+def _invariants_table(record) -> str:
+    """The ``t,C,I,E`` table of ``invariants.csv`` and of ``benj invariants``."""
+    rows = zip(record.times, record.C, record.I, record.E)
+    return "t,C,I,E\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
     outdir = config.outputs
-    outdir.mkdir(parents=True, exist_ok=True)
     u0 = build_field(config.initial, config.model, config.n_modes)
     written = [(0.0, u0)]
     write_snapshot(outdir / "snap_0000.txt", u0, 0.0)
@@ -320,7 +320,7 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
         evolve(u0, config.model, config.integrator, observer=observer)
     finally:  # a diverged run still reports the snapshots it wrote
         record = record_invariants(written, config.model)
-        _write_invariants_csv(outdir / "invariants.csv", record)
+        (outdir / "invariants.csv").write_text(_invariants_table(record), newline="\n")
     _progress(quiet, f"solve: wrote {len(written)} snapshots to {outdir}")
     return "ok", EXIT_OK, {
         "snapshots": len(written),
@@ -352,9 +352,7 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
         track_max=config.raw["converge.track_max"],
     )
 
-    outdir = config.outputs
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "convergence.csv", "w", newline="\n") as fh:
+    with open(config.outputs / "convergence.csv", "w", newline="\n") as fh:
         fh.write("N,error\n")
         for n, err in zip(report.n_values, report.errors):
             fh.write(f"{n},{_fmt(err)}\n")
@@ -396,11 +394,9 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
         method=config.integrator.method,
     )
 
-    outdir = config.outputs
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_snapshot(outdir / "profile.txt", profile, 0.0)
-    speed_est = report.speed_estimate if report.speed_estimate is not None else float("nan")
-    with open(outdir / "soliton_report.csv", "w", newline="\n") as fh:
+    write_snapshot(config.outputs / "profile.txt", profile, 0.0)
+    speed_est = report.speed_estimate
+    with open(config.outputs / "soliton_report.csv", "w", newline="\n") as fh:
         fh.write("c,speed_estimate,speed_error,shape_error_linf,"
                  "rel_drift_C,rel_drift_I,rel_drift_E\n")
         fh.write(
@@ -422,16 +418,16 @@ _COMMANDS = {
 }
 
 
-def _check_outputs_free(command: str, outdir: Path) -> None:
-    """Refuse an output directory holding another command's results: files
-    matching another command's ``_COMMANDS`` patterns, or a manifest that
-    another command (or nothing readable) wrote."""
-    foreign = sorted(
-        path.name
-        for other, (_, patterns) in _COMMANDS.items() if other != command
-        for pattern in patterns
-        for path in outdir.glob(pattern)
-    )
+def _claim_outputs(command: str, outdir: Path) -> None:
+    """Claim ``outdir`` for ``command``: refuse it if it holds another
+    command's results (files matching another command's ``_COMMANDS``
+    patterns, or a manifest that another command, or nothing readable,
+    wrote); else create it and remove this command's earlier results, which
+    must not outlive a failure of this run."""
+    own, foreign = [], []
+    for other, (_, patterns) in _COMMANDS.items():
+        for pattern in patterns:
+            (own if other == command else foreign).extend(outdir.glob(pattern))
     manifest = outdir / "manifest.json"
     if manifest.is_file():
         try:
@@ -439,24 +435,23 @@ def _check_outputs_free(command: str, outdir: Path) -> None:
         except (ValueError, AttributeError):
             owner = None
         if owner != command:
-            foreign.append(manifest.name)
+            foreign.append(manifest)
     if foreign:
-        shown = ", ".join(foreign[:3]) + (", ..." if len(foreign) > 3 else "")
+        names = sorted(path.name for path in foreign)
+        shown = ", ".join(names[:3]) + (", ..." if len(names) > 3 else "")
         raise ConfigError(f"outputs directory {outdir} holds another command's results "
                           f"({shown}); choose another directory", key="outputs")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for stale in own:
+        stale.unlink()
 
 
 def _cmd_invariants(config: RunConfig, files) -> int:
     if not files:
         raise ConfigError("invariants command needs at least one snapshot file")
-    rows = []
-    for path in files:
-        field, t = read_snapshot(path)
-        rows.append((t, c_pi(field), i_pi(field), e_pi(field, config.model)))
-    rows.sort(key=lambda r: r[0])
-    print("t,C,I,E")
-    for t, c, i, e in rows:
-        print(f"{_fmt(t)},{_fmt(c)},{_fmt(i)},{_fmt(e)}")
+    snapshots = sorted(((t, field) for field, t in map(read_snapshot, files)),
+                       key=lambda snapshot: snapshot[0])
+    print(_invariants_table(record_invariants(snapshots, config.model)), end="")
     return EXIT_OK
 
 
@@ -490,14 +485,9 @@ def main(argv=None) -> int:
         config = parse_config(Path(args.config).read_text(), args.override)
         if args.command == "invariants":  # writes no files, so no manifest
             return _cmd_invariants(config, args.files)
-        command, results = _COMMANDS[args.command]
-        _check_outputs_free(args.command, config.outputs)  # no manifest: it is not ours
+        _claim_outputs(args.command, config.outputs)  # no manifest: the directory is not ours
         manifest = _Manifest(args.command, config)
-        # an earlier run's results must not outlive a failure of this one
-        for pattern in results:
-            for stale in config.outputs.glob(pattern):
-                stale.unlink()
-        manifest.record(*command(config, args.quiet))
+        manifest.record(*_COMMANDS[args.command][0](config, args.quiet))
     except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))

@@ -8,7 +8,8 @@ member runs follow the reference as one stack (``timestep.evolve_rows``):
 row i is the bandwidth-n_i member posed at the finest member's bandwidth
 with its flux masked to |k| <= n_i, the same Galerkin system up to
 rounding.  A row that diverges becomes its member's ``failures`` entry;
-the other rows go on.
+the other rows go on.  Bandwidths below 1 and horizons that are not
+positive are ValueErrors, raised before anything is built or run.
 
 Studies exchange full-range ``SpectralField``s with ``evolve`` for the
 reference runs, and convert the member rows, kept in the folded half
@@ -77,7 +78,7 @@ class ConvergenceReport:
 @dataclass
 class SolitonReport:
     speed_target: float
-    speed_estimate: Optional[float]
+    speed_estimate: float
     shape_error_linf: float
     drifts: InvariantRecord
     times: np.ndarray
@@ -121,23 +122,24 @@ def _fit_tail(n_values, errors):
 
 def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
     """Largest dt <= target such that an integer number of steps spans t_star."""
+    if t_star <= 0:
+        raise ValueError(f"t_star must be > 0, got {t_star}")
     n_steps = max(1, math.ceil(check_step_count(t_star / dt_target) - 1e-9))
     return t_star / n_steps, n_steps
 
 
 def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy):
     """Checked bandwidths, the method, the snapped member step and step count,
-    and the initial datum at the reference bandwidth."""
+    and the initial datum at the reference bandwidth.  Every check runs
+    before the datum is built."""
     n_values = sorted(int(n) for n in n_values)
-    if len(set(n_values)) != len(n_values):
-        raise ValueError("n_values must be distinct")
+    if not n_values or n_values[0] < 1 or len(set(n_values)) != len(n_values):
+        raise ValueError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
     if n_ref < 4 * max(n_values):
         raise ValueError(
             f"reference bandwidth {n_ref} must be at least 4x the finest "
             f"measured bandwidth {max(n_values)}"
         )
-    if t_star <= 0:
-        raise ValueError(f"t_star must be > 0, got {t_star}")
     policy = integrator_policy or IntegratorPolicy()
     dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
     dt, n_steps = _snap_dt(t_star, dt_target)
@@ -314,25 +316,15 @@ def soliton_propagation_test(
     m = 1, q = 1 reduction; a converged fixed-point profile may be passed
     instead.  Speed is the slope of a linear fit through the unwrapped peak
     trajectory; the shape error is the sup-norm mismatch after translating
-    the final state back by the measured displacement.
+    the final state back by the measured displacement.  A horizon t_star
+    that is not positive is a ValueError, as in the studies.
     """
-    u0 = profile if profile is not None else kdv_soliton(speed, 0.0, params, n_modes)
     period = 2.0 * params.domain_scale * np.pi
-    if t_star == 0.0:
-        drifts = record_invariants([(0.0, u0)], params)
-        return SolitonReport(
-            speed_target=speed,
-            speed_estimate=None,
-            shape_error_linf=0.0,
-            drifts=drifts,
-            times=np.array([0.0]),
-            peak_positions=np.array([peak_position(u0)]),
-        )
-
     dt_target = dt if dt is not None else min(default_dt(params, n_modes), t_star)
     dt_run, n_steps = _snap_dt(t_star, dt_target)
     stride = max(1, n_steps // 200)
     config = IntegratorConfig(method, dt_run, t_star, stride)
+    u0 = profile if profile is not None else kdv_soliton(speed, 0.0, params, n_modes)
     result = evolve(u0, params, config)
 
     snapshots = [(0.0, u0)] + result.snapshots

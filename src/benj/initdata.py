@@ -155,7 +155,6 @@ def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> S
 
 @dataclass
 class PetviashviliReport:
-    converged: bool
     iterations: int
     residuals: list
     stabilizers: list
@@ -215,7 +214,7 @@ def petviashvili(
         residuals.append(res)
         if res <= tol:
             field = translate(field, -peak_position(field))
-            return field, PetviashviliReport(True, it - 1, residuals, stabilizers)
+            return field, PetviashviliReport(it - 1, residuals, stabilizers)
         num = float(np.sum(denom * np.abs(c) ** 2))
         den = float(np.sum(fhat * np.conj(c)).real)
         if den <= 0.0 or num <= 0.0:

@@ -24,16 +24,16 @@ study steps its members as one stack, each posed at the largest member's
 bandwidth.  The loop builds the weights once per run; a shortened final
 step rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
 ``evolve`` is the stack of one row: it takes and returns full-range
-``SpectralField``s, builds the flux closure once, and converts only at the
-start, on the snapshot/observer cadence and at the final state.  It keeps
-``snapshots`` at that cadence only when no observer is given; an observer
-sees every such state and owns its retention.  A ``nonlinear`` callable
-replaces the flux inside the loop, so it receives and returns (B, N+1)
-stacks of folded half-layout rows: ``nonlinear(c_rows, t) -> flux_rows``.
-Its mode-0 entries must be real (the projection of a real function's
-mean).  A step calls it at its t, twice at t + dt/2, and last at the next
-step's exact t (``s*dt``, or ``t_end``), so a callable may cache what it
-derives from t.
+``SpectralField``s, steps the flux of ``folded_nonlinear_term``, and
+converts only at the start, on the snapshot/observer cadence and at the
+final state.  It keeps ``snapshots`` at that cadence only when no observer
+is given; an observer sees every such state and owns its retention.
+``evolve_rows`` takes the flux as a callable on (B, N+1) stacks of folded
+half-layout rows, ``nonlinear(c_rows, t) -> flux_rows``, whose mode-0
+entries must be real (the projection of a real function's mean); a custom
+flux is stepped there.  A step calls it at its t, twice at t + dt/2, and
+last at the next step's exact t (``s*dt``, or ``t_end``), so a callable
+may cache what it derives from t.
 """
 
 from __future__ import annotations
@@ -188,7 +188,6 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
 @dataclass
 class EvolveResult:
     final: SpectralField
-    final_time: float
     snapshots: list  # (t, SpectralField) pairs at the snapshot cadence; empty with an observer
     n_steps: int
 
@@ -271,38 +270,33 @@ def evolve(
     params: ModelParams,
     config: IntegratorConfig,
     observer: Optional[Callable[[float, SpectralField], None]] = None,
-    nonlinear: Optional[NonlinearTerm] = None,
 ) -> EvolveResult:
     """Step one field from 0 to t_end: ``evolve_rows`` on a stack of one row.
 
     The observer (if any) fires every ``snapshot_stride`` steps and after
     the final step; without one, the same cadence populates ``snapshots``
     (with one, ``snapshots`` stays empty).  Evolution is single-threaded and
-    bit-deterministic for identical inputs.  ``nonlinear`` (if given)
-    replaces the flux inside the loop and so works on (1, N+1) stacks of
-    folded half-layout rows (see the module docstring).
+    bit-deterministic for identical inputs.
 
     Raises DivergenceError, tagged with the failure time, if coefficients
     go nonfinite or the norm grows by more than a factor of 1e6.
     """
     n = u0.n_modes
-    if nonlinear is None:
-        term = folded_nonlinear_term(params, [n])
-        nonlinear = lambda c, t: term(c)
-    snapshots, final = [], None
+    term = folded_nonlinear_term(params, [n])
+    snapshots = []
 
     def seen(t, rows):
-        nonlocal final
-        final = u0.with_coeffs(unfold_half(rows[0]))  # the last step always builds one
+        field = u0.with_coeffs(unfold_half(rows[0]))
         if observer is None:
-            snapshots.append((t, final))
+            snapshots.append((t, field))
         else:
-            observer(t, final)
+            observer(t, field)
 
-    result = evolve_rows(fold_half(u0.coeffs, n)[None], params, config, nonlinear, seen)
+    result = evolve_rows(fold_half(u0.coeffs, n)[None], params, config,
+                         lambda c, t: term(c), seen)
     if result.failures:
         raise result.failures[0]
-    return EvolveResult(final, config.t_end, snapshots, result.n_steps)
+    return EvolveResult(u0.with_coeffs(unfold_half(result.final[0])), snapshots, result.n_steps)
 
 
 def default_dt(params: ModelParams, n_modes: int) -> float:

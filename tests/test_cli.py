@@ -47,7 +47,7 @@ def test_minimal_config_defaults():
     assert config.integrator.t_end == 1.0
     assert config.integrator.dt > 0  # derived from the step-size policy
     assert config.initial.kind == "gaussian"
-    assert config.seed == 0
+    assert config.initial.seed == 0  # the top-level seed
 
 
 def test_config_rejects_negative_gamma():
@@ -85,7 +85,7 @@ def test_config_comments_and_overrides():
     config = parse_config(text, overrides=["integrator.dt=1e-3", "seed=7"])
     assert config.n_modes == 16
     assert config.integrator.dt == 1e-3
-    assert config.seed == 7
+    assert config.initial.seed == 7  # the top-level seed
     with pytest.raises(ConfigError, match="unknown override"):
         parse_config(text, overrides=["nope=1"])
 
@@ -485,6 +485,38 @@ def test_output_path_through_a_file(tmp_path, command):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["converge", "soliton"])
+def test_unclaimable_outputs_fail_before_any_compute(tmp_path, monkeypatch, capsys, command):
+    # the output directory is claimed first: a path that cannot be created
+    # fails once, before the study or the wave is computed
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} computed before claiming its output directory")
+
+    monkeypatch.setattr(benj.cli, "self_convergence", never)
+    monkeypatch.setattr(benj.cli, "build_field", never)
+    (tmp_path / "out").write_text("")
+    code, _ = run_command(tmp_path, command, ["outputs=" + str(tmp_path / "out" / "sub"),
+                                              "converge.n_values=4,8"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+@pytest.mark.parametrize("command, override", [
+    ("solve", "model.m=200"), ("converge", "model.delta=1e308"),
+])
+def test_overflowing_symbol_exit_code(tmp_path, command, override, method):
+    # a dispersive symbol outside the floating-point range is a bad config
+    # under either method, not a divergence of the run
+    text = ("n_modes = 64\nintegrator.dt = 1e-3\nintegrator.t_end = 0.01\n"
+            "converge.n_values = 8, 16\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, manifest = run_command(tmp_path, command,
+                                     [override, f"integrator.method={method}"], text=text)
+    assert code == manifest["exit_code"] == EXIT_CONFIG
+    assert manifest["status"] == "validation-error"
+
+
 def test_internal_error_leaves_incomplete_manifest(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("internal fault")
@@ -640,3 +672,60 @@ def test_fuzzed_overrides_end_in_documented_exit_code(command, overrides):
             return  # rejected before any output
         manifest = json.loads((Path(tmp) / "out" / "manifest.json").read_text())
         assert manifest["exit_code"] == code
+
+
+# Lines a config document may hold besides schema keys: ones the parser
+# skips, and ones it must reject (unknown and empty keys, no '=').
+_SKIPPED_LINES = ["# a comment", "   # an indented comment", "#", "", "   "]
+_BAD_LINES = ["model.viscosity = 1", "= 1", " = ", "=", "n_modes 8", "n_modes"]
+
+
+def _rarely(draw) -> bool:
+    """True one draw in four, so most documents still parse and run."""
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _config_text(draw, outputs):
+    """A config document, its lines shuffled: an integrator.t_end line,
+    always there so that no parsed run outlasts a horizon of 0.01; the
+    outputs line; the two other lines of ``FUZZ_BASE``, each mostly kept;
+    schema keys with values from the fuzz pools (a key drawn twice is a
+    duplicate, and a value is rarely 'a = b'); skipped lines, rarely a bad
+    line, and trailing comments."""
+    t_end = draw(st.one_of(st.just("0.01"), st.sampled_from(_TIME_VALUES)))
+    lines = [f"integrator.t_end = {t_end}", f"outputs = {outputs}"]
+    lines += [line for line in ("n_modes = 8", "converge.n_values = 4, 8") if not _rarely(draw)]
+    for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=3)):
+        pool = st.sampled_from(_FUZZ_POOLS.get(key, _NUMBER_VALUES))
+        value = draw(pool) + (f" = {draw(pool)}" if _rarely(draw) else "")
+        lines.append(f"{key} = {value}")
+    lines += draw(st.lists(st.sampled_from(_SKIPPED_LINES), max_size=3))
+    if _rarely(draw):
+        lines.append(draw(st.sampled_from(_BAD_LINES)))
+    lines = [line + draw(st.sampled_from(["", "  # note", "#"])) for line in lines]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["solve", "converge", "soliton"]), data=st.data())
+def test_fuzzed_config_text_ends_in_documented_exit_code(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        text = data.draw(_config_text(out))
+        try:
+            parse_config(text)  # raises nothing but a ValueError
+            parses = True
+        except ValueError:
+            parses = False
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(cfg), "--quiet"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        if parses:
+            assert json.loads((out / "manifest.json").read_text())["exit_code"] == code
+        else:
+            assert code == EXIT_CONFIG
+            assert not out.exists()

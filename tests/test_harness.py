@@ -13,8 +13,8 @@ from benj.harness import (
 )
 from benj.initdata import InitialDataSpec, kdv_soliton, random_sobolev
 from benj.model import ModelParams
-from benj.spectral import embed, l2_norm, project
-from benj.timestep import IntegratorConfig, evolve
+from benj.spectral import embed, fold_half, l2_norm, project, unfold_half
+from benj.timestep import IntegratorConfig, evolve_rows
 
 GAUSS = InitialDataSpec(kind="gaussian", amplitude=1.0, width=0.5, center=0.0)
 ROUGH = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=0)
@@ -173,14 +173,18 @@ def test_linear_flow_oracle_rate():
     params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1)
     mu, n_ref, t = 4.0, 256, 0.05
     u0 = random_sobolev(mu, 0, n_ref, 1.0)
-    zero = lambda c, t: np.zeros_like(c)
-    ref = evolve(u0, params, IntegratorConfig("etdrk4", 1e-3, t, 1000), nonlinear=zero)
+
+    def linear_flow(u):
+        row = fold_half(u.coeffs, u.n_modes)[None]
+        final = evolve_rows(row, params, IntegratorConfig("etdrk4", 1e-3, t, 1000),
+                            lambda c, t: np.zeros_like(c)).final
+        return u.with_coeffs(unfold_half(final[0]))
+
+    ref = linear_flow(u0)
     errors = []
     for n in (16, 32, 64):
-        w = evolve(project(u0, n), params, IntegratorConfig("etdrk4", 1e-3, t, 1000),
-                   nonlinear=zero)
-        diff = ref.final.coeffs - embed(w.final, n_ref).coeffs
-        errors.append(l2_norm(ref.final.with_coeffs(diff)))
+        diff = ref.coeffs - embed(linear_flow(project(u0, n)), n_ref).coeffs
+        errors.append(l2_norm(ref.with_coeffs(diff)))
     rate, r2 = estimate_rate([16, 32, 64], errors)
     assert mu + 0.2 <= rate <= mu + 0.8
     assert r2 > 0.99
@@ -229,6 +233,18 @@ def test_intermediate_study_refuses_an_unplanned_step_count(
     with pytest.raises(error):
         intermediate_problem_study(benjamin_params, ROUGH, [4, 8], 32, 0.01,
                                    IntegratorPolicy(dt=2e-3))
+
+
+@pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
+def test_bandwidth_below_one_is_refused_before_any_run(monkeypatch, benjamin_params, study):
+    def never(*args, **kwargs):
+        raise AssertionError("the study built or ran something")
+
+    monkeypatch.setattr(benj.harness, "build_field", never)
+    monkeypatch.setattr(benj.harness, "evolve", never)
+    for n_values in ([0, 8], [-4, 8], []):
+        with pytest.raises(ValueError, match="n_values"):
+            study(benjamin_params, GAUSS, n_values, 32, 0.01, IntegratorPolicy(dt=2e-3))
 
 
 @pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
@@ -334,9 +350,10 @@ def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
 # ----------------------------------------------------------------- solitons
 
 def test_soliton_zero_horizon(kdv_params):
-    report = soliton_propagation_test(0.5, kdv_params, 64, 0.0)
-    assert report.speed_estimate is None
-    assert report.shape_error_linf == 0.0
+    # a wave that is not propagated has no speed to measure
+    for t_star in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_star must be > 0"):
+            soliton_propagation_test(0.5, kdv_params, 64, t_star)
 
 def test_soliton_short_propagation(kdv_params):
     report = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3)

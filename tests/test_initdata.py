@@ -123,7 +123,7 @@ def test_petviashvili_recovers_closed_form(kdv_params):
     c = 0.5
     guess = gaussian(1.0, 1.0, 0.0, 256, 8.0)
     wave, report = petviashvili(kdv_params, c, guess, tol=1e-12, max_iter=300)
-    assert report.converged
+    assert report.final_residual <= 1e-12  # a solve that does not converge raises
     exact = kdv_soliton(c, 0.0, kdv_params, 256)
     mismatch = wave.with_coeffs(wave.coeffs - exact.coeffs)
     assert linf_norm(mismatch) <= 1e-8
@@ -133,7 +133,6 @@ def test_petviashvili_benjamin_wave():
     params = ModelParams(m=1, r=0.5, gamma=0.5, delta=1.0, q=1, domain_scale=8.0)
     guess = gaussian(1.0, 1.0, 0.0, 256, 8.0)
     wave, report = petviashvili(params, 0.75, guess, tol=1e-10, max_iter=400)
-    assert report.converged
     assert report.final_residual <= 1e-10
     # stabilizer factors settle to 1, the fixed-point signature; monotone
     # in |s-1| until the sequence reaches the rounding floor

@@ -206,6 +206,15 @@ def test_frozen_term_memo_matches_fresh_closure(q):
     assert asked == [0.0, 0.05, 0.1, 0.05, 0.0, 0.1, 0.0]
 
 
+def test_overflowing_symbol_is_a_parameter_error():
+    # kappa^(2m) at m = 200 overflows long before N = 64: one check for
+    # both integrators, ahead of any weight or exponential
+    p = ModelParams(m=200, r=0.5, gamma=1.0, delta=1.0, q=1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ParameterError, match="floating-point range"):
+        linear_multipliers(p, 64)
+
+
 def test_large_q_is_a_parameter_error():
     # M^q for the padded grid M overflows a double: 1000^120 at N = 8
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=120)

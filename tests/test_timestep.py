@@ -26,6 +26,11 @@ def zero_term(c, t):
     return np.zeros_like(c)
 
 
+def one_row(u):
+    """A field as a stack of one folded half-layout row, as ``evolve_rows`` takes it."""
+    return fold_half(u.coeffs, u.n_modes)[None]
+
+
 # ------------------------------------------------------------- coefficients
 
 
@@ -82,7 +87,8 @@ def test_pure_linear_step_is_exact_diagonal_flow(method, benjamin_params):
     u = rand_field(24, seed=1)
     dt = 7e-3
     config = IntegratorConfig(method=method, dt=dt, t_end=dt, snapshot_stride=1)
-    out = evolve(u, benjamin_params, config, nonlinear=zero_term).final
+    out = u.with_coeffs(unfold_half(
+        evolve_rows(one_row(u), benjamin_params, config, zero_term).final[0]))
     from benj.semidiscrete import linear_multipliers
 
     lam = linear_multipliers(benjamin_params, 24)
@@ -146,9 +152,11 @@ def test_evolve_dt_halving_fourth_order(benjamin_params):
 
 def test_single_step_horizon(benjamin_params):
     u0 = rand_field(16, seed=2)
-    result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1e-2, 1e-2, 1))
+    seen = []
+    result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1e-2, 1e-2, 1),
+                    observer=lambda t, f: seen.append(t))
     assert result.n_steps == 1
-    assert result.final_time == pytest.approx(1e-2, rel=1e-15)
+    assert seen[-1] == pytest.approx(1e-2, rel=1e-15)  # the final state's time
 
 
 def test_observer_count_and_snapshots(benjamin_params):
@@ -164,9 +172,11 @@ def test_observer_count_and_snapshots(benjamin_params):
 
 def test_shortened_final_step(benjamin_params):
     u0 = rand_field(8, seed=4)
-    result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 0.4e-2, 1.0e-2, 1))
+    seen = []
+    result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 0.4e-2, 1.0e-2, 1),
+                    observer=lambda t, f: seen.append(t))
     assert result.n_steps == 3
-    assert result.final_time == pytest.approx(1.0e-2, rel=1e-15)
+    assert seen[-1] == pytest.approx(1.0e-2, rel=1e-15)  # the final state's time
 
 
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
@@ -222,9 +232,9 @@ def test_half_layout_matches_full_range_stepper(method, q, n):
 
 
 def test_nonlinear_callable_gets_half_layout(benjamin_params):
-    # The callable replaces the flux inside the loop: it sees and returns
-    # a stack of one row in the folded half layout, k = 0..N, so the folded
-    # default flux passed explicitly reproduces the default run bit for bit.
+    # The callable is the flux inside the loop: it sees and returns a stack
+    # of one row in the folded half layout, k = 0..N, so the folded default
+    # flux passed to evolve_rows reproduces evolve's run bit for bit.
     from benj.semidiscrete import folded_nonlinear_term
 
     n = 12
@@ -237,10 +247,10 @@ def test_nonlinear_callable_gets_half_layout(benjamin_params):
         return term(c)
 
     config = IntegratorConfig("etdrk4", 1e-3, 5e-3, 5)
-    a = evolve(u0, benjamin_params, config, nonlinear=flux).final
+    a = unfold_half(evolve_rows(one_row(u0), benjamin_params, config, flux).final[0])
     b = evolve(u0, benjamin_params, config).final
     assert lengths == {(1, n + 1)}
-    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert a.tobytes() == b.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
@@ -256,8 +266,8 @@ def test_hook_final_stage_runs_at_the_next_step_time(method, benjamin_params):
         return np.zeros_like(c)
 
     config = IntegratorConfig(method, dt, steps * dt, 1)
-    result = evolve(rand_field(4, seed=12), benjamin_params, config,
-                    observer=lambda t, f: observed.append(t), nonlinear=hook)
+    result = evolve_rows(one_row(rand_field(4, seed=12)), benjamin_params, config, hook,
+                         observer=lambda t, rows: observed.append(t))
     assert result.n_steps == steps and len(times) == 4 * steps
     ends, starts = times[3::4], times[4::4]
     assert sum(a != b for a, b in zip(ends, starts)) == 0  # bitwise equal floats
@@ -265,23 +275,28 @@ def test_hook_final_stage_runs_at_the_next_step_time(method, benjamin_params):
     assert times[1::4] == times[2::4] == [t + 0.5 * dt for t in times[0::4]]
 
 
-def test_divergence_detection(benjamin_params):
+def flux_of(monkeypatch, term):
+    """Make ``evolve`` step the flux ``term(c)`` in place of the model's."""
+    import benj.timestep
+
+    monkeypatch.setattr(benj.timestep, "folded_nonlinear_term", lambda params, bandwidths: term)
+
+
+def test_divergence_detection(benjamin_params, monkeypatch):
     u0 = rand_field(8, seed=7)
-    grow = lambda c, t: 30.0 * c
+    flux_of(monkeypatch, lambda c: 30.0 * c)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
-            evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1.0, 5.0, 1),
-                   nonlinear=grow)
+            evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1.0, 5.0, 1))
     assert info.value.time is not None
 
 
-def test_nonfinite_detection(benjamin_params):
+def test_nonfinite_detection(benjamin_params, monkeypatch):
     u0 = rand_field(8, seed=8)
-    blow = lambda c, t: np.full_like(c, 1e308)
+    flux_of(monkeypatch, lambda c: np.full_like(c, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1.0, 2.0, 1),
-                   nonlinear=blow)
+            evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1.0, 2.0, 1))
 
 
 def _rows(n, seeds):
