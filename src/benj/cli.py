@@ -30,8 +30,11 @@ the output directory: one that holds another command's result files
 (``_COMMANDS``) or manifest is a validation error, so no manifest is
 written over the other run's; otherwise the directory is created and
 this command's earlier result files are removed.  A directory that cannot
-be claimed gets no manifest.  The ``invariants`` table on stdout is
-formatted as ``solve`` formats ``invariants.csv``.
+be claimed gets no manifest.  ``solve`` then checks the operator (the
+multipliers and step weights, with ``timestep.check_operator``) before
+it writes its first snapshot, so a refused operator leaves only the
+manifest.  The ``invariants`` table on stdout is formatted as ``solve``
+formats ``invariants.csv``.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref``, ``converge.t_star``, ``soliton.t_star`` or
@@ -56,7 +59,7 @@ from .invariants import record_invariants
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import dealiased_grid
-from .timestep import IntegratorConfig, default_dt, evolve
+from .timestep import IntegratorConfig, check_operator, default_dt, evolve
 
 # Re-exported: perfbench's tracer patches this name on this module.
 from .invariants import e_pi  # noqa: F401
@@ -306,6 +309,7 @@ def _invariants_table(record) -> str:
 
 def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
     outdir = config.outputs
+    check_operator(config.model, config.n_modes, config.integrator)
     u0 = build_field(config.initial, config.model, config.n_modes)
     written = [(0.0, u0)]
     write_snapshot(outdir / "snap_0000.txt", u0, 0.0)

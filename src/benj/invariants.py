@@ -9,9 +9,11 @@ energy
 
 are exactly constant, so any drift measured on a computed run is a pure
 time-integration artifact.  All three are evaluated spectrally: the
-nonlinear part of E comes from the zero mode of the dealiased power
-u^(q+2), not from quadrature, so the evaluation itself adds no aliasing
-error.
+nonlinear part of E is the zero mode of the power u^(q+2), read as its
+mean on the ``dealiased_grid``, where the integral of that trigonometric
+polynomial is exact, so the evaluation itself adds no aliasing error.  The
+power is formed by repeated multiplication (``spectral.power_in_place``),
+and no analysis transform or intermediate field is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, symbol_l
-from .spectral import SpectralField, dealiased_power
+from .spectral import SpectralField, dealiased_grid, power_in_place, synth_values
 
 DRIFT_FLOOR = 1e-30  # C and E can legitimately be zero for symmetric data
 
@@ -37,11 +39,17 @@ def i_pi(u: SpectralField) -> float:
 
 
 def e_pi(u: SpectralField, params: ModelParams) -> float:
-    """Energy: the dispersive quadratic part minus twice the integral of F."""
+    """Energy: the dispersive quadratic part minus twice the integral of F.
+
+    The mean of F is the grid mean of u^(q+2) on its ``dealiased_grid``,
+    whose M > (q+3)N points integrate that bandwidth-(q+2)N trigonometric
+    polynomial exactly.
+    """
     two_pi_l = 2.0 * u.domain_scale * np.pi
     quad = float(np.sum(symbol_l(params, u.kappa) * np.abs(u.coeffs) ** 2))
-    power = dealiased_power(u, params.q + 2)
-    f_mean = float(power.coeffs[u.n_modes].real) / ((params.q + 1) * (params.q + 2))
+    p = params.q + 2
+    vals = synth_values(u.coeffs, u.n_modes, dealiased_grid(u.n_modes, p))
+    f_mean = float(np.mean(power_in_place(vals, p))) / ((params.q + 1) * (params.q + 2))
     return two_pi_l * (quad - 2.0 * f_mean)
 
 

@@ -32,7 +32,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import ModelParams, symbol_l
-from .spectral import SpectralField, dealiased_grid, fold_half, next_fast_len, unfold_half
+from .spectral import (
+    SpectralField,
+    dealiased_grid,
+    fold_half,
+    next_fast_len,
+    power_in_place,
+    unfold_half,
+)
 
 # Re-exported: perfbench's tracer patches these names on this module.
 from .spectral import analyze_coeffs, synth_values  # noqa: F401
@@ -74,8 +81,9 @@ def folded_nonlinear_term(
     params: ModelParams, bandwidths
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Closure for the flux term -i*kappa*P_N[f(u)]_hat of a stack of rows
-    in the folded half layout (see ``spectral``): one irfft, the power, one
-    rfft, along the last axis.
+    in the folded half layout (see ``spectral``): one irfft, the power (by
+    repeated multiplication, ``spectral.power_in_place``), one rfft, along
+    the last axis.
 
     Row i is the bandwidth-``bandwidths[i]`` system posed at the largest
     bandwidth N: it takes and returns (B, N+1) stacks, and its flux is zero
@@ -94,8 +102,7 @@ def folded_nonlinear_term(
     factor = np.where(_row_mask(bandwidths, n_modes), factor, 0)
 
     def term(half: np.ndarray) -> np.ndarray:
-        vals = np.fft.irfft(half, n=m)
-        vals **= p
+        vals = power_in_place(np.fft.irfft(half, n=m), p)
         return factor * np.fft.rfft(vals)[:, : n_modes + 1]
 
     return term
@@ -155,8 +162,7 @@ def frozen_nonlinear_term(
     def term(w_rows: np.ndarray, t: float) -> np.ndarray:
         nonlocal last_t, power
         if t != last_t:
-            power = np.fft.irfft(np.where(u_mask, frozen(t), 0), n=m)
-            power **= q
+            power = power_in_place(np.fft.irfft(np.where(u_mask, frozen(t), 0), n=m), q)
             last_t = t
         vals = np.fft.irfft(w_factor * w_rows, n=m)
         vals *= power

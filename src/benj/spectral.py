@@ -22,6 +22,10 @@ holds by construction, and a transform is one real FFT with no sign
 passes.  ``fold_half`` and ``unfold_half`` convert between the two; the
 stepper calls them only at its boundary (start, snapshot/observer cadence,
 final state).
+
+Every integer power of grid values (the flux u^(q+1), the frozen term's
+u^q, the energy's u^(q+2) and ``dealiased_power``) goes through
+``power_in_place``, which multiplies instead of calling libm ``pow``.
 """
 
 from __future__ import annotations
@@ -80,8 +84,10 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     return sym
 
 
+@lru_cache(maxsize=None)
 def next_fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n (keeps FFT sizes cheap)."""
+    """Smallest 5-smooth integer >= n (keeps FFT sizes cheap); memoised,
+    since every padded grid asks for one of a few lengths."""
     while True:
         m = n
         for p in (2, 3, 5):
@@ -105,6 +111,21 @@ def _alternating_signs(n_modes: int) -> np.ndarray:
     signs[1::2] = -1.0
     signs.setflags(write=False)
     return signs
+
+
+def power_in_place(values: np.ndarray, p: int) -> np.ndarray:
+    """Raise ``values`` to the integer power p >= 1 in place, by repeated
+    multiplication, and return it.
+
+    numpy sends an integer power above 2 through libm ``pow``, at many
+    times the cost of a multiply.  At p = 2 this is ``x*x``, which is
+    ``x**2`` bit for bit; at p = 1 it is the identity; above, each of the
+    p - 1 products rounds once, so the result is within p ulps of ``x**p``.
+    """
+    base = values.copy() if p > 2 else values
+    for _ in range(p - 1):
+        values *= base
+    return values
 
 
 def fold_half(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
@@ -175,7 +196,7 @@ def dealiased_power(field: SpectralField, p: int) -> SpectralField:
         return field
     n = field.n_modes
     vals = synth_values(field.coeffs, n, dealiased_grid(n, p))
-    return field.with_coeffs(analyze_coeffs(vals**p, n))
+    return field.with_coeffs(analyze_coeffs(power_in_place(vals, p), n))
 
 
 def derivative(field: SpectralField, order: int = 1) -> SpectralField:

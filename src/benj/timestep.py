@@ -23,6 +23,9 @@ and the multipliers, and so the diagonal weights, k = 0..N; a convergence
 study steps its members as one stack, each posed at the largest member's
 bandwidth.  The loop builds the weights once per run; a shortened final
 step rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
+A Lambda_k*dt outside the floating-point range is a ParameterError under
+either method, raised where the weights are built; ``check_operator``
+runs the loop's operator checks without stepping.
 ``evolve`` is the stack of one row: it takes and returns full-range
 ``SpectralField``s, steps the flux of ``folded_nonlinear_term``, and
 converts only at the start, on the snapshot/observer cadence and at the
@@ -168,16 +171,34 @@ def _ifrk4_step(c, nl, e_full, e_half, dt_e_half, two_e_half, dt: float, t: floa
 
 
 def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
-    """One step of size dt, ``step(c, t, t_next) -> c``, in the folded half layout."""
+    """One step of size dt, ``step(c, t, t_next) -> c``, in the folded half layout.
+
+    A Lambda*dt outside the floating-point range is a ParameterError under
+    either method, raised here, where the weights are built.
+    """
+    z = lam * dt
+    if not np.all(np.isfinite(z)):
+        raise ParameterError(
+            f"nonfinite linear symbol times dt={dt}: the dispersion over one "
+            "step leaves the floating-point range"
+        )
     # products of weights (2*f2; dt*e_half, 2*e_half) are formed once: the
     # same bits as forming them inside every step
     if method == "etdrk4":
         weights = etd_coefficients(lam, dt)
         two_f2 = 2.0 * weights.f2
         return lambda c, t, t_next: _etdrk4_step(c, nl, weights, two_f2, t, t_next)
-    e_full, e_half = np.exp(lam * dt), np.exp(lam * dt / 2.0)
+    e_full, e_half = np.exp(z), np.exp(z / 2.0)
     w = (e_full, e_half, dt * e_half, 2.0 * e_half)
     return lambda c, t, t_next: _ifrk4_step(c, nl, *w, dt, t, t_next)
+
+
+def check_operator(params: ModelParams, n_modes: int, config: IntegratorConfig) -> None:
+    """Raise the ParameterError that ``evolve_rows`` raises at its start for
+    this operator, without stepping: it builds the bandwidth-N multipliers
+    and the weights of a full step with the functions the loop uses.  (A
+    shortened final step has a smaller dt, so its weights stay in range.)"""
+    _step_function(linear_multipliers(params, n_modes)[None], config.method, None, config.dt)
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: direct convolution sums instead of
 padded transforms, trapezoid quadrature instead of Parseval, extended
 precision instead of contour tricks.  None of it shares code with the
-library paths it checks.
+library paths it checks, except the two oracles at the end, which keep the
+library's earlier forms of a path it has since made faster: the per-line
+snapshot reader and the energy from a full analysis of u^(q+2).
 """
 
 import numpy as np
@@ -180,3 +182,62 @@ def write_snapshot_per_line(path, field: SpectralField, t: float):
         lines.append(f"{k} {c.real:.17g} {c.imag:.17g}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_snapshot_per_line(path):
+    """The snapshot reader that converts line by line, one complex per line:
+    the oracle for the library's bulk reader, with the same checks and
+    messages."""
+    from benj.snapshots import SnapshotFormatError
+
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise SnapshotFormatError(f"{path}: empty file")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != "benj-snapshot":
+        raise SnapshotFormatError(f"{path}: not a benj-snapshot file")
+    if not head[1].isdigit() or int(head[1]) != 1:
+        raise SnapshotFormatError(f"{path}: unsupported version {head[1]}")
+    try:
+        header = dict(ln.split(maxsplit=1) for ln in lines[1:4])
+        n = int(header["N"])
+        scale = float(header["L"])
+        t = float(header["t"])
+    except (KeyError, ValueError) as exc:
+        raise SnapshotFormatError(f"{path}: malformed header: {exc}") from exc
+    body = lines[4:]
+    if len(body) != 2 * n + 1:
+        raise SnapshotFormatError(
+            f"{path}: expected {2 * n + 1} coefficient lines, found {len(body)}"
+        )
+    coeffs = np.empty(2 * n + 1, dtype=np.complex128)
+    for i, ln in enumerate(body):
+        parts = ln.split()
+        if len(parts) != 3:
+            raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}")
+        try:
+            k = int(parts[0])
+            coeffs[i] = complex(float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}: {exc}") from exc
+        if k != i - n:
+            raise SnapshotFormatError(f"{path}: modes out of order at line {ln!r}")
+    try:
+        return SpectralField(n, scale, coeffs), t
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+
+
+def energy_dealiased_power(u: SpectralField, params: ModelParams):
+    """E(u) as the library evaluated it before its grid-mean form: the zero
+    mode of u^(q+2) from a full analysis of the power on the dealiased grid,
+    with numpy's ``**`` (libm ``pow`` above 2) for the power."""
+    from benj.spectral import analyze_coeffs, dealiased_grid, synth_values
+
+    p = params.q + 2
+    vals = synth_values(u.coeffs, u.n_modes, dealiased_grid(u.n_modes, p))
+    zero_mode = analyze_coeffs(vals**p, u.n_modes)[u.n_modes].real
+    quad = float(np.sum(symbol_l(params, u.kappa) * np.abs(u.coeffs) ** 2))
+    f_mean = float(zero_mode) / ((params.q + 1) * (params.q + 2))
+    return 2.0 * u.domain_scale * np.pi * (quad - 2.0 * f_mean)

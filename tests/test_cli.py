@@ -517,6 +517,24 @@ def test_overflowing_symbol_exit_code(tmp_path, command, override, method):
     assert manifest["status"] == "validation-error"
 
 
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+@pytest.mark.parametrize("overrides", [
+    ["model.m=200"],
+    ["model.delta=1e302", "integrator.dt=10", "integrator.t_end=10"],
+], ids=["symbol", "symbol-times-dt"])
+def test_refused_operator_leaves_only_the_manifest(tmp_path, overrides, method):
+    # solve checks the multipliers and the step weights before it writes a
+    # snapshot; a finite symbol whose product with dt overflows is refused
+    # there under either method, not run into a divergence
+    text = "n_modes = 64\nintegrator.t_end = 0.01\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, manifest = run_command(tmp_path, "solve",
+                                     [*overrides, f"integrator.method={method}"], text=text)
+    assert code == manifest["exit_code"] == EXIT_CONFIG
+    assert manifest["status"] == "validation-error"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
 def test_internal_error_leaves_incomplete_manifest(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("internal fault")

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from benj.initdata import InitialDataSpec, build_field
 from benj.invariants import c_pi, e_pi, i_pi, record_invariants
 from benj.model import ModelParams, symbol_l
-from benj.spectral import SpectralField, fold_half, synth_values, translate, unfold_half
+from benj.spectral import (
+    SpectralField,
+    dealiased_grid,
+    fold_half,
+    synth_values,
+    translate,
+    unfold_half,
+)
 from benj.timestep import IntegratorConfig, evolve_rows
 
-from oracles import inner, periodic_trapezoid, rand_field
+from oracles import energy_dealiased_power, inner, periodic_trapezoid, rand_field
 
 
 def mode_field(n_modes, entries, domain_scale=1.0):
@@ -64,6 +72,31 @@ def test_energy_matches_quadrature(seed):
     big_f = uvals ** (p.q + 2) / ((p.q + 1) * (p.q + 2))  # F(u), the primitive of f
     integrand = uvals * lu - 2.0 * big_f
     assert e_pi(u, p) == pytest.approx(periodic_trapezoid(integrand, 1.0), rel=1e-10)
+
+
+def test_energy_matches_full_analysis_on_solver_data(benjamin_params):
+    # the grid mean of u^3 by multiplication against the zero mode of a full
+    # analysis of u**3, on the data kind ``benj solve`` is benchmarked on
+    for seed in range(8):
+        spec = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=seed)
+        u = build_field(spec, benjamin_params, 256)
+        want = energy_dealiased_power(u, benjamin_params)
+        assert abs(e_pi(u, benjamin_params) - want) <= 4e-16 * abs(want)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_energy_matches_full_analysis(q, n):
+    # E cancels its two terms on large data, so the rounding bound, a few
+    # ulps, is taken relative to their magnitudes
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
+    for seed in range(6):
+        u = rand_field(n, seed=seed, scale=(None, 0.3, 1.0)[seed % 3], decay=2.0)
+        quad = np.sum(symbol_l(p, u.kappa) * np.abs(u.coeffs) ** 2)
+        vals = synth_values(u.coeffs, n, dealiased_grid(n, q + 2))
+        f_abs = np.mean(np.abs(vals) ** (q + 2)) / ((q + 1) * (q + 2))
+        size = 2.0 * np.pi * (abs(quad) + 2.0 * f_abs)
+        assert abs(e_pi(u, p) - energy_dealiased_power(u, p)) <= 8 * np.finfo(float).eps * size
 
 
 @given(seed=st.integers(0, 5_000), shift=st.floats(-3.0, 3.0))

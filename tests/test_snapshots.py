@@ -5,7 +5,7 @@ from benj.errors import ShapeError
 from benj.initdata import InitialDataSpec, build_field
 from benj.snapshots import SnapshotFormatError, read_snapshot, write_snapshot
 
-from oracles import rand_field, write_snapshot_per_line
+from oracles import rand_field, read_snapshot_per_line, write_snapshot_per_line
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -56,10 +56,56 @@ def test_writer_bytes_match_per_line_oracle(tmp_path):
     ("benj-snapshot 1\nN 1\nL -1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "domain_scale"),
 ], ids=["version", "header", "re", "im", "mode", "n-zero", "negative-scale"])
 def test_rejects_malformed_tokens(tmp_path, text, match):
+    # with the message of the per-line oracle, which names the same first bad line
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(SnapshotFormatError, match=match):
-        read_snapshot(path)
+    messages = []
+    for reader in (read_snapshot, read_snapshot_per_line):
+        with pytest.raises(SnapshotFormatError, match=match) as info:
+            reader(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("body, match", [
+    # the total token count is right, the lines are not
+    ("-1 0\n0 0 0 0\n1 0 0\n", "coefficient line '-1 0'"),
+    ("-1 0 0\n0 0 0\n1 0 0 0\n", "coefficient line '1 0 0 0'"),
+    # each line has three tokens, the first bad one is named
+    ("-1 0 0\n1 0 0\n0 x 0\n", "out of order at line '1 0 0'"),
+    ("-1 0 0\n0 x 0\n2 0 0\n", "coefficient line '0 x 0'"),
+    ("-1 0 0\n0 0 0\n1.0 0 0\n", "coefficient line '1.0 0 0'"),
+], ids=["two-then-four", "four-last", "order-first", "token-first", "float-mode"])
+def test_rejects_bad_body_lines(tmp_path, body, match):
+    path = tmp_path / "bad.txt"
+    path.write_text("benj-snapshot 1\nN 1\nL 1\nt 0\n" + body)
+    for reader in (read_snapshot, read_snapshot_per_line):
+        with pytest.raises(SnapshotFormatError, match=match):
+            reader(path)
+
+
+def test_reader_matches_per_line_oracle(tmp_path):
+    # bit-equal coefficients and t, signed zeros, subnormals and huge
+    # magnitudes included; blank and indented lines are skipped
+    path = tmp_path / "snap.txt"
+    for seed, n in ((0, 1), (1, 16), (2, 257)):
+        f = rand_field(n, seed=seed, domain_scale=0.75)
+        c = f.coeffs.copy()
+        specials = [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e300, -1e300),
+                    complex(-1.5, -0.0)]
+        for k, v in zip(range(1, n + 1), specials):
+            c[n + k], c[n - k] = v, v.conjugate()
+        g = f.with_coeffs(c)
+        for t in (0.0, -0.0, 1.0 / 3.0, 1e300):
+            write_snapshot(path, g, t)
+            text = path.read_text()
+            for variant in (text, "\n" + text.replace("\n0 ", "\n\n  \t0 ", 1) + "\n \n"):
+                path.write_text(variant)
+                (a, ta), (b, tb) = read_snapshot(path), read_snapshot_per_line(path)
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+                assert np.array_equal(a.coeffs, g.coeffs)
+                assert np.float64(ta).tobytes() == np.float64(tb).tobytes()
+                assert (a.n_modes, a.domain_scale) == (b.n_modes, b.domain_scale) == (n, 0.75)
 
 
 def test_rejects_foreign_file(tmp_path):

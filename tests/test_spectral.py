@@ -14,6 +14,7 @@ from benj.spectral import (
     linf_norm,
     next_fast_len,
     peak_position,
+    power_in_place,
     project,
     sobolev_norm,
     synth_values,
@@ -146,6 +147,21 @@ def test_projection_error_superalgebraic_for_analytic_function():
 
 
 # ------------------------------------------------------------ dealiasing
+
+
+def test_power_in_place_matches_numpy_power():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(997) * 10.0 ** rng.integers(-30, 30, 997),
+                        [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-100, -3.5]])
+    one = x.copy()
+    assert power_in_place(one, 1) is one and one.tobytes() == x.tobytes()
+    two = x.copy()
+    assert power_in_place(two, 2) is two and two.tobytes() == (x * x).tobytes()
+    for p in range(3, 7):
+        got, want = power_in_place(x.copy(), p), x**p
+        assert np.all(np.abs(got - want) <= p * np.spacing(np.abs(want))), p
+    rows = rng.standard_normal((3, 40))
+    assert power_in_place(rows.copy(), 3).tobytes() == (rows * rows * rows).tobytes()
 
 
 def test_dealiased_power_identity():

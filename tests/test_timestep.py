@@ -8,6 +8,7 @@ from benj.spectral import fold_half, l2_norm, unfold_half
 from benj.timestep import (
     MAX_STEPS,
     IntegratorConfig,
+    check_operator,
     default_dt,
     etd_coefficients,
     evolve,
@@ -68,6 +69,19 @@ def test_weights_out_of_range_are_a_parameter_error():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ParameterError, match="floating-point range"):
         etd_coefficients(fake_multipliers([1e300j]), dt=1.0)
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_symbol_times_dt_out_of_range_is_a_parameter_error(method):
+    # Lambda is finite at N = 64 and Lambda*dt is not: refused where the
+    # weights are built, under either method, before any step is taken
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1e302, q=1)
+    config = IntegratorConfig(method, 10.0, 10.0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="times dt"):
+            check_operator(p, 64, config)
+        with pytest.raises(ParameterError, match="times dt"):
+            evolve(rand_field(64, seed=0), p, config)
 
 
 def test_weights_scale_with_dt():
