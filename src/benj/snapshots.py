@@ -11,10 +11,10 @@ Format (version 1):
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so write -> read reproduces the coefficients bit for bit
 and repeated runs with the same configuration produce identical files.
-Blank lines are skipped.  The reader splits each body line once and
-converts every re/im token in one ``float`` pass into one float64 array,
-viewed as complex128; only a body that fails a check is walked line by
-line, to name its first bad line.
+Blank lines are skipped.  The reader splits each line once and converts
+every re/im token in one ``float`` pass into one float64 array, viewed as
+complex128; only a body that fails a check is walked line by line, to
+name its first bad line.
 """
 
 from __future__ import annotations
@@ -49,53 +49,55 @@ def write_snapshot(path, field: SpectralField, t: float) -> None:
 
 def read_snapshot(path) -> tuple[SpectralField, float]:
     with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
-    if not lines:
+        text = fh.read()
+    rows = [parts for parts in map(str.split, text.split("\n")) if parts]
+    if not rows:
         raise SnapshotFormatError(f"{path}: empty file")
-    head = lines[0].split()
+    head = rows[0]
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise SnapshotFormatError(f"{path}: not a {FORMAT_NAME} file")
     if not head[1].isdigit() or int(head[1]) != FORMAT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {head[1]}")
 
     try:
-        header = dict(ln.split(maxsplit=1) for ln in lines[1:4])
+        header = dict(rows[1:4])  # a line that is not "key value" is a ValueError
         n = int(header["N"])
         scale = float(header["L"])
         t = float(header["t"])
     except (KeyError, ValueError) as exc:
         raise SnapshotFormatError(f"{path}: malformed header: {exc}") from exc
 
-    body = lines[4:]
+    body = rows[4:]
     if len(body) != 2 * n + 1:
         raise SnapshotFormatError(
             f"{path}: expected {2 * n + 1} coefficient lines, found {len(body)}"
         )
-    coeffs = _body_coeffs(path, body, n)
+    coeffs = _body_coeffs(path, text, body, n)
     try:
         return SpectralField(n, scale, coeffs), t
     except ValueError as exc:  # N < 1 or L <= 0
         raise SnapshotFormatError(f"{path}: {exc}") from exc
 
 
-def _body_coeffs(path, body: list, n: int) -> np.ndarray:
-    """Coefficients k = -n..n of the 2n+1 body lines "k re im".
+def _body_coeffs(path, text: str, body: list, n: int) -> np.ndarray:
+    """Coefficients k = -n..n of the 2n+1 split body lines "k re im".
 
-    Each line is split once; the mode tokens are checked as ints in order,
-    and the re/im tokens, left interleaved, are converted in one pass and
-    viewed as complex128.  A body that fails is walked line by line, so the
+    The mode tokens are checked as ints in order, and the re/im tokens,
+    left interleaved, are converted in one pass and viewed as complex128.
+    A body that fails is walked again line by line, from ``text``, so the
     error names its first bad line.
     """
-    rows = [ln.split() for ln in body]
-    if all(len(parts) == 3 for parts in rows):
-        tokens = list(chain.from_iterable(rows))
+    if all(len(parts) == 3 for parts in body):
+        tokens = list(chain.from_iterable(body))
         try:
             if list(map(int, tokens[::3])) == list(range(-n, n + 1)):
                 del tokens[::3]
                 return np.array(list(map(float, tokens))).view(np.complex128)
         except ValueError:
             pass
-    for i, (ln, parts) in enumerate(zip(body, rows)):
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
+    for i, ln in enumerate(lines[4:]):
+        parts = ln.split()
         if len(parts) != 3:
             raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}")
         try:
