@@ -8,17 +8,15 @@ member runs follow the reference as one stack (``timestep.evolve_rows``):
 row i is the bandwidth-n_i member posed at the finest member's bandwidth
 with its flux masked to |k| <= n_i, the same Galerkin system up to
 rounding.  A row that diverges becomes its member's ``failures`` entry;
-the other rows go on.  Bandwidths below 1 and horizons that are not
-positive are ValueErrors, raised before anything is built or run.
+the other rows go on.  Bandwidths below 1 and horizons or steps that
+are not positive are ValueErrors, raised before anything is built or run.
 
-Studies exchange full-range ``SpectralField``s with ``evolve`` for the
-reference runs, and convert the member rows, kept in the folded half
-layout of ``spectral`` (modes k = 0..N times (-1)^k) that the stepper
-carries, only where they are measured.  The linearized study's reference
-trajectory, one array for the planned steps that the observer fills in
-place, uses that layout too, and so does the frozen advection term it
-hands to the stack.  The term keeps every row's u^q for the last stage
-time it saw, the study's one cache.
+Fields, member rows and stored reference states share the one layout a
+``SpectralField`` stores (the folded half of ``spectral``), so nothing
+converts: a member is the field ``with_half`` of its row's first n+1
+entries.  The linearized study's reference trajectory is one array that
+the observer fills in place; the frozen term keeps every row's u^q for
+the last stage time it saw, the study's one cache.
 """
 
 from __future__ import annotations
@@ -33,16 +31,7 @@ from .initdata import InitialDataSpec, build_field, kdv_soliton
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
 from .semidiscrete import folded_nonlinear_term, frozen_nonlinear_term
-from .spectral import (
-    SpectralField,
-    embed,
-    fold_half,
-    l2_norm,
-    linf_norm,
-    peak_position,
-    translate,
-    unfold_half,
-)
+from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
 from .timestep import IntegratorConfig, check_step_count, default_dt, evolve, evolve_rows
 
 _ERROR_FLOOR = 1e-300
@@ -55,11 +44,16 @@ class IntegratorPolicy:
 
     ``dt`` is the step of the measured runs (None derives it from the
     finest measured bandwidth); it is snapped so an integer number of steps
-    lands exactly on the horizon, and the reference run uses dt/4.
+    lands exactly on the horizon, and the reference run uses dt/4.  A dt
+    that is not > 0 (NaN included) is a ValueError.
     """
 
     method: str = "etdrk4"
     dt: Optional[float] = None
+
+    def __post_init__(self):
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
 
 
 @dataclass
@@ -124,6 +118,8 @@ def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
     """Largest dt <= target such that an integer number of steps spans t_star."""
     if t_star <= 0:
         raise ValueError(f"t_star must be > 0, got {t_star}")
+    if not dt_target > 0:
+        raise ValueError(f"dt must be > 0, got {dt_target}")
     n_steps = max(1, math.ceil(check_step_count(t_star / dt_target) - 1e-9))
     return t_star / n_steps, n_steps
 
@@ -149,20 +145,14 @@ def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy
 def _stack(u0_ref: SpectralField, n_values) -> np.ndarray:
     """The members' initial rows: the datum projected to each bandwidth, in
     the folded half layout of the finest one (zero above a row's own)."""
-    top = fold_half(u0_ref.coeffs, n_values[-1])
+    top = u0_ref.half[: n_values[-1] + 1]
     return np.where(np.arange(len(top)) <= np.array(n_values)[:, None], top, 0)
-
-
-def _member(row: np.ndarray, n: int, domain_scale: float) -> SpectralField:
-    """The bandwidth-n field of a stack row."""
-    return SpectralField(n, domain_scale, unfold_half(row[: n + 1]))
 
 
 def _error(ref: SpectralField, row: np.ndarray, n: int) -> float:
     """L2 distance from ``ref`` to the bandwidth-n member of a stack row,
     zero-extended to the reference bandwidth."""
-    member = embed(_member(row, n, ref.domain_scale), ref.n_modes)
-    return l2_norm(ref.with_coeffs(ref.coeffs - member.coeffs))
+    return l2_norm(ref.with_half(ref.half - np.pad(row[: n + 1], (0, ref.n_modes - n))))
 
 
 def _report(n_values, errors, failures, n_ref, t_star, dt, linf_max=None):
@@ -273,13 +263,13 @@ def intermediate_problem_study(
     dt, n_steps = dt_measure / 4.0, 4 * n_measure
     n_keep = (1 + params.q) * max(n_values)
     stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)
-    stored[0] = fold_half(u0_ref.coeffs, n_keep)
+    stored[0] = u0_ref.half[: n_keep + 1]
     filled = 0
 
     def keep(t, f):
         nonlocal filled
         filled += 1  # a step past the last row raises IndexError
-        stored[filled] = fold_half(f.coeffs, n_keep)
+        stored[filled] = f.half[: n_keep + 1]
 
     ref_config = IntegratorConfig(method, dt, t_star, 1)
     u_ref_final = evolve(u0_ref, params, ref_config, observer=keep).final
@@ -289,11 +279,11 @@ def intermediate_problem_study(
     n_u = [(1 + params.q) * n for n in n_values]
     term = frozen_nonlinear_term(params, n_values, n_u, lambda t: _interpolate(stored, dt, t))
     w0 = _stack(u0_ref, n_values)
-    linf_max = [linf_norm(_member(row, n, u0_ref.domain_scale)) for row, n in zip(w0, n_values)]
+    linf_max = [linf_norm(u0_ref.with_half(row[: n + 1])) for row, n in zip(w0, n_values)]
 
     def watch(t, rows):
         for i, n in enumerate(n_values):
-            linf_max[i] = max(linf_max[i], linf_norm(_member(rows[i], n, u0_ref.domain_scale)))
+            linf_max[i] = max(linf_max[i], linf_norm(u0_ref.with_half(rows[i, : n + 1])))
 
     config = IntegratorConfig(method, dt, t_star, max(1, n_steps // 128))
     result = evolve_rows(w0, params, config, term, watch)
@@ -317,7 +307,7 @@ def soliton_propagation_test(
     instead.  Speed is the slope of a linear fit through the unwrapped peak
     trajectory; the shape error is the sup-norm mismatch after translating
     the final state back by the measured displacement.  A horizon t_star
-    that is not positive is a ValueError, as in the studies.
+    or a step dt that is not positive is a ValueError, as in the studies.
     """
     period = 2.0 * params.domain_scale * np.pi
     dt_target = dt if dt is not None else min(default_dt(params, n_modes), t_star)
@@ -338,7 +328,7 @@ def soliton_propagation_test(
 
     shift = float(unwrapped[-1] - unwrapped[0])
     realigned = translate(result.final, -shift)
-    mismatch = realigned.with_coeffs(realigned.coeffs - u0.coeffs)
+    mismatch = realigned.with_half(realigned.half - u0.half)
     return SolitonReport(
         speed_target=speed,
         speed_estimate=speed_estimate,

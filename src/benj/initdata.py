@@ -150,7 +150,7 @@ def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> S
     c[n_modes + 1 :] = mags * phases
     c[:n_modes] = np.conj(c[:n_modes:-1])
     out = SpectralField(n_modes, domain_scale, c)
-    return out.with_coeffs(out.coeffs / sobolev_norm(out, mu))
+    return out.with_half(out.half / sobolev_norm(out, mu))
 
 
 @dataclass

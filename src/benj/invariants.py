@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, symbol_l
-from .spectral import SpectralField, dealiased_grid, power_in_place, synth_values
+from .spectral import SpectralField, dealiased_grid, half_values, power_in_place
 
 DRIFT_FLOOR = 1e-30  # C and E can legitimately be zero for symmetric data
 
 
 def c_pi(u: SpectralField) -> float:
     """Mass: 2*L*pi times the zero mode."""
-    return 2.0 * u.domain_scale * np.pi * float(u.coeffs[u.n_modes].real)
+    return 2.0 * u.domain_scale * np.pi * float(u.half[0].real)
 
 
 def i_pi(u: SpectralField) -> float:
@@ -48,7 +48,7 @@ def e_pi(u: SpectralField, params: ModelParams) -> float:
     two_pi_l = 2.0 * u.domain_scale * np.pi
     quad = float(np.sum(symbol_l(params, u.kappa) * np.abs(u.coeffs) ** 2))
     p = params.q + 2
-    vals = synth_values(u.coeffs, u.n_modes, dealiased_grid(u.n_modes, p))
+    vals = half_values(u.half, dealiased_grid(u.n_modes, p))
     f_mean = float(np.mean(power_in_place(vals, p))) / ((params.q + 1) * (params.q + 2))
     return two_pi_l * (quad - 2.0 * f_mean)
 

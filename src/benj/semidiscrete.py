@@ -15,8 +15,8 @@ reference solution u:
 
     d/dt w_hat_k = Lambda_k w_hat_k - P_N[f'(u) w_x]_hat_k.
 
-Multipliers and flux closures use the folded half layout k = 0..N of
-``spectral`` that the stepper carries; ``rhs`` and ``nonlinear_term`` unfold.
+Multipliers and flux closures use the folded half layout k = 0..N that
+``SpectralField`` stores; only the full-range ``nonlinear_term`` converts.
 The flux closures take and return (B, N+1) stacks of rows, as the stepper
 carries them: row i is the bandwidth-n_i system posed at the stack's
 largest bandwidth N, with its flux masked to |k| <= n_i.  The padded grid
@@ -123,9 +123,8 @@ def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
     The k = 0 component vanishes identically (factor i*kappa at kappa = 0),
     which is the discrete mechanism behind mass conservation.
     """
-    half = fold_half(u.coeffs, u.n_modes)
-    flux = folded_nonlinear_term(params, [u.n_modes])(half[None])[0]
-    return u.with_coeffs(unfold_half(linear_multipliers(params, u.n_modes) * half + flux))
+    flux = folded_nonlinear_term(params, [u.n_modes])(u.half[None])[0]
+    return u.with_half(linear_multipliers(params, u.n_modes) * u.half + flux)
 
 
 def frozen_nonlinear_term(

@@ -8,9 +8,11 @@ Format (version 1):
     t 0.5
     <2N+1 lines of "k re im">
 
-All floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so write -> read reproduces the coefficients bit for bit
-and repeated runs with the same configuration produce identical files.
+The body is the field's full-range view, whose negative modes are the
+exact conjugates of the stored ones.  All floats are written with 17
+significant digits, which round-trips IEEE doubles exactly, so write ->
+read stores the field bit for bit, the sign of a zero included, and
+repeated runs with the same configuration produce identical files.
 Blank lines are skipped.  The reader splits each line once and converts
 every re/im token in one ``float`` pass into one float64 array, viewed as
 complex128; only a body that fails a check is walked line by line, to

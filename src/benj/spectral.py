@@ -4,24 +4,20 @@ A field of bandwidth N is the real trigonometric polynomial
 
     u(x) = sum_{|k| <= N} u_hat_k exp(i*kappa_k*x),   kappa_k = k/L,
 
-on [-L*pi, L*pi].  Coefficients are stored over the full symmetric index
-range k = -N..N (position k+N) and Hermitian symmetry
-u_hat(-k) = conj(u_hat(k)) is enforced whenever a field is constructed, so
-every ``SpectralField`` represents a real function.
+on [-L*pi, L*pi].  Transform normalization: analysis divides by the
+number of samples, synthesis does not.  Collocation grids start at the
+left endpoint, x_j = -L*pi + 2*L*pi*j/M.
 
-Transform normalization: analysis divides by the number of samples,
-synthesis does not.  Collocation grids start at the left endpoint,
-x_j = -L*pi + 2*L*pi*j/M.
-
-Two coefficient layouts are in use.  ``SpectralField``, snapshots and every
-public function take the full range above.  The time stepper's inner loop
-carries the folded half layout instead: the nonnegative modes k = 0..N
-only, each multiplied by the grid phase (-1)^k, which is exactly the
-vector ``np.fft.irfft`` takes for the grid above.  Hermitian symmetry then
-holds by construction, and a transform is one real FFT with no sign
-passes.  ``fold_half`` and ``unfold_half`` convert between the two; the
-stepper calls them only at its boundary (start, snapshot/observer cadence,
-final state).
+A ``SpectralField`` stores one layout, the folded half ``half``: modes
+k = 0..N times the grid phase (-1)^k, exactly the vector ``np.fft.irfft``
+takes for that grid; Hermitian symmetry supplies k < 0, so every field is
+real.  The time stepper carries the same layout.  The full range
+k = -N..N (index k+N), taken by the constructor, snapshot files and
+``synth_values``/``analyze_coeffs``, is the derived view ``coeffs``; a
+full-range input is projected (``hermitian_part``) once, where it enters.
+``fold_half``/``unfold_half`` negate the odd modes, which keeps the sign
+of a zero, and the view's negative modes are the exact conjugates of the
+stored ones, so a field read back from its view is stored bit for bit.
 
 Every integer power of grid values (the flux u^(q+1), the frozen term's
 u^q, the energy's u^(q+2) and ``dealiased_power``) goes through
@@ -40,27 +36,51 @@ from .errors import BandwidthError, ShapeError
 _OVERSAMPLE = 8  # grid refinement of linf_norm and peak_position
 
 
-@dataclass(frozen=True)
+def _check_sizes(n_modes: int, domain_scale: float) -> None:
+    if n_modes < 1:
+        raise BandwidthError(f"n_modes must be >= 1, got {n_modes}")
+    if domain_scale <= 0:
+        raise ShapeError(f"domain_scale must be > 0, got {domain_scale}")
+
+
+@dataclass(frozen=True, init=False)
 class SpectralField:
-    """Real-valued element of the bandwidth-N trigonometric space."""
+    """Real-valued element of the bandwidth-N trigonometric space, built
+    from a full-range vector, which is projected onto the Hermitian
+    subspace, or ``with_half`` from a folded half vector as it stands."""
 
     n_modes: int
     domain_scale: float
-    coeffs: np.ndarray  # complex128, length 2N+1, index k+N
+    half: np.ndarray  # complex128, (-1)^k u_hat_k for k = 0..N, read-only, mode 0 real
 
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise BandwidthError(f"n_modes must be >= 1, got {self.n_modes}")
-        if self.domain_scale <= 0:
-            raise ShapeError(f"domain_scale must be > 0, got {self.domain_scale}")
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2 * self.n_modes + 1,):
+    def __init__(self, n_modes: int, domain_scale: float, coeffs):
+        _check_sizes(n_modes, domain_scale)
+        c = np.asarray(coeffs, dtype=np.complex128)
+        if c.shape != (2 * n_modes + 1,):
             raise ShapeError(
-                f"coefficient vector must have length 2N+1={2 * self.n_modes + 1}, "
+                f"coefficient vector must have length 2N+1={2 * n_modes + 1}, "
                 f"got shape {c.shape}"
             )
-        object.__setattr__(self, "coeffs", hermitian_part(c))
-        self.coeffs.setflags(write=False)
+        self._store(domain_scale, fold_half(hermitian_part(c), n_modes))
+
+    def _store(self, domain_scale: float, half: np.ndarray) -> None:
+        _check_sizes(len(half) - 1, domain_scale)
+        half[0] = half[0].real
+        half.setflags(write=False)
+        object.__setattr__(self, "n_modes", len(half) - 1)
+        object.__setattr__(self, "domain_scale", domain_scale)
+        object.__setattr__(self, "half", half)
+
+    def with_half(self, half) -> "SpectralField":
+        """Field of a copy of the folded half vector ``half``; no projection, mode 0 made real."""
+        out = object.__new__(SpectralField)
+        out._store(self.domain_scale, np.array(half, dtype=np.complex128))
+        return out
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Full-range view u_hat_k, k = -N..N (index k+N), a fresh array."""
+        return unfold_half(self.half)
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -77,9 +97,13 @@ class SpectralField:
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
-    """Project a full-range coefficient vector onto the Hermitian subspace."""
+    """Project a full-range coefficient vector onto the Hermitian subspace,
+    halving the parts as reals (a complex multiply by 0.5 can flip the sign
+    of a zero), so that a Hermitian vector comes back bit for bit."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    sym = 0.5 * (c + np.conj(c[::-1]))
+    sym = c + np.conj(c[::-1])
+    sym.real *= 0.5
+    sym.imag *= 0.5
     sym[len(c) // 2] = sym[len(c) // 2].real
     return sym
 
@@ -104,24 +128,12 @@ def dealiased_grid(n_modes: int, p: int) -> int:
     return next_fast_len((p + 1) * n_modes + 1)
 
 
-@lru_cache(maxsize=None)
-def _alternating_signs(n_modes: int) -> np.ndarray:
-    """(-1)^k for k = 0..N; converts between grid phase and centered-domain phase."""
-    signs = np.ones(n_modes + 1)
-    signs[1::2] = -1.0
-    signs.setflags(write=False)
-    return signs
-
-
 def power_in_place(values: np.ndarray, p: int) -> np.ndarray:
     """Raise ``values`` to the integer power p >= 1 in place, by repeated
-    multiplication, and return it.
-
-    numpy sends an integer power above 2 through libm ``pow``, at many
-    times the cost of a multiply.  At p = 2 this is ``x*x``, which is
-    ``x**2`` bit for bit; at p = 1 it is the identity; above, each of the
-    p - 1 products rounds once, so the result is within p ulps of ``x**p``.
-    """
+    multiplication, and return it: numpy sends an integer power above 2
+    through libm ``pow``, at many times the cost of a multiply.  At p = 2
+    this is ``x**2`` bit for bit; above, each of the p - 1 products rounds
+    once, so the result is within p ulps of ``x**p``."""
     base = values.copy() if p > 2 else values
     for _ in range(p - 1):
         values *= base
@@ -132,29 +144,35 @@ def fold_half(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
     """Folded half layout (-1)^k * u_hat_k, k = 0..n_modes, of a full-range
     vector of any bandwidth >= n_modes (higher modes are dropped)."""
     center = len(coeffs) // 2
-    return coeffs[center : center + n_modes + 1] * _alternating_signs(n_modes)
+    half = np.array(coeffs[center : center + n_modes + 1], dtype=np.complex128)
+    half[1::2] = -half[1::2]
+    return half
 
 
 def unfold_half(half: np.ndarray) -> np.ndarray:
     """Full-range vector k = -N..N of a folded half-layout vector."""
-    pos = half * _alternating_signs(len(half) - 1)
+    pos = np.array(half, dtype=np.complex128)
+    pos[1::2] = -pos[1::2]
     return np.concatenate([np.conj(pos[:0:-1]), pos])
 
 
+def half_values(half: np.ndarray, n_points: int) -> np.ndarray:
+    """Values on the M-point grid of a folded half-layout vector."""
+    if n_points < 2 * (len(half) - 1):
+        raise BandwidthError(f"need at least 2N={2 * (len(half) - 1)} points, got {n_points}")
+    return np.fft.irfft(half, n=n_points) * n_points
+
+
 def synth_values(coeffs: np.ndarray, n_modes: int, n_points: int) -> np.ndarray:
-    """Evaluate a Hermitian coefficient vector on the M-point grid (array level)."""
-    if n_points < 2 * n_modes:
-        raise BandwidthError(f"need at least 2N={2 * n_modes} points, got {n_points}")
-    return np.fft.irfft(fold_half(coeffs, n_modes), n=n_points) * n_points
+    """Evaluate a Hermitian full-range coefficient vector on the M-point grid."""
+    return half_values(fold_half(coeffs, n_modes), n_points)
 
 
 def analyze_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Truncated Fourier coefficients of real grid samples (array level)."""
+    """Full-range truncated Fourier coefficients of real grid samples."""
     if len(values) < 2 * n_modes:
         raise BandwidthError(f"need at least 2N={2 * n_modes} points, got {len(values)}")
-    half = np.fft.rfft(values)[: n_modes + 1] / len(values)
-    half[0] = half[0].real
-    return unfold_half(half)
+    return unfold_half(np.fft.rfft(values)[: n_modes + 1] / len(values))
 
 
 def project(field: SpectralField, n_modes: int) -> SpectralField:
@@ -163,10 +181,7 @@ def project(field: SpectralField, n_modes: int) -> SpectralField:
         raise BandwidthError(
             f"cannot project bandwidth {field.n_modes} up to {n_modes}; use embed"
         )
-    lo = field.n_modes - n_modes
-    return SpectralField(
-        n_modes, field.domain_scale, field.coeffs[lo : lo + 2 * n_modes + 1]
-    )
+    return field.with_half(field.half[: n_modes + 1])
 
 
 def embed(field: SpectralField, n_modes: int) -> SpectralField:
@@ -175,10 +190,7 @@ def embed(field: SpectralField, n_modes: int) -> SpectralField:
         raise BandwidthError(
             f"cannot embed bandwidth {field.n_modes} into {n_modes}; use project"
         )
-    pad = n_modes - field.n_modes
-    return SpectralField(
-        n_modes, field.domain_scale, np.pad(field.coeffs, (pad, pad))
-    )
+    return field.with_half(np.pad(field.half, (0, n_modes - field.n_modes)))
 
 
 def dealiased_power(field: SpectralField, p: int) -> SpectralField:
@@ -194,19 +206,18 @@ def dealiased_power(field: SpectralField, p: int) -> SpectralField:
         raise ValueError(f"power must be >= 1, got {p}")
     if p == 1:
         return field
-    n = field.n_modes
-    vals = synth_values(field.coeffs, n, dealiased_grid(n, p))
-    return field.with_coeffs(analyze_coeffs(power_in_place(vals, p), n))
+    vals = power_in_place(half_values(field.half, dealiased_grid(field.n_modes, p)), p)
+    return field.with_half(np.fft.rfft(vals)[: field.n_modes + 1] / len(vals))
 
 
 def derivative(field: SpectralField, order: int = 1) -> SpectralField:
     """Spatial derivative via the (i*kappa)^order multiplier."""
-    return field.with_coeffs(field.coeffs * (1j * field.kappa) ** order)
+    return field.with_half(field.half * (1j * field.kappa[field.n_modes :]) ** order)
 
 
 def translate(field: SpectralField, shift: float) -> SpectralField:
     """Field of u(x - shift); multiplies mode k by exp(-i*kappa_k*shift)."""
-    return field.with_coeffs(field.coeffs * np.exp(-1j * field.kappa * shift))
+    return field.with_half(field.half * np.exp(-1j * field.kappa[field.n_modes :] * shift))
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -231,13 +242,13 @@ def linf_norm(field: SpectralField) -> float:
     of order (pi/16)^2 / 2 at a smooth peak.
     """
     m = _OVERSAMPLE * (2 * field.n_modes + 1)
-    return float(np.max(np.abs(synth_values(field.coeffs, field.n_modes, m))))
+    return float(np.max(np.abs(half_values(field.half, m))))
 
 
 def peak_position(field: SpectralField) -> float:
     """Location of the global maximum of u, refined by local parabolic fit."""
     m = _OVERSAMPLE * (2 * field.n_modes + 1)
-    vals = synth_values(field.coeffs, field.n_modes, m)
+    vals = half_values(field.half, m)
     j = int(np.argmax(vals))
     vm, v0, vp = vals[(j - 1) % m], vals[j], vals[(j + 1) % m]
     denom = vm - 2.0 * v0 + vp

@@ -26,11 +26,10 @@ step rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
 A Lambda_k*dt outside the floating-point range is a ParameterError under
 either method, raised where the weights are built; ``check_operator``
 runs the loop's operator checks without stepping.
-``evolve`` is the stack of one row: it takes and returns full-range
-``SpectralField``s, steps the flux of ``folded_nonlinear_term``, and
-converts only at the start, on the snapshot/observer cadence and at the
-final state.  It keeps ``snapshots`` at that cadence only when no observer
-is given; an observer sees every such state and owns its retention.
+``evolve`` is the stack of one row: it steps ``u0.half`` with the flux of
+``folded_nonlinear_term`` and builds the observed and final fields
+``with_half``.  It keeps ``snapshots`` on the observer cadence only when
+no observer is given; an observer owns its retention.
 ``evolve_rows`` takes the flux as a callable on (B, N+1) stacks of folded
 half-layout rows, ``nonlinear(c_rows, t) -> flux_rows``, whose mode-0
 entries must be real (the projection of a real function's mean); a custom
@@ -50,7 +49,7 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .model import ModelParams
 from .semidiscrete import folded_nonlinear_term, linear_multipliers
-from .spectral import SpectralField, fold_half, unfold_half
+from .spectral import SpectralField
 
 # Re-exported: perfbench's tracer patches these names on this module.
 from .semidiscrete import nonlinear_term  # noqa: F401
@@ -302,22 +301,20 @@ def evolve(
     Raises DivergenceError, tagged with the failure time, if coefficients
     go nonfinite or the norm grows by more than a factor of 1e6.
     """
-    n = u0.n_modes
-    term = folded_nonlinear_term(params, [n])
+    term = folded_nonlinear_term(params, [u0.n_modes])
     snapshots = []
 
     def seen(t, rows):
-        field = u0.with_coeffs(unfold_half(rows[0]))
+        field = u0.with_half(rows[0])
         if observer is None:
             snapshots.append((t, field))
         else:
             observer(t, field)
 
-    result = evolve_rows(fold_half(u0.coeffs, n)[None], params, config,
-                         lambda c, t: term(c), seen)
+    result = evolve_rows(u0.half[None], params, config, lambda c, t: term(c), seen)
     if result.failures:
         raise result.failures[0]
-    return EvolveResult(u0.with_coeffs(unfold_half(result.final[0])), snapshots, result.n_steps)
+    return EvolveResult(u0.with_half(result.final[0]), snapshots, result.n_steps)
 
 
 def default_dt(params: ModelParams, n_modes: int) -> float:

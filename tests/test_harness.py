@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import benj.harness
+import benj.spectral
 from benj.harness import (
     IntegratorPolicy,
     _interpolate,
@@ -14,7 +15,7 @@ from benj.harness import (
 from benj.initdata import InitialDataSpec, kdv_soliton, random_sobolev
 from benj.model import ModelParams
 from benj.spectral import embed, fold_half, l2_norm, project, unfold_half
-from benj.timestep import IntegratorConfig, evolve_rows
+from benj.timestep import IntegratorConfig, evolve, evolve_rows
 
 GAUSS = InitialDataSpec(kind="gaussian", amplitude=1.0, width=0.5, center=0.0)
 ROUGH = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=0)
@@ -254,6 +255,35 @@ def test_study_step_over_the_bound_is_a_value_error(benjamin_params, study):
         study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(dt=5e-324))
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
+def test_study_step_not_positive_is_a_value_error(benjamin_params, study, dt):
+    # not one step of t*, and not a ZeroDivisionError
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(dt=dt))
+
+
+def test_projection_runs_once_per_outside_input(monkeypatch, benjamin_params):
+    # a run builds its fields in the stored layout: the Hermitian projection
+    # runs for the initial datum, not once per step or per observed state
+    real, calls = benj.spectral.hermitian_part, []
+    monkeypatch.setattr(benj.spectral, "hermitian_part", lambda c: calls.append(1) or real(c))
+    u0 = random_sobolev(4.0, 0, 16, 1.0)
+    runs = [
+        lambda t: intermediate_problem_study(benjamin_params, GAUSS, [8, 16], 64, t,
+                                             IntegratorPolicy(dt=1e-3)),
+        lambda t: evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1e-3, t, 1),
+                         observer=lambda t, f: None),
+    ]
+    for run in runs:
+        counts = []
+        for t_star in (0.01, 0.02):
+            calls.clear()
+            run(t_star)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
 def _lagrange_at_numpy_nodes(states, dt, t):
     """The interpolation weights computed over numpy nodes, as before."""
     pos = t / dt
@@ -364,6 +394,11 @@ def test_soliton_short_propagation(kdv_params):
 @pytest.mark.parametrize("dt", [1e-300, 5e-324])
 def test_soliton_step_over_the_bound_is_a_value_error(kdv_params, dt):
     with pytest.raises(ValueError, match="exceed the bound"):
+        soliton_propagation_test(0.5, kdv_params, 64, 1.0, dt=dt)
+
+@pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])
+def test_soliton_step_not_positive_is_a_value_error(kdv_params, dt):
+    with pytest.raises(ValueError, match="dt must be > 0"):
         soliton_propagation_test(0.5, kdv_params, 64, 1.0, dt=dt)
 
 def test_non_soliton_contrast(kdv_params):

@@ -10,6 +10,7 @@ from benj.spectral import (
     derivative,
     embed,
     fold_half,
+    hermitian_part,
     l2_norm,
     linf_norm,
     next_fast_len,
@@ -256,6 +257,15 @@ def test_hermitian_enforced_on_construction():
     assert f.coeffs[4].imag == 0.0
     vals = synth_values(f.coeffs, 4, 32)
     assert np.all(np.isreal(vals))
+
+
+def test_stored_half_is_the_folded_projection():
+    rng = np.random.default_rng(1)
+    raw = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    raw[[1, 10, 15]] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -2.0)]
+    f = SpectralField(8, 1.0, raw)
+    assert f.half.tobytes() == fold_half(hermitian_part(raw), 8).tobytes()
+    assert not f.half.flags.writeable
 
 
 def test_translate_shift_theorem():
