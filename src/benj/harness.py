@@ -2,14 +2,16 @@
 intermediate-problem diagnostic, and soliton propagation benchmarks.
 
 All studies measure against a self-computed reference run at a bandwidth
-at least four times the finest measured one and a step four times smaller,
-which keeps the reference error well below every measured error.  The
-member runs follow the reference as one stack (``timestep.evolve_rows``):
-row i is the bandwidth-n_i member posed at the finest member's bandwidth
-with its flux masked to |k| <= n_i, the same Galerkin system up to
-rounding.  A row that diverges becomes its member's ``failures`` entry;
-the other rows go on.  Bandwidths below 1 and horizons or steps that
-are not positive are ValueErrors, raised before anything is built or run.
+at least four times the finest measured one (max(4, 1+q) times in the
+linearized study, which stores it at bandwidth (1+q)N) and a step four
+times smaller, which keeps the reference error well below every measured
+error.  The member runs follow the reference as one stack
+(``timestep.evolve_rows``): row i is the bandwidth-n_i member posed at
+the finest member's bandwidth with its flux masked to |k| <= n_i, the
+same Galerkin system up to rounding.  A row that diverges becomes its
+member's ``failures`` entry; the other rows go on.  Bandwidths below 1
+and horizons or steps that are not positive are ValueErrors, raised
+before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -124,17 +126,17 @@ def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
     return t_star / n_steps, n_steps
 
 
-def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy):
-    """Checked bandwidths, the method, the snapped member step and step count,
-    and the initial datum at the reference bandwidth.  Every check runs
-    before the datum is built."""
+def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy, ref_factor=4):
+    """Checked bandwidths (n_ref at least ``ref_factor`` times the finest),
+    the method, the snapped member step and step count, and the initial
+    datum at n_ref.  Every check runs before the datum is built."""
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1 or len(set(n_values)) != len(n_values):
         raise ValueError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
-    if n_ref < 4 * max(n_values):
+    if n_ref < ref_factor * max(n_values):
         raise ValueError(
-            f"reference bandwidth {n_ref} must be at least 4x the finest "
-            f"measured bandwidth {max(n_values)}"
+            f"reference bandwidth {n_ref} must be at least {ref_factor}x the finest "
+            f"measured bandwidth {max(n_values)}, i.e. >= {ref_factor * max(n_values)}"
         )
     policy = integrator_policy or IntegratorPolicy()
     dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
@@ -258,7 +260,7 @@ def intermediate_problem_study(
     is monitored and reported alongside the error decay.
     """
     n_values, method, dt_measure, n_measure, u0_ref = _prepare_study(
-        params, data_spec, n_values, n_ref, t_star, integrator_policy
+        params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
     )
     dt, n_steps = dt_measure / 4.0, 4 * n_measure
     n_keep = (1 + params.q) * max(n_values)

@@ -16,10 +16,11 @@ import numpy as np
 
 from .errors import IterationError, ParameterError, ShapeError, SpectrumError
 from .model import ModelParams, symbol_l
+from .snapshots import read_snapshot
 from .spectral import (
     SpectralField,
-    analyze_coeffs,
     dealiased_power,
+    mode_sum,
     peak_position,
     project,
     sobolev_norm,
@@ -68,7 +69,7 @@ def _project_profile(
     vals = np.zeros(m)
     for n in range(-_IMAGES, _IMAGES + 1):
         vals += func(x + 2.0 * half * n)
-    return SpectralField(n_modes, domain_scale, analyze_coeffs(vals, n_modes))
+    return SpectralField.from_half(np.fft.rfft(vals)[: n_modes + 1] / m, domain_scale)
 
 
 def gaussian(
@@ -94,11 +95,9 @@ def gaussian(
 
 def cosine(amplitude: float, center: float, n_modes: int, domain_scale: float) -> SpectralField:
     """Single fundamental mode a*cos((x - x0)/L)."""
-    c = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    phase = np.exp(-1j * center / domain_scale)
-    c[n_modes + 1] = 0.5 * amplitude * phase
-    c[n_modes - 1] = np.conj(c[n_modes + 1])
-    return SpectralField(n_modes, domain_scale, c)
+    half = np.zeros(n_modes + 1, dtype=np.complex128)
+    half[1] = -0.5 * amplitude * np.exp(-1j * center / domain_scale)  # folded: (-1)^1 u_hat_1
+    return SpectralField.from_half(half, domain_scale)
 
 
 def kdv_soliton(
@@ -146,10 +145,10 @@ def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> S
     kappa = k / domain_scale
     mags = (1.0 + kappa**2) ** (-(mu + 1.0) / 2.0)
     phases = np.exp(2j * np.pi * rng.random(n_modes))
-    c = np.zeros(2 * n_modes + 1, dtype=np.complex128)
-    c[n_modes + 1 :] = mags * phases
-    c[:n_modes] = np.conj(c[:n_modes:-1])
-    out = SpectralField(n_modes, domain_scale, c)
+    half = np.zeros(n_modes + 1, dtype=np.complex128)
+    half[1:] = mags * phases
+    half[1::2] = -half[1::2]  # folded: (-1)^k u_hat_k
+    out = SpectralField.from_half(half, domain_scale)
     return out.with_half(out.half / sobolev_norm(out, mu))
 
 
@@ -186,17 +185,15 @@ def petviashvili(
             f"guess domain scale {guess.domain_scale} does not match model "
             f"domain scale {params.domain_scale}"
         )
-    n = guess.n_modes
-    kappa = np.arange(-n, n + 1) / params.domain_scale
-    denom = speed + symbol_l(params, kappa)
+    denom = speed + symbol_l(params, guess.kappa)
     if np.min(denom) <= 0.0:
-        k_bad = int(np.argmin(denom)) - n
+        k_bad = int(np.argmin(denom))
         raise SpectrumError(
             f"c + symbol(kappa) must be positive on every mode; "
             f"mode k={k_bad} gives {np.min(denom):.6g}",
             mode=k_bad,
         )
-    if not np.any(guess.coeffs):
+    if not np.any(guess.half):
         raise ParameterError("guess must be a nonzero field")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
@@ -207,16 +204,15 @@ def petviashvili(
     residuals, stabilizers = [], []
 
     for it in range(1, max_iter + 1):
-        c = field.coeffs
-        fhat = dealiased_power(field, p).coeffs / p
-        mismatch = denom * c - fhat
-        res = float(np.sqrt(np.sum(np.abs(mismatch) ** 2) / np.sum(np.abs(c) ** 2)))
+        h = field.half
+        fhat = dealiased_power(field, p).half / p
+        res = float(np.sqrt(mode_sum(denom * h - fhat) / mode_sum(h)))
         residuals.append(res)
         if res <= tol:
             field = translate(field, -peak_position(field))
             return field, PetviashviliReport(it - 1, residuals, stabilizers)
-        num = float(np.sum(denom * np.abs(c) ** 2))
-        den = float(np.sum(fhat * np.conj(c)).real)
+        num = float(mode_sum(h, denom))
+        den = float(mode_sum(fhat, other=h))
         if den <= 0.0 or num <= 0.0:
             raise IterationError(
                 f"stabilizer degenerated (num={num:.3g}, den={den:.3g}) at sweep {it}",
@@ -225,7 +221,7 @@ def petviashvili(
         s = num / den
         stabilizers.append(s)
         try:
-            field = field.with_coeffs(s**theta * fhat / denom)
+            field = field.with_half(s**theta * fhat / denom)
         except OverflowError:
             raise IterationError(
                 f"stabilizer {s:.3g} overflows at sweep {it}", residuals=residuals
@@ -254,8 +250,6 @@ def build_field(spec: InitialDataSpec, params: ModelParams, n_modes: int) -> Spe
         wave, _ = petviashvili(params, spec.speed, guess, spec.tol, spec.max_iter)
         return wave
     if spec.kind == "file":
-        from .snapshots import read_snapshot
-
         if spec.path is None:
             raise ParameterError("file kind requires a path")
         loaded, _ = read_snapshot(spec.path)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, symbol_l
-from .spectral import SpectralField, dealiased_grid, half_values, power_in_place
+from .spectral import SpectralField, dealiased_grid, half_values, mode_sum, power_in_place
 
 DRIFT_FLOOR = 1e-30  # C and E can legitimately be zero for symmetric data
 
@@ -35,7 +35,7 @@ def c_pi(u: SpectralField) -> float:
 
 def i_pi(u: SpectralField) -> float:
     """Squared L2 norm, 2*L*pi * sum |u_hat_k|^2."""
-    return 2.0 * u.domain_scale * np.pi * float(np.sum(np.abs(u.coeffs) ** 2))
+    return 2.0 * u.domain_scale * np.pi * float(mode_sum(u.half))
 
 
 def e_pi(u: SpectralField, params: ModelParams) -> float:
@@ -46,7 +46,7 @@ def e_pi(u: SpectralField, params: ModelParams) -> float:
     polynomial exactly.
     """
     two_pi_l = 2.0 * u.domain_scale * np.pi
-    quad = float(np.sum(symbol_l(params, u.kappa) * np.abs(u.coeffs) ** 2))
+    quad = float(mode_sum(u.half, symbol_l(params, u.kappa)))
     p = params.q + 2
     vals = half_values(u.half, dealiased_grid(u.n_modes, p))
     f_mean = float(np.mean(power_in_place(vals, p))) / ((params.q + 1) * (params.q + 2))

@@ -11,10 +11,13 @@ left endpoint, x_j = -L*pi + 2*L*pi*j/M.
 A ``SpectralField`` stores one layout, the folded half ``half``: modes
 k = 0..N times the grid phase (-1)^k, exactly the vector ``np.fft.irfft``
 takes for that grid; Hermitian symmetry supplies k < 0, so every field is
-real.  The time stepper carries the same layout.  The full range
-k = -N..N (index k+N), taken by the constructor, snapshot files and
-``synth_values``/``analyze_coeffs``, is the derived view ``coeffs``; a
-full-range input is projected (``hermitian_part``) once, where it enters.
+real.  The library computes on it alone: ``kappa`` is k/L for k = 0..N,
+``SpectralField.from_half`` builds a field as it stands, and ``mode_sum``
+forms every full-range sum as w_0|h_0|^2 + 2*sum_{k>=1} w_k|h_k|^2.  The
+full range k = -N..N (index k+N) is left at the boundary: snapshot files,
+the constructor ``SpectralField(n, L, coeffs)``, which projects an outside
+vector once, where it enters, and the view ``coeffs`` with the array
+helpers ``synth_values``/``analyze_coeffs``, which the benchmark calls.
 ``fold_half``/``unfold_half`` negate the odd modes, which keeps the sign
 of a zero, and the view's negative modes are the exact conjugates of the
 stored ones, so a field read back from its view is stored bit for bit.
@@ -47,7 +50,7 @@ def _check_sizes(n_modes: int, domain_scale: float) -> None:
 class SpectralField:
     """Real-valued element of the bandwidth-N trigonometric space, built
     from a full-range vector, which is projected onto the Hermitian
-    subspace, or ``with_half`` from a folded half vector as it stands."""
+    subspace, or ``from_half`` from a folded half vector as it stands."""
 
     n_modes: int
     domain_scale: float
@@ -71,11 +74,15 @@ class SpectralField:
         object.__setattr__(self, "domain_scale", domain_scale)
         object.__setattr__(self, "half", half)
 
-    def with_half(self, half) -> "SpectralField":
-        """Field of a copy of the folded half vector ``half``; no projection, mode 0 made real."""
-        out = object.__new__(SpectralField)
-        out._store(self.domain_scale, np.array(half, dtype=np.complex128))
+    @classmethod
+    def from_half(cls, half, domain_scale: float) -> "SpectralField":
+        """Field of a copy of the folded half vector ``half``, mode 0 made real."""
+        out = object.__new__(cls)
+        out._store(domain_scale, np.array(half, dtype=np.complex128))
         return out
+
+    def with_half(self, half) -> "SpectralField":
+        return SpectralField.from_half(half, self.domain_scale)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -83,17 +90,9 @@ class SpectralField:
         return unfold_half(self.half)
 
     @property
-    def wavenumbers(self) -> np.ndarray:
-        """Integer mode indices k = -N..N."""
-        return np.arange(-self.n_modes, self.n_modes + 1)
-
-    @property
     def kappa(self) -> np.ndarray:
-        """Physical wavenumbers k/L."""
-        return self.wavenumbers / self.domain_scale
-
-    def with_coeffs(self, coeffs) -> "SpectralField":
-        return SpectralField(self.n_modes, self.domain_scale, coeffs)
+        """k/L for the stored modes k = 0..N."""
+        return np.arange(self.n_modes + 1) / self.domain_scale
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
@@ -212,25 +211,32 @@ def dealiased_power(field: SpectralField, p: int) -> SpectralField:
 
 def derivative(field: SpectralField, order: int = 1) -> SpectralField:
     """Spatial derivative via the (i*kappa)^order multiplier."""
-    return field.with_half(field.half * (1j * field.kappa[field.n_modes :]) ** order)
+    return field.with_half(field.half * (1j * field.kappa) ** order)
 
 
 def translate(field: SpectralField, shift: float) -> SpectralField:
     """Field of u(x - shift); multiplies mode k by exp(-i*kappa_k*shift)."""
-    return field.with_half(field.half * np.exp(-1j * field.kappa[field.n_modes :] * shift))
+    return field.with_half(field.half * np.exp(-1j * field.kappa * shift))
+
+
+def mode_sum(half: np.ndarray, weights=1.0, other=None) -> np.ndarray:
+    """Full-range sum over k = -N..N of w_|k| |u_hat_k|^2 from folded half
+    vectors, w_0|h_0|^2 + 2*sum_{k>=1} w_k|h_k|^2 along the last axis, or
+    of w_|k| Re(u_hat_k conj(v_hat_k)) with ``other`` = v.  The weights are
+    real and even in k; the fold's signs cancel in each term."""
+    terms = weights * (half * np.conj(half if other is None else other)).real
+    return terms[..., 0] + 2.0 * np.sum(terms[..., 1:], axis=-1)
 
 
 def l2_norm(field: SpectralField) -> float:
-    s = np.sum(np.abs(field.coeffs) ** 2)
-    return float(np.sqrt(2.0 * field.domain_scale * np.pi * s))
+    return float(np.sqrt(2.0 * field.domain_scale * np.pi * mode_sum(field.half)))
 
 
 def sobolev_norm(field: SpectralField, mu: float) -> float:
     """Norm of order mu, (2*L*pi * sum (1+kappa^2)^mu |u_hat|^2)^(1/2)."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    w = (1.0 + field.kappa**2) ** mu
-    s = np.sum(w * np.abs(field.coeffs) ** 2)
+    s = mode_sum(field.half, (1.0 + field.kappa**2) ** mu)
     return float(np.sqrt(2.0 * field.domain_scale * np.pi * s))
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .model import ModelParams
 from .semidiscrete import folded_nonlinear_term, linear_multipliers
-from .spectral import SpectralField
+from .spectral import SpectralField, mode_sum
 
 # Re-exported: perfbench's tracer patches these names on this module.
 from .semidiscrete import nonlinear_term  # noqa: F401
@@ -200,11 +200,6 @@ def check_operator(params: ModelParams, n_modes: int, config: IntegratorConfig) 
     _step_function(linear_multipliers(params, n_modes)[None], config.method, None, config.dt)
 
 
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared l2 norm of each row's full-range vector, |c_0|^2 + 2*sum_{k>=1} |c_k|^2."""
-    return np.array([abs(r[0]) ** 2 + 2.0 * np.vdot(r[1:], r[1:]).real for r in rows])
-
-
 @dataclass
 class EvolveResult:
     final: SpectralField
@@ -250,7 +245,7 @@ def evolve_rows(
     lam = linear_multipliers(params, rows.shape[-1] - 1)[None]
     step = _step_function(lam, config.method, nonlinear, config.dt)
     c = rows
-    squares = _squared_norms(c)
+    squares = mode_sum(c)
     # a row that starts at zero has no growth bound, only the finiteness check
     limit = np.where(squares > 0.0, _GROWTH_LIMIT**2 * squares, math.inf)
     tightest = limit.min()
@@ -267,7 +262,7 @@ def evolve_rows(
         # is nonfinite when an entry is; only past the tightest limit are
         # the rows checked one by one
         if not 2.0 * np.vdot(c, c).real <= tightest:
-            for i, square in enumerate(_squared_norms(c)):
+            for i, square in enumerate(mode_sum(c)):
                 if square <= limit[i]:  # false for a nonfinite norm
                     continue
                 if not np.all(np.isfinite(c[i])):

@@ -5,8 +5,11 @@ padded transforms, trapezoid quadrature instead of Parseval, extended
 precision instead of contour tricks.  None of it shares code with the
 library paths it checks, except the two oracles at the end, which keep the
 library's earlier forms of a path it has since made faster: the per-line
-snapshot reader and the energy from a full analysis of u^(q+2).
+snapshot reader and the energy from a full analysis of u^(q+2), whose
+quadratic part is summed exactly (``math.fsum``).
 """
+
+import math
 
 import numpy as np
 
@@ -24,6 +27,11 @@ def rand_field(n_modes, seed, domain_scale=1.0, scale=None, decay=0.0):
     c = mags * (rng.standard_normal(2 * n_modes + 1)
                 + 1j * rng.standard_normal(2 * n_modes + 1))
     return SpectralField(n_modes, domain_scale, c)
+
+
+def full_kappa(field: SpectralField):
+    """Physical wavenumbers k/L of the full range k = -N..N (index k+N)."""
+    return np.arange(-field.n_modes, field.n_modes + 1) / field.domain_scale
 
 
 def convolve_coeffs(a, b):
@@ -49,7 +57,7 @@ def power_coeffs_direct(field: SpectralField, p: int):
 
 def rhs_direct(params: ModelParams, field: SpectralField):
     """Coefficient time derivatives assembled without any padding tricks."""
-    kappa = field.kappa
+    kappa = full_kappa(field)
     lam = 1j * kappa * symbol_l(params, kappa)
     fhat = power_coeffs_direct(field, params.q + 1) / (params.q + 1)
     return lam * field.coeffs - 1j * kappa * fhat
@@ -74,7 +82,7 @@ def sample_field(field: SpectralField, n_points):
     """Evaluate the field by direct summation of the Fourier series."""
     x = grid(n_points, field.domain_scale)
     vals = np.zeros(n_points, dtype=np.complex128)
-    for k, c in zip(field.wavenumbers, field.coeffs):
+    for k, c in zip(range(-field.n_modes, field.n_modes + 1), field.coeffs):
         vals += c * np.exp(1j * (k / field.domain_scale) * x)
     assert np.max(np.abs(vals.imag)) < 1e-12 * (1.0 + np.max(np.abs(vals.real)))
     return vals.real
@@ -100,7 +108,7 @@ def frozen_term_direct(params: ModelParams, w: SpectralField, u: SpectralField):
     acc = u.coeffs.copy()
     for _ in range(params.q - 1):
         acc = convolve_coeffs(acc, u.coeffs)
-    prod = convolve_coeffs(acc, 1j * w.kappa * w.coeffs)
+    prod = convolve_coeffs(acc, 1j * full_kappa(w) * w.coeffs)
     half = (len(prod) - 1) // 2
     lo = half - w.n_modes
     return -prod[lo : lo + 2 * w.n_modes + 1]
@@ -165,7 +173,7 @@ def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end)
             k4 = flux(e_full * c + h * e_half * k3)
             c = e_full * c + (h / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
         c = hermitian_part(c)
-    return u0.with_coeffs(c)
+    return SpectralField(u0.n_modes, u0.domain_scale, c)
 
 
 def write_snapshot_per_line(path, field: SpectralField, t: float):
@@ -238,6 +246,7 @@ def energy_dealiased_power(u: SpectralField, params: ModelParams):
     p = params.q + 2
     vals = synth_values(u.coeffs, u.n_modes, dealiased_grid(u.n_modes, p))
     zero_mode = analyze_coeffs(vals**p, u.n_modes)[u.n_modes].real
-    quad = float(np.sum(symbol_l(params, u.kappa) * np.abs(u.coeffs) ** 2))
+    c = u.coeffs
+    quad = math.fsum((symbol_l(params, full_kappa(u)) * (c.real**2 + c.imag**2)).tolist())
     f_mean = float(zero_mode) / ((params.q + 1) * (params.q + 2))
     return 2.0 * u.domain_scale * np.pi * (quad - 2.0 * f_mean)

@@ -12,9 +12,10 @@ from benj.harness import (
     self_convergence,
     soliton_propagation_test,
 )
-from benj.initdata import InitialDataSpec, kdv_soliton, random_sobolev
+from benj.initdata import InitialDataSpec, build_field, kdv_soliton, random_sobolev
 from benj.model import ModelParams
-from benj.spectral import embed, fold_half, l2_norm, project, unfold_half
+from benj.snapshots import write_snapshot
+from benj.spectral import SpectralField, embed, fold_half, l2_norm, project, unfold_half
 from benj.timestep import IntegratorConfig, evolve, evolve_rows
 
 GAUSS = InitialDataSpec(kind="gaussian", amplitude=1.0, width=0.5, center=0.0)
@@ -179,13 +180,13 @@ def test_linear_flow_oracle_rate():
         row = fold_half(u.coeffs, u.n_modes)[None]
         final = evolve_rows(row, params, IntegratorConfig("etdrk4", 1e-3, t, 1000),
                             lambda c, t: np.zeros_like(c)).final
-        return u.with_coeffs(unfold_half(final[0]))
+        return SpectralField(u.n_modes, u.domain_scale, unfold_half(final[0]))
 
     ref = linear_flow(u0)
     errors = []
     for n in (16, 32, 64):
         diff = ref.coeffs - embed(linear_flow(project(u0, n)), n_ref).coeffs
-        errors.append(l2_norm(ref.with_coeffs(diff)))
+        errors.append(l2_norm(SpectralField(ref.n_modes, ref.domain_scale, diff)))
     rate, r2 = estimate_rate([16, 32, 64], errors)
     assert mu + 0.2 <= rate <= mu + 0.8
     assert r2 > 0.99
@@ -236,6 +237,25 @@ def test_intermediate_study_refuses_an_unplanned_step_count(
                                    IntegratorPolicy(dt=2e-3))
 
 
+def test_intermediate_study_reference_reaches_the_frozen_bandwidth(monkeypatch):
+    # q = 4 stores the reference at bandwidth (1+q)N = 5N, above the 4N
+    # that every study asks for: N_ref = 4N is refused, naming the bound,
+    # before the datum is built, and N_ref = 5N runs
+    params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=4)
+    policy = IntegratorPolicy(dt=2e-3)
+    real = benj.harness.build_field
+
+    def never(*args, **kwargs):
+        raise AssertionError("the study built the datum")
+
+    monkeypatch.setattr(benj.harness, "build_field", never)
+    with pytest.raises(ValueError, match=r"at least 5x the finest .* 8, i\.e\. >= 40"):
+        intermediate_problem_study(params, GAUSS, [4, 8], 32, 0.01, policy)
+    monkeypatch.setattr(benj.harness, "build_field", real)
+    report = intermediate_problem_study(params, GAUSS, [4, 8], 40, 0.01, policy)
+    assert all(np.isfinite(report.errors)) and not report.failures
+
+
 @pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
 def test_bandwidth_below_one_is_refused_before_any_run(monkeypatch, benjamin_params, study):
     def never(*args, **kwargs):
@@ -282,6 +302,23 @@ def test_projection_runs_once_per_outside_input(monkeypatch, benjamin_params):
             run(t_star)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("kind, projections", [
+    ("gaussian", 0), ("cosine", 0), ("random_sobolev", 0), ("kdv_soliton", 0),
+    ("petviashvili_wave", 0), ("file", 1),
+])
+def test_generators_project_only_outside_input(monkeypatch, tmp_path, kind, projections):
+    # every generator fills the stored half, the solitary-wave iteration
+    # included; only a snapshot file is outside input, projected once
+    gamma = 0.0 if kind == "kdv_soliton" else 0.5
+    params = ModelParams(m=1, r=0.5, gamma=gamma, delta=1.0, q=1, domain_scale=8.0)
+    path = tmp_path / "u0.txt"
+    write_snapshot(path, random_sobolev(4.0, 3, 64, 8.0), 0.0)
+    real, calls = benj.spectral.hermitian_part, []
+    monkeypatch.setattr(benj.spectral, "hermitian_part", lambda c: calls.append(1) or real(c))
+    build_field(InitialDataSpec(kind=kind, center=0.3, path=str(path)), params, 32)
+    assert len(calls) == projections
 
 
 def _lagrange_at_numpy_nodes(states, dt, t):
@@ -406,6 +443,6 @@ def test_non_soliton_contrast(kdv_params):
     # error must be far larger than the true soliton's.
     clean = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3)
     fat = kdv_soliton(0.5, 0.0, kdv_params, 128)
-    fat = fat.with_coeffs(2.0 * fat.coeffs)
+    fat = SpectralField(fat.n_modes, fat.domain_scale, 2.0 * fat.coeffs)
     messy = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3, profile=fat)
     assert messy.shape_error_linf > 1e3 * clean.shape_error_linf

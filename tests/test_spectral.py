@@ -1,18 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from benj.errors import BandwidthError
+from benj.invariants import e_pi, i_pi
+from benj.model import ModelParams, symbol_l
 from benj.spectral import (
     SpectralField,
     analyze_coeffs,
+    dealiased_grid,
     dealiased_power,
     derivative,
     embed,
     fold_half,
+    half_values,
     hermitian_part,
     l2_norm,
     linf_norm,
+    mode_sum,
     next_fast_len,
     peak_position,
     power_in_place,
@@ -119,7 +126,7 @@ def test_projection_is_contraction():
     f = rand_field(20, seed=7)
     for n in (3, 9, 15):
         tail = f.coeffs - embed(project(f, n), 20).coeffs
-        assert l2_norm(f.with_coeffs(tail)) <= l2_norm(f) + 1e-15
+        assert l2_norm(SpectralField(f.n_modes, f.domain_scale, tail)) <= l2_norm(f) + 1e-15
 
 
 def test_project_embed_errors():
@@ -140,7 +147,7 @@ def test_projection_error_superalgebraic_for_analytic_function():
     errors = []
     for n in (8, 16, 32, 64):
         tail = ref.coeffs - embed(project(ref, n), 256).coeffs
-        errors.append(l2_norm(ref.with_coeffs(tail)))
+        errors.append(l2_norm(SpectralField(ref.n_modes, ref.domain_scale, tail)))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     ratios = [e2 / e1 for e1, e2 in zip(errors, errors[1:])]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
@@ -231,6 +238,53 @@ def test_linf_norm_of_cosine():
     assert linf_norm(f) == pytest.approx(1.0, abs=1e-3)
 
 
+def _fields_for_sums():
+    """Random fields at N = 1, 16 and 257, a field holding only mode 0, and
+    fields holding signed zeros, among other modes and alone."""
+    fields = [rand_field(n, seed=n, domain_scale=0.7, decay=1.0) for n in (1, 16, 257)]
+    fields.append(mode_field(5, {0: -1.25}, domain_scale=0.7))
+    c = rand_field(16, seed=2, domain_scale=0.7).coeffs.copy()
+    values = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+              complex(-1.5, -0.0), complex(-0.0, -2.0)]
+    for k, v in enumerate(values, start=1):
+        c[16 + k], c[16 - k] = v, v.conjugate()
+    fields.append(SpectralField(16, 0.7, c))
+    fields.append(SpectralField.from_half(np.full(9, complex(-0.0, -0.0)), 0.7))
+    return fields
+
+
+def test_mode_sums_match_exact_full_range_sums():
+    # the half-layout sums against math.fsum over the full range k = -N..N,
+    # within a few ulps of the sum (of its magnitudes, where terms cancel)
+    params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1, domain_scale=0.7)
+    tol = 4 * np.finfo(float).eps
+    for u in _fields_for_sums():
+        c = u.coeffs
+        square = c.real**2 + c.imag**2
+        kappa = np.arange(-u.n_modes, u.n_modes + 1) / u.domain_scale
+        two_pi_l = 2.0 * u.domain_scale * np.pi
+
+        exact = two_pi_l * math.fsum(square.tolist())
+        assert abs(i_pi(u) - exact) <= tol * exact
+        assert abs(l2_norm(u) - math.sqrt(exact)) <= tol * math.sqrt(exact)
+        exact = math.sqrt(two_pi_l * math.fsum(((1.0 + kappa**2) ** 2.5 * square).tolist()))
+        assert abs(sobolev_norm(u, 2.5) - exact) <= tol * exact
+
+        # E: the quadratic part summed exactly, u^3's grid mean as e_pi forms it
+        terms = symbol_l(params, kappa) * square
+        vals = half_values(u.half, dealiased_grid(u.n_modes, 3))
+        f_mean = float(np.mean(power_in_place(vals, 3))) / 6.0
+        exact = two_pi_l * (math.fsum(terms.tolist()) - 2.0 * f_mean)
+        size = two_pi_l * (math.fsum(np.abs(terms).tolist()) + 2.0 * abs(f_mean))
+        assert abs(e_pi(u, params) - exact) <= tol * size
+
+        # the cross sum sum_k Re(u_hat_k conj(v_hat_k)) of the solitary-wave iteration
+        v = translate(u, 0.3)
+        terms = (c * np.conj(v.coeffs)).real
+        size = math.fsum(np.abs(terms).tolist())
+        assert abs(mode_sum(u.half, other=v.half) - math.fsum(terms.tolist())) <= tol * size
+
+
 @given(n=st.integers(2, 24), seed=st.integers(0, 10_000))
 def test_parseval_against_quadrature(n, seed):
     f = rand_field(n, seed=seed)
@@ -276,7 +330,7 @@ def test_translate_shift_theorem():
     direct = sample_field(f, 64)
     moved = synth_values(shifted.coeffs, 12, 64)
     # u(x - s) at x equals u at x - s: check against dense interpolation
-    k = f.wavenumbers
+    k = np.arange(-12, 13)
     expect = np.real(f.coeffs @ np.exp(1j * np.outer(k, x - s)))
     assert np.allclose(moved, expect, atol=1e-12)
     assert np.allclose(direct, synth_values(f.coeffs, 12, 64), atol=1e-12)
