@@ -97,14 +97,26 @@ class SpectralField:
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project a full-range coefficient vector onto the Hermitian subspace,
-    halving the parts as reals (a complex multiply by 0.5 can flip the sign
-    of a zero), so that a Hermitian vector comes back bit for bit."""
+    averaging the parts as reals (a complex multiply by 0.5 can flip the
+    sign of a zero), so that a Hermitian vector comes back bit for bit."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    sym = c + np.conj(c[::-1])
-    sym.real *= 0.5
-    sym.imag *= 0.5
+    mirror = np.conj(c[::-1])
+    sym = np.empty_like(c)
+    sym.real = _midpoint(c.real, mirror.real)
+    sym.imag = _midpoint(c.imag, mirror.imag)
     sym[len(c) // 2] = sym[len(c) // 2].real
     return sym
+
+
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2, which is a itself where b == a at every finite magnitude:
+    the sum is halved, which keeps signed zeros and subnormals, except where
+    it overflows, and there the halves are added."""
+    with np.errstate(over="ignore"):
+        mid = (a + b) * 0.5
+    over = np.isinf(mid) & np.isfinite(a) & np.isfinite(b)
+    mid[over] = a[over] * 0.5 + b[over] * 0.5
+    return mid
 
 
 @lru_cache(maxsize=None)

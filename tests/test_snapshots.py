@@ -1,12 +1,55 @@
 import numpy as np
 import pytest
 
+from benj import spectral
 from benj.errors import ShapeError
 from benj.initdata import InitialDataSpec, build_field
 from benj.snapshots import SnapshotFormatError, read_snapshot, write_snapshot
 from benj.spectral import SpectralField, fold_half
 
 from oracles import rand_field, read_snapshot_per_line, write_snapshot_per_line
+
+
+def _written(tmp_path, field, t=0.5) -> str:
+    path = tmp_path / "written.txt"
+    write_snapshot(path, field, t)
+    return path.read_text()
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, a NaN matching any NaN."""
+    x, y = a.view(np.float64), b.view(np.float64)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+def _foreign_bodies(tmp_path) -> dict:
+    """Snapshot texts the writer never writes, each one token away from a
+    file it wrote: the general reader's cases."""
+    n = 8
+    c = rand_field(n, seed=3).coeffs.copy()
+    for k, (x, y) in {1: (1.0, -0.0), 2: (float("nan"), 0.0), 3: (2.0, float("nan"))}.items():
+        c.real[n + k] = c.real[n - k] = x
+        c.imag[n + k], c.imag[n - k] = y, -y
+    lines = _written(tmp_path, SpectralField(n, 0.75, c), 1.0 / 3.0).split("\n")
+    row = {int(ln.split()[0]): i for i, ln in enumerate(lines[4:-1], start=4)}
+
+    def edit(k, col, token):
+        out = list(lines)
+        parts = out[row[k]].split()
+        assert parts[col] != token
+        parts[col] = token
+        out[row[k]] = " ".join(parts)
+        return "\n".join(out)
+
+    return {
+        "not-conjugate": edit(-4, 1, "0.25"),
+        "zero-for-minus-zero": edit(-2, 2, "0"),  # the conjugate of 0 is -0
+        "minus-zero-for-zero": edit(-1, 2, "-0"),  # the conjugate of -0 is 0
+        "plus-mode": edit(1, 0, "+1"),
+        "padded-mode": edit(1, 0, "01"),
+        "re-exponent": edit(1, 1, "1e0"),
+    }
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -33,13 +76,20 @@ def test_writer_bytes_match_per_line_oracle(tmp_path):
     c = f.coeffs.copy()
     n = f.n_modes
     # Hermitian pairs, so the field keeps them exactly
+    nan, inf = float("nan"), float("inf")
     for k, v in {1: complex(-0.0, 0.0), 2: complex(5e-324, -5e-324),
                  3: complex(1e300, -1e300), 4: complex(2.2250738585072014e-308, 0.1),
-                 5: complex(-1.5, -0.0)}.items():
+                 5: complex(-1.5, -0.0), 6: complex(nan, 1.0), 7: complex(2.0, nan),
+                 8: complex(inf, -inf), 9: complex(-inf, inf), 10: complex(1e308, -1e308),
+                 11: complex(nan, -nan)}.items():
         c[n + k], c[n - k] = v, v.conjugate()
     g = SpectralField(f.n_modes, f.domain_scale, c)
     assert np.signbit(g.coeffs[n + 1].real) and np.signbit(g.coeffs[n + 5].imag)
     assert g.coeffs[n + 2].real == 5e-324 and g.coeffs[n + 3].real == 1e300
+    assert np.isnan(g.coeffs[n + 7].imag) and g.coeffs[n + 8].imag == -inf
+    assert g.coeffs[n + 10].real == 1e308
+    # %.17g prints a NaN unsigned, so a mirrored "nan" stays "nan"
+    assert "\n-7 2 nan\n" in _written(tmp_path, g)
     for field, t in ((f, 1.0 / 3.0), (g, 1.0 / 3.0), (g, -0.0), (rand_field(1, seed=0), 1e300)):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_snapshot(a, field, t)
@@ -50,15 +100,17 @@ def test_writer_bytes_match_per_line_oracle(tmp_path):
 @pytest.mark.parametrize("n", [1, 16, 257])
 def test_signed_zeros_survive_a_round_trip(tmp_path, n):
     # the file's negative modes are the exact conjugates of the stored ones,
-    # so the projection on reading changes no bit, the sign of a zero included,
-    # for a constructed field and for one built as it stands, as a run builds them
+    # so reading changes no bit, the sign of a zero included, down to the
+    # subnormals and up to the top of the double range, for a constructed
+    # field and for one built as it stands, as a run builds them
     c = rand_field(n, seed=n).coeffs.copy()
-    values = [complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e300, -1e300),
-              complex(-1.5, -0.0), complex(-0.0, -2.0), complex(0.0, -0.0),
-              complex(-0.0, -0.0)]
+    values = [complex(1e308, -1e308), complex(-0.0, 0.0), complex(5e-324, -5e-324),
+              complex(1e300, -1e300), complex(-1.5, -0.0), complex(-0.0, -2.0),
+              complex(0.0, -0.0), complex(-0.0, -0.0), complex(-1e308, 1e308)]
     for k, v in enumerate(values[:n], start=1):
         c[n + k], c[n - k] = v, v.conjugate()
     f = SpectralField(n, 1.0, c)
+    assert f.coeffs.tobytes() == c.tobytes()
     for field in (f, f.with_half(fold_half(c, n))):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_snapshot(a, field, 0.5)
@@ -97,7 +149,10 @@ def test_rejects_malformed_tokens(tmp_path, text, match):
     ("-1 0 0\n1 0 0\n0 x 0\n", "out of order at line '1 0 0'"),
     ("-1 0 0\n0 x 0\n2 0 0\n", "coefficient line '0 x 0'"),
     ("-1 0 0\n0 0 0\n1.0 0 0\n", "coefficient line '1.0 0 0'"),
-], ids=["two-then-four", "four-last", "order-first", "token-first", "float-mode"])
+    # line -1 prefixes a sign to line 1's "+1", which does not parse
+    ("-1 0 -+1\n0 0 0\n1 0 +1\n", "coefficient line '-1 0 -\\+1'"),
+], ids=["two-then-four", "four-last", "order-first", "token-first", "float-mode",
+        "signed-mirror"])
 def test_rejects_bad_body_lines(tmp_path, body, match):
     path = tmp_path / "bad.txt"
     path.write_text("benj-snapshot 1\nN 1\nL 1\nt 0\n" + body)
@@ -128,6 +183,28 @@ def test_reader_matches_per_line_oracle(tmp_path):
                 assert np.array_equal(a.coeffs, g.coeffs)
                 assert np.float64(ta).tobytes() == np.float64(tb).tobytes()
                 assert (a.n_modes, a.domain_scale) == (b.n_modes, b.domain_scale) == (n, 0.75)
+    # bodies the writer never writes take the general path, as the oracle reads them
+    for name, text in _foreign_bodies(tmp_path).items():
+        path.write_text(text)
+        (a, ta), (b, tb) = read_snapshot(path), read_snapshot_per_line(path)
+        assert _same_bits(a.half, b.half), name
+        assert np.float64(ta).tobytes() == np.float64(tb).tobytes() == np.float64(1 / 3).tobytes()
+
+
+def test_only_a_body_the_writer_never_writes_is_projected(monkeypatch, tmp_path):
+    # a file benj wrote is read as it stands; any other body is projected once
+    real, calls = spectral.hermitian_part, []
+    monkeypatch.setattr(spectral, "hermitian_part", lambda c: calls.append(1) or real(c))
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, rand_field(16, seed=4), 0.0)
+    calls.clear()
+    read_snapshot(path)
+    assert calls == []
+    for name, text in _foreign_bodies(tmp_path).items():
+        path.write_text(text)
+        calls.clear()
+        read_snapshot(path)
+        assert calls == [1], name
 
 
 def test_rejects_foreign_file(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,22 @@ def test_stored_half_is_the_folded_projection():
     f = SpectralField(8, 1.0, raw)
     assert f.half.tobytes() == fold_half(hermitian_part(raw), 8).tobytes()
     assert not f.half.flags.writeable
+
+
+def test_hermitian_part_keeps_every_finite_magnitude():
+    # a Hermitian vector comes back bit for bit, from the subnormals to the
+    # top of the double range, and a mean past the range's half stays finite
+    big = np.finfo(np.float64).max
+    c = np.zeros(7, dtype=np.complex128)
+    for k, (x, y) in enumerate([(big, -big), (5e-324, -0.0), (-1e308, 1e308)], start=1):
+        c.real[3 + k] = c.real[3 - k] = x
+        c.imag[3 + k], c.imag[3 - k] = y, -y
+    c.real[3] = -big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermitian_part(c).tobytes() == c.tobytes()
+        c.real[2] = big / 2
+        assert hermitian_part(c).real[4] == 0.75 * big
 
 
 def test_translate_shift_theorem():
