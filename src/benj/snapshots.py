@@ -17,16 +17,17 @@ repeated runs with the same configuration produce identical files.
 The writer formats each stored float, modes k = 0..N of ``field.half``,
 once; line -k repeats line k's re text and flips the sign of its im text
 ("nan" stays unsigned, as %.17g prints it).  The reader splits each line
-once.  When the mode tokens read -N..N exactly as the writer spells them
-and each line -k mirrors line k that way, it converts only the N+1
-stored pairs and builds the field as it stands; any other body takes the
-general path, which converts every re/im token in one ``float`` pass and
-projects the full-range vector.  Only a body that fails a check is walked
-line by line, to name its first bad line.  Blank lines are skipped.
+once, and reads a body on one of two paths.  When the mode tokens read
+-N..N exactly as the writer spells them and each line -k mirrors line k
+that way, it converts only the N+1 stored pairs and builds the field as
+it stands.  Any other body is walked once, line by line: each line is
+checked, and a bad one named, as its values are collected; the
+full-range vector is then projected.  Blank lines are skipped.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import lru_cache
 from itertools import chain
 
@@ -102,59 +103,37 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
         raise SnapshotFormatError(
             f"{path}: expected {2 * n + 1} coefficient lines, found {len(body)}"
         )
-    half = _mirrored_half(body, n)
-    coeffs = None if half is not None else _body_coeffs(path, text, body, n)
+    values, as_stored = _body_values(path, text, body, n)
     try:
-        if coeffs is None:
-            return SpectralField.from_half(half, scale), t
-        return SpectralField(n, scale, coeffs), t
-    except ValueError as exc:  # N < 1 or L <= 0
+        if as_stored:
+            return SpectralField.from_half(values, scale), t
+        return SpectralField(n, scale, values), t
+    except ValueError as exc:  # N < 1, L <= 0 or a mode with no Hermitian part
         raise SnapshotFormatError(f"{path}: {exc}") from exc
 
 
-def _mirrored_half(body: list, n: int):
-    """Folded half of a body the writer could have written, or None.
+def _body_values(path, text: str, body: list, n: int) -> tuple:
+    """(folded half, True) of a body the writer could have written, else
+    (coefficients k = -n..n, False), from the 2n+1 split lines "k re im".
 
-    Such a body has the mode tokens of ``_mode_tokens(n)``, and each line
-    -k repeats line k's re token and negates its im token as ``_negated``
-    spells it.  Then its negative modes are the exact conjugates of the
-    stored ones and every token parses if the stored ones do, so only the
-    n+1 stored pairs are converted, and the projection, the identity on
-    such a vector, is skipped.
+    A writer's body spells modes -n..n as ``_mode_tokens(n)``, and line -k
+    repeats line k's re token and its im token ``_negated``: every token
+    then parses if the n+1 stored pairs do, and only those are converted.
+    Any other body is walked once over the lines of ``text``, each checked
+    as its values are collected, so the first bad line is named.
     """
-    if set(map(len, body)) != {3}:
-        return None
-    tokens = list(chain.from_iterable(body))
-    re, im = tokens[1::3], tokens[2::3]
-    if (tuple(tokens[::3]) != _mode_tokens(n) or re[:n] != re[:n:-1]
-            or im[:n] != _negated(im[:n:-1])):
-        return None
-    stored = tokens[3 * n :]
-    del stored[::3]
-    try:
-        half = np.array(list(map(float, stored))).view(np.complex128)
-    except ValueError:
-        return None
-    half[1::2] = -half[1::2]
-    return half
-
-
-def _body_coeffs(path, text: str, body: list, n: int) -> np.ndarray:
-    """Coefficients k = -n..n of the 2n+1 split body lines "k re im".
-
-    The mode tokens are checked as ints in order, and the re/im tokens,
-    left interleaved, are converted in one pass and viewed as complex128.
-    A body that fails is walked again line by line, from ``text``, so the
-    error names its first bad line.
-    """
-    if all(len(parts) == 3 for parts in body):
+    if set(map(len, body)) == {3}:
         tokens = list(chain.from_iterable(body))
-        try:
-            if list(map(int, tokens[::3])) == list(range(-n, n + 1)):
-                del tokens[::3]
-                return np.array(list(map(float, tokens))).view(np.complex128)
-        except ValueError:
-            pass
+        re, im = tokens[1::3], tokens[2::3]
+        if (tuple(tokens[::3]) == _mode_tokens(n) and re[:n] == re[:n:-1]
+                and im[:n] == _negated(im[:n:-1])):
+            stored = tokens[3 * n :]
+            del stored[::3]
+            with suppress(ValueError):  # a bad stored token: the walk names it
+                half = np.array(list(map(float, stored))).view(np.complex128)
+                half[1::2] = -half[1::2]
+                return half, True
+    coeffs = np.empty(2 * n + 1, dtype=np.complex128)
     lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     for i, ln in enumerate(lines[4:]):
         parts = ln.split()
@@ -162,9 +141,9 @@ def _body_coeffs(path, text: str, body: list, n: int) -> np.ndarray:
             raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}")
         try:
             k = int(parts[0])
-            float(parts[1]), float(parts[2])
+            coeffs[i] = complex(float(parts[1]), float(parts[2]))
         except ValueError as exc:
             raise SnapshotFormatError(f"{path}: bad coefficient line {ln!r}: {exc}") from exc
         if k != i - n:
             raise SnapshotFormatError(f"{path}: modes out of order at line {ln!r}")
-    raise AssertionError("a body that failed the bulk checks passed the line checks")
+    return coeffs, False

@@ -98,21 +98,30 @@ class SpectralField:
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project a full-range coefficient vector onto the Hermitian subspace,
     averaging the parts as reals (a complex multiply by 0.5 can flip the
-    sign of a zero), so that a Hermitian vector comes back bit for bit."""
+    sign of a zero), so that a Hermitian vector comes back bit for bit.
+    A NaN part stays NaN; a part whose two values are opposite infinities
+    has no midpoint, a ValueError."""
     c = np.asarray(coeffs, dtype=np.complex128)
     mirror = np.conj(c[::-1])
     sym = np.empty_like(c)
     sym.real = _midpoint(c.real, mirror.real)
     sym.imag = _midpoint(c.imag, mirror.imag)
-    sym[len(c) // 2] = sym[len(c) // 2].real
+    center = len(c) // 2
+    sym[center] = sym[center].real
+    for part, x, y in (("real", c.real, sym.real), ("imaginary", c.imag, sym.imag)):
+        k = np.flatnonzero(np.isnan(y) & ~np.isnan(x) & ~np.isnan(x[::-1])) - center
+        if k.size:  # NaN out of opposite infinities at modes k[0] < 0 and -k[0]
+            raise ValueError(f"modes {k[0]} and {-k[0]} have no Hermitian part: "
+                             f"{part} parts {x[center + k[0]]} and {x[center - k[0]]}")
     return sym
 
 
 def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a + b) / 2, which is a itself where b == a at every finite magnitude:
     the sum is halved, which keeps signed zeros and subnormals, except where
-    it overflows, and there the halves are added."""
-    with np.errstate(over="ignore"):
+    it overflows, and there the halves are added.  Opposite infinities
+    give NaN, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
         mid = (a + b) * 0.5
     over = np.isinf(mid) & np.isfinite(a) & np.isfinite(b)
     mid[over] = a[over] * 0.5 + b[over] * 0.5

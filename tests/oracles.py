@@ -194,8 +194,8 @@ def write_snapshot_per_line(path, field: SpectralField, t: float):
 
 def read_snapshot_per_line(path):
     """The snapshot reader that converts line by line, one complex per line:
-    the oracle for the library's bulk reader, with the same checks and
-    messages."""
+    the oracle for the library's reader on either of its paths, with the
+    same checks and messages."""
     from benj.snapshots import SnapshotFormatError
 
     with open(path) as fh:

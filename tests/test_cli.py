@@ -226,28 +226,40 @@ def test_solve_failure_removes_stale_invariants(tmp_path):
 
 
 BAD_TOKEN_SNAPSHOT = "benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 x 0\n1 0 0\n"
+# a body with no Hermitian part: the projection would average inf with -inf
+OPPOSITE_INFINITIES_SNAPSHOT = (
+    "benj-snapshot 1\nN 2\nL 1\nt 0\n-2 0 0\n-1 -inf 0\n0 0 0\n1 inf 0\n2 0 0\n")
+MALFORMED_SNAPSHOTS = pytest.mark.parametrize("text, message", [
+    (BAD_TOKEN_SNAPSHOT, "bad coefficient line '0 x 0'"),
+    (OPPOSITE_INFINITIES_SNAPSHOT, "modes -1 and 1 have no Hermitian part: real parts -inf and inf"),
+], ids=["bad-token", "opposite-infinities"])
 
 
-def test_solve_malformed_file_datum_exit_code(tmp_path):
+@MALFORMED_SNAPSHOTS
+def test_solve_malformed_file_datum_exit_code(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text(BAD_TOKEN_SNAPSHOT)
+    bad.write_text(text)
     out = tmp_path / "out"
-    code = run_solve(tmp_path, out, extra=["initial.kind=file", f"initial.path={bad}"])
+    code = run_solve(tmp_path, out, extra=["initial.kind=file", f"initial.path={bad}",
+                                           "n_modes=2"])
     assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "validation-error"
     assert manifest["exit_code"] == EXIT_CONFIG
+    assert not (out / "snap_0000.txt").exists()
 
 
 # --------------------------------------------------------------- invariants
 
 
-def test_invariants_malformed_snapshot_exit_code(tmp_path, capsys):
+@MALFORMED_SNAPSHOTS
+def test_invariants_malformed_snapshot_exit_code(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text(BAD_TOKEN_SNAPSHOT)
+    bad.write_text(text)
     cfg = write_config(tmp_path)
     assert main(["invariants", "--config", str(cfg), "--quiet", str(bad)]) == EXIT_CONFIG
-    assert "bad coefficient line" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_invariants_table_matches_run_csv(tmp_path, capsys):

@@ -23,10 +23,9 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
 
 
-def _foreign_bodies(tmp_path) -> dict:
-    """Snapshot texts the writer never writes, each one token away from a
-    file it wrote: the general reader's cases."""
-    n = 8
+def _foreign_bodies(tmp_path, n=8) -> dict:
+    """Snapshot texts the writer never writes, each a few tokens away from
+    a file it wrote at bandwidth n >= 6: the line walk's cases."""
     c = rand_field(n, seed=3).coeffs.copy()
     for k, (x, y) in {1: (1.0, -0.0), 2: (float("nan"), 0.0), 3: (2.0, float("nan"))}.items():
         c.real[n + k] = c.real[n - k] = x
@@ -34,21 +33,29 @@ def _foreign_bodies(tmp_path) -> dict:
     lines = _written(tmp_path, SpectralField(n, 0.75, c), 1.0 / 3.0).split("\n")
     row = {int(ln.split()[0]): i for i, ln in enumerate(lines[4:-1], start=4)}
 
-    def edit(k, col, token):
+    def edit(*changes):
         out = list(lines)
-        parts = out[row[k]].split()
-        assert parts[col] != token
-        parts[col] = token
-        out[row[k]] = " ".join(parts)
+        for k, col, token in changes:
+            parts = out[row[k]].split()
+            assert parts[col] != token
+            parts[col] = token
+            out[row[k]] = " ".join(parts)
         return "\n".join(out)
 
+    # special parts in the pairs -6/6 and -5/5, which are not conjugate
+    odd = np.zeros(4, dtype=np.complex128)  # modes -6, -5, 5, 6
+    odd.real = [-1e308, -0.0, -0.0, 1e308]
+    odd.imag = [float("nan"), 5e-324, 5e-324, -1e308]
+    specials = [(k, col, "%.17g" % v) for k, z in zip((-6, -5, 5, 6), odd)
+                for col, v in ((1, z.real), (2, z.imag))]
     return {
-        "not-conjugate": edit(-4, 1, "0.25"),
-        "zero-for-minus-zero": edit(-2, 2, "0"),  # the conjugate of 0 is -0
-        "minus-zero-for-zero": edit(-1, 2, "-0"),  # the conjugate of -0 is 0
-        "plus-mode": edit(1, 0, "+1"),
-        "padded-mode": edit(1, 0, "01"),
-        "re-exponent": edit(1, 1, "1e0"),
+        "not-conjugate": edit((-4, 1, "0.25")),
+        "zero-for-minus-zero": edit((-2, 2, "0")),  # the conjugate of 0 is -0
+        "minus-zero-for-zero": edit((-1, 2, "-0")),  # the conjugate of -0 is 0
+        "plus-mode": edit((1, 0, "+1")),
+        "padded-mode": edit((1, 0, "01")),
+        "re-exponent": edit((1, 1, "1e0")),
+        "special-parts": edit(*specials),
     }
 
 
@@ -128,7 +135,9 @@ def test_signed_zeros_survive_a_round_trip(tmp_path, n):
     ("benj-snapshot 1\nN 1\nL 1\nt 0\nk 0 0\n0 0 0\n1 0 0\n", "coefficient line"),
     ("benj-snapshot 1\nN 0\nL 1\nt 0\n0 0 0\n", "n_modes"),
     ("benj-snapshot 1\nN 1\nL -1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "domain_scale"),
-], ids=["version", "header", "re", "im", "mode", "n-zero", "negative-scale"])
+    ("benj-snapshot 1\nN 1\nL 1\nt 0\n-1 -inf 0\n0 0 0\n1 inf 0\n", "no Hermitian part"),
+], ids=["version", "header", "re", "im", "mode", "n-zero", "negative-scale",
+        "opposite-infinities"])
 def test_rejects_malformed_tokens(tmp_path, text, match):
     # with the message of the per-line oracle, which names the same first bad line
     path = tmp_path / "bad.txt"
@@ -183,12 +192,14 @@ def test_reader_matches_per_line_oracle(tmp_path):
                 assert np.array_equal(a.coeffs, g.coeffs)
                 assert np.float64(ta).tobytes() == np.float64(tb).tobytes()
                 assert (a.n_modes, a.domain_scale) == (b.n_modes, b.domain_scale) == (n, 0.75)
-    # bodies the writer never writes take the general path, as the oracle reads them
-    for name, text in _foreign_bodies(tmp_path).items():
-        path.write_text(text)
-        (a, ta), (b, tb) = read_snapshot(path), read_snapshot_per_line(path)
-        assert _same_bits(a.half, b.half), name
-        assert np.float64(ta).tobytes() == np.float64(tb).tobytes() == np.float64(1 / 3).tobytes()
+    # bodies the writer never writes take the line walk, as the oracle reads them
+    for n in (8, 257):
+        for name, text in _foreign_bodies(tmp_path, n).items():
+            path.write_text(text)
+            (a, ta), (b, tb) = read_snapshot(path), read_snapshot_per_line(path)
+            assert _same_bits(a.half, b.half), (n, name)
+            assert (np.float64(ta).tobytes() == np.float64(tb).tobytes()
+                    == np.float64(1 / 3).tobytes())
 
 
 def test_only_a_body_the_writer_never_writes_is_projected(monkeypatch, tmp_path):

@@ -339,6 +339,29 @@ def test_hermitian_part_keeps_every_finite_magnitude():
         assert hermitian_part(c).real[4] == 0.75 * big
 
 
+def test_hermitian_part_refuses_opposite_infinities():
+    # inf at k and -inf at the conjugate place have no midpoint: a ValueError
+    # and no numpy warning; a NaN part still comes out NaN, and mode 0's
+    # imaginary part is dropped whatever it holds
+    inf, nan = float("inf"), float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi, match in ((complex(-inf, 0), complex(inf, 0), "real parts -inf and inf"),
+                              (complex(0, -inf), complex(0, -inf), "imaginary parts -inf and -inf")):
+            c = np.zeros(5, dtype=np.complex128)
+            c[1], c[3] = lo, hi
+            with pytest.raises(ValueError, match=f"modes -1 and 1 .*{match}"):
+                hermitian_part(c)
+            with pytest.raises(ValueError, match="no Hermitian part"):
+                SpectralField(2, 1.0, c)
+        c = np.zeros(5, dtype=np.complex128)
+        c[0], c[2], c[3], c[4] = complex(nan, inf), complex(1.0, inf), complex(inf, nan), 2.0
+        sym = hermitian_part(c)
+        assert np.isnan(sym.real[[0, 4]]).all() and np.isnan(sym.imag[[1, 3]]).all()
+        assert sym[2] == 1.0 and sym.real[1] == sym.real[3] == inf
+        assert sym.imag[0] == inf and sym.imag[4] == -inf
+
+
 def test_translate_shift_theorem():
     f = rand_field(12, seed=4)
     s = 0.73
