@@ -37,8 +37,11 @@ manifest.  The ``invariants`` table on stdout is formatted as ``solve``
 formats ``invariants.csv``.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
-set ``converge.n_ref``, ``converge.t_star``, ``soliton.t_star`` or
-``soliton.dt`` that is not positive (only an unset one takes a default).
+set ``converge.n_ref`` that is not positive (an unset one is four times
+the finest of ``converge.n_values``).  Every value has one key: ``converge``
+and ``soliton`` run to ``integrator.t_end`` with ``integrator.dt``,
+``soliton`` sends a wave of speed ``initial.speed``, and the top-level
+``seed`` seeds ``random_sobolev`` data.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -88,15 +91,6 @@ def _fmt(x: float) -> str:
 _REQUIRED = object()
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
 def _parse_float(s: str) -> float:
     x = float(s)
     if not math.isfinite(x):
@@ -124,7 +118,6 @@ _SCHEMA = {
     "initial.center": (_parse_float, 0.0),
     "initial.speed": (_parse_float, 0.5),
     "initial.regularity": (_parse_float, 4.0),
-    "initial.seed": (int, None),
     "initial.path": (str, None),
     "initial.tol": (_parse_float, 1e-10),
     "initial.max_iter": (int, 500),
@@ -134,14 +127,7 @@ _SCHEMA = {
     "integrator.snapshot_stride": (int, 10),
     "converge.n_values": (_parse_int_list, None),
     "converge.n_ref": (int, None),
-    "converge.t_star": (_parse_float, None),
-    "converge.track_max": (_parse_bool, False),
-    "soliton.c": (_parse_float, 0.5),
-    "soliton.t_star": (_parse_float, None),
-    "soliton.dt": (_parse_float, None),
 }
-# keys whose unset value (None) falls back to another; a set value must be > 0
-_POSITIVE = ("converge.n_ref", "converge.t_star", "soliton.t_star", "soliton.dt")
 
 
 @dataclass(frozen=True)
@@ -207,9 +193,10 @@ def _section(resolved: dict, name: str) -> dict:
     return {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
 
 
-def _given(value, default):
-    """``value``, or ``default`` when its key was left unset (None)."""
-    return default if value is None else value
+def _reference_n(r: dict) -> int:
+    """``converge.n_ref``, or four times the finest measured bandwidth when unset."""
+    n_ref = r["converge.n_ref"]
+    return 4 * max(r["converge.n_values"] or [0]) if n_ref is None else n_ref
 
 
 def _check_grid(model: ModelParams, r: dict):
@@ -217,7 +204,7 @@ def _check_grid(model: ModelParams, r: dict):
     u^(q+2) at the largest bandwidth (n_modes, or converge's reference),
     exceeds MAX_GRID points.  Its lower bound (q+3)n+1 is tested first, so
     a huge n is rejected without a next_fast_len search or any array."""
-    n = max(r["n_modes"], _given(r["converge.n_ref"], 4 * max(r["converge.n_values"] or [0])))
+    n = max(r["n_modes"], _reference_n(r))
     p = model.q + 2
     if (p + 1) * n + 1 > MAX_GRID or dealiased_grid(n, p) > MAX_GRID:
         raise ConfigError(f"model.q={model.q} at bandwidth {n} needs a grid of "
@@ -233,9 +220,9 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     n_modes = r["n_modes"]
     if n_modes < 1:
         raise ConfigError(f"n_modes must satisfy N >= 1, got {n_modes}", key="n_modes")
-    for key in _POSITIVE:
-        if r[key] is not None and not r[key] > 0:
-            raise ConfigError(f"{key} must be > 0, got {r[key]}", key=key)
+    if r["converge.n_ref"] is not None and r["converge.n_ref"] < 1:
+        raise ConfigError(f"converge.n_ref must be > 0, got {r['converge.n_ref']}",
+                          key="converge.n_ref")
     _check_grid(model, r)
 
     if r["initial.kind"] not in KINDS:
@@ -243,9 +230,6 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             f"initial.kind must be one of {KINDS}, got {r['initial.kind']!r}",
             key="initial.kind",
         )
-    initial = _section(r, "initial")
-    if initial["seed"] is None:
-        initial["seed"] = r["seed"]
 
     # an unset integrator.dt stays None in ``raw``: each command derives its own
     integrator = _section(r, "integrator")
@@ -254,7 +238,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
 
     return RunConfig(
         model=model,
-        initial=InitialDataSpec(**initial),
+        initial=InitialDataSpec(**_section(r, "initial"), seed=r["seed"]),
         integrator=IntegratorConfig(**integrator),
         n_modes=n_modes,
         outputs=Path(r["outputs"]),
@@ -339,22 +323,14 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
     if not n_values:
         raise ConfigError("converge.n_values is required for the converge command",
                           key="converge.n_values")
-    n_ref = _given(config.raw["converge.n_ref"], 4 * max(n_values))
-    t_star = _given(config.raw["converge.t_star"], config.integrator.t_end)
+    n_ref = _reference_n(config.raw)
+    t_star = config.integrator.t_end
     # an unset dt is derived by the study from the finest measured bandwidth
     policy = IntegratorPolicy(method=config.integrator.method, dt=config.raw["integrator.dt"])
     _progress(quiet, f"converge: N in {n_values}, reference N={n_ref}, t*={t_star:g}")
     # members that diverge are reported in ``failures``; a DivergenceError
     # raised here comes from the reference run
-    report = self_convergence(
-        config.model,
-        config.initial,
-        n_values,
-        n_ref,
-        t_star,
-        integrator_policy=policy,
-        track_max=config.raw["converge.track_max"],
-    )
+    report = self_convergence(config.model, config.initial, n_values, n_ref, t_star, policy)
 
     with open(config.outputs / "convergence.csv", "w", newline="\n") as fh:
         fh.write("N,error\n")
@@ -372,31 +348,14 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
 
 
 def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
-    speed = config.raw["soliton.c"]
-    t_star = _given(config.raw["soliton.t_star"], config.integrator.t_end)
-    model = config.model
-    if model.gamma == 0.0 and model.m == 1 and model.q == 1:
-        spec = InitialDataSpec(kind="kdv_soliton", speed=speed)  # closed form available
-    else:
-        spec = InitialDataSpec(
-            kind="petviashvili_wave",
-            speed=speed,
-            amplitude=config.initial.amplitude,
-            width=config.initial.width,
-            tol=config.initial.tol,
-            max_iter=config.initial.max_iter,
-        )
+    model, speed, t_star = config.model, config.initial.speed, config.integrator.t_end
+    closed_form = model.gamma == 0.0 and model.m == 1 and model.q == 1
+    spec = replace(config.initial, kind="kdv_soliton" if closed_form else "petviashvili_wave",
+                   center=0.0)
     profile = build_field(spec, model, config.n_modes)
     _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={t_star:g}")
-    report = soliton_propagation_test(
-        speed,
-        model,
-        config.n_modes,
-        t_star,
-        dt=_given(config.raw["soliton.dt"], config.integrator.dt),
-        profile=profile,
-        method=config.integrator.method,
-    )
+    report = soliton_propagation_test(speed, model, config.n_modes, t_star, config.integrator.dt,
+                                      profile, config.integrator.method)
 
     write_snapshot(config.outputs / "profile.txt", profile, 0.0)
     speed_est = report.speed_estimate

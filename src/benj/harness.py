@@ -34,7 +34,8 @@ from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
 from .semidiscrete import folded_nonlinear_term, frozen_nonlinear_term
 from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
-from .timestep import IntegratorConfig, check_step_count, default_dt, evolve, evolve_rows
+from .timestep import (IntegratorConfig, check_method, check_step_count, default_dt, evolve,
+                       evolve_rows)
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
@@ -47,13 +48,15 @@ class IntegratorPolicy:
     ``dt`` is the step of the measured runs (None derives it from the
     finest measured bandwidth); it is snapped so an integer number of steps
     lands exactly on the horizon, and the reference run uses dt/4.  A dt
-    that is not > 0 (NaN included) is a ValueError.
+    that is not > 0 (NaN included), or a method ``IntegratorConfig`` does
+    not know, is a ValueError, raised before a study builds its datum.
     """
 
     method: str = "etdrk4"
     dt: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "method", check_method(self.method))
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
 
@@ -118,7 +121,7 @@ def _fit_tail(n_values, errors):
 
 def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
     """Largest dt <= target such that an integer number of steps spans t_star."""
-    if t_star <= 0:
+    if not t_star > 0:
         raise ValueError(f"t_star must be > 0, got {t_star}")
     if not dt_target > 0:
         raise ValueError(f"dt must be > 0, got {dt_target}")
@@ -188,37 +191,24 @@ def self_convergence(
     n_ref: int,
     t_star: float,
     integrator_policy: Optional[IntegratorPolicy] = None,
-    track_max: bool = False,
 ) -> ConvergenceReport:
-    """L2 errors of bandwidth-N runs against a fine reference at t_star.
+    """L2 errors at t_star of bandwidth-N runs against a fine reference.
 
     The initial datum is built once at the reference bandwidth and
     projected down for each member run, and fields are compared at the
     reference bandwidth (the coarser one zero-extended), so the reported
-    error includes the projection tail.  By default the error is the
-    final-time value, a lower bound for the max over [0, t_star];
-    ``track_max`` compares at ~32 aligned snapshot times instead.
+    error includes the projection tail.  The error is the final-time
+    value, a lower bound for the max over [0, t_star].
     """
     n_values, method, dt, n_steps, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy
     )
-    stride = max(1, n_steps // 32) if track_max else n_steps
-    ref_config = IntegratorConfig(method, dt / 4.0, t_star, 4 * stride)
-    ref_snapshots = evolve(u0_ref, params, ref_config).snapshots
-
+    ref_config = IntegratorConfig(method, dt / 4.0, t_star, 4 * n_steps)
+    ref_final = evolve(u0_ref, params, ref_config).final
     flux = folded_nonlinear_term(params, n_values)
-    member_snapshots = []
-    result = evolve_rows(
-        _stack(u0_ref, n_values), params, IntegratorConfig(method, dt, t_star, stride),
-        lambda c, t: flux(c), lambda t, rows: member_snapshots.append(rows.copy()),
-    )
-    # the members' k-th snapshot is at the reference's k-th time; a run
-    # whose every row failed stops early, and its errors read NaN
-    errors = [
-        max((_error(ref, rows[i], n) for (_, ref), rows in zip(ref_snapshots, member_snapshots)),
-            default=np.nan)
-        for i, n in enumerate(n_values)
-    ]
+    result = evolve_rows(_stack(u0_ref, n_values), params,
+                         IntegratorConfig(method, dt, t_star, n_steps), lambda c, t: flux(c))
+    errors = [_error(ref_final, row, n) for row, n in zip(result.final, n_values)]
     return _report(n_values, errors, result.failures, n_ref, t_star, dt)
 
 

@@ -29,7 +29,8 @@ class ModelParams:
 
     ``domain_scale`` stretches the spatial interval to [-L*pi, L*pi]; the
     physical wavenumber of integer mode k is then k/L.  L = 1 recovers the
-    standard interval [-pi, pi].
+    standard interval [-pi, pi].  Each range check is written so that NaN
+    fails it; gamma, delta and L must also be finite.
     """
 
     m: int
@@ -44,14 +45,15 @@ class ModelParams:
             raise ParameterError(f"m must be an integer >= 1, got {self.m!r}")
         if not 0.0 <= self.r < self.m:
             raise ParameterError(f"r must satisfy 0 <= r < m, got r={self.r!r} with m={self.m}")
-        if self.gamma < 0.0:
-            raise ParameterError(f"gamma must satisfy gamma >= 0, got {self.gamma!r}")
-        if self.delta <= 0.0:
-            raise ParameterError(f"delta must satisfy delta > 0, got {self.delta!r}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ParameterError(f"gamma must satisfy 0 <= gamma < inf, got {self.gamma!r}")
+        if not 0.0 < self.delta < np.inf:
+            raise ParameterError(f"delta must satisfy 0 < delta < inf, got {self.delta!r}")
         if not isinstance(self.q, (int, np.integer)) or self.q < 1:
             raise ParameterError(f"q must be an integer >= 1, got {self.q!r}")
-        if self.domain_scale <= 0.0:
-            raise ParameterError(f"domain_scale must satisfy L > 0, got {self.domain_scale!r}")
+        if not 0.0 < self.domain_scale < np.inf:
+            raise ParameterError(
+                f"domain_scale must satisfy 0 < L < inf, got {self.domain_scale!r}")
 
 
 def symbol_l(params: ModelParams, kappa):

@@ -22,11 +22,14 @@ once, and reads a body on one of two paths.  When the mode tokens read
 that way, it converts only the N+1 stored pairs and builds the field as
 it stands.  Any other body is walked once, line by line: each line is
 checked, and a bad one named, as its values are collected; the
-full-range vector is then projected.  Blank lines are skipped.
+full-range vector is then projected.  Blank lines are skipped.  A
+header whose t is not finite, or whose L is not in (0, inf), is a
+``SnapshotFormatError``.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from functools import lru_cache
 from itertools import chain
@@ -95,6 +98,8 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
         n = int(header["N"])
         scale = float(header["L"])
         t = float(header["t"])
+        if not math.isfinite(t):
+            raise ValueError(f"time t {header['t']} is not finite")
     except (KeyError, ValueError) as exc:
         raise SnapshotFormatError(f"{path}: malformed header: {exc}") from exc
 
@@ -108,7 +113,7 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
         if as_stored:
             return SpectralField.from_half(values, scale), t
         return SpectralField(n, scale, values), t
-    except ValueError as exc:  # N < 1, L <= 0 or a mode with no Hermitian part
+    except ValueError as exc:  # N < 1, L outside (0, inf) or a mode with no Hermitian part
         raise SnapshotFormatError(f"{path}: {exc}") from exc
 
 

@@ -42,8 +42,8 @@ _OVERSAMPLE = 8  # grid refinement of linf_norm and peak_position
 def _check_sizes(n_modes: int, domain_scale: float) -> None:
     if n_modes < 1:
         raise BandwidthError(f"n_modes must be >= 1, got {n_modes}")
-    if domain_scale <= 0:
-        raise ShapeError(f"domain_scale must be > 0, got {domain_scale}")
+    if not 0 < domain_scale < np.inf:
+        raise ShapeError(f"domain_scale must satisfy 0 < L < inf, got {domain_scale}")
 
 
 @dataclass(frozen=True, init=False)

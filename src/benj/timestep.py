@@ -72,18 +72,24 @@ class IntegratorConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "method", self.method.lower())
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end <= 0:
+        object.__setattr__(self, "method", check_method(self.method))
+        if not self.t_end > 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.dt > self.t_end * (1 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         check_step_count(self.t_end / self.dt)
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+
+
+def check_method(method: str) -> str:
+    """The lowercased ``method``, if it names one of ``_METHODS``."""
+    method = method.lower()
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    return method
 
 
 def check_step_count(steps: float) -> float:

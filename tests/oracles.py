@@ -212,6 +212,8 @@ def read_snapshot_per_line(path):
         n = int(header["N"])
         scale = float(header["L"])
         t = float(header["t"])
+        if not math.isfinite(t):
+            raise ValueError(f"time t {header['t']} is not finite")
     except (KeyError, ValueError) as exc:
         raise SnapshotFormatError(f"{path}: malformed header: {exc}") from exc
     body = lines[4:]

@@ -99,7 +99,24 @@ def test_config_bad_value_type():
     ("model", ModelParams), ("initial", InitialDataSpec), ("integrator", IntegratorConfig)])
 def test_config_sections_name_the_dataclass_fields(section, cls):
     keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith(section + ".")}
+    if section == "initial":
+        keys.add("seed")  # filled by the top-level seed
     assert keys == {f.name for f in fields(cls)}
+
+
+@pytest.mark.parametrize("key", ["converge.t_star", "soliton.t_star", "soliton.dt", "soliton.c",
+                                 "initial.seed", "converge.track_max"])
+def test_removed_keys_are_unknown(tmp_path, capsys, key):
+    # one key per value: the aliases of integrator.t_end, integrator.dt,
+    # initial.speed and seed, and the unused track_max, are refused
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"n_modes = 16\noutputs = {out}\n{key} = 1\n")
+    assert main(["solve", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    cfg = write_config(tmp_path, f"n_modes = 16\noutputs = {out}\n")
+    assert main(["solve", "--config", str(cfg), "--quiet", "--override", f"{key}=1"]) == EXIT_CONFIG
+    assert f"unknown override key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -229,10 +246,16 @@ BAD_TOKEN_SNAPSHOT = "benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 x 0\n1 0 0\n"
 # a body with no Hermitian part: the projection would average inf with -inf
 OPPOSITE_INFINITIES_SNAPSHOT = (
     "benj-snapshot 1\nN 2\nL 1\nt 0\n-2 0 0\n-1 -inf 0\n0 0 0\n1 inf 0\n2 0 0\n")
+# a header scale or time outside the finite range
+NON_FINITE_HEADER_SNAPSHOT = "benj-snapshot 1\nN 1\nL {L}\nt {t}\n-1 0 0\n0 1 0\n1 0 0\n"
 MALFORMED_SNAPSHOTS = pytest.mark.parametrize("text, message", [
     (BAD_TOKEN_SNAPSHOT, "bad coefficient line '0 x 0'"),
     (OPPOSITE_INFINITIES_SNAPSHOT, "modes -1 and 1 have no Hermitian part: real parts -inf and inf"),
-], ids=["bad-token", "opposite-infinities"])
+    (NON_FINITE_HEADER_SNAPSHOT.format(L="nan", t=0), "domain_scale must satisfy 0 < L < inf"),
+    (NON_FINITE_HEADER_SNAPSHOT.format(L="inf", t=0), "domain_scale must satisfy 0 < L < inf"),
+    (NON_FINITE_HEADER_SNAPSHOT.format(L=1, t="nan"), "malformed header: time t nan"),
+    (NON_FINITE_HEADER_SNAPSHOT.format(L=1, t="inf"), "malformed header: time t inf"),
+], ids=["bad-token", "opposite-infinities", "nan-scale", "inf-scale", "nan-time", "inf-time"])
 
 
 @MALFORMED_SNAPSHOTS
@@ -282,11 +305,15 @@ def test_invariants_requires_files(tmp_path):
 # ----------------------------------------------------------------- converge
 
 
+CONVERGE_TEXT = (BASE.replace("integrator.t_end = 0.05", "integrator.t_end = 0.02")
+                 + "converge.n_values = 4, 8\nconverge.n_ref = 32\n")
+
+
 def test_converge_report_structure(tmp_path):
     out = tmp_path / "conv"
     cfg = write_config(
         tmp_path,
-        BASE + "converge.n_values = 4, 8\nconverge.n_ref = 32\nconverge.t_star = 0.02\n",
+        CONVERGE_TEXT,
     )
     code = main(["converge", "--config", str(cfg), "--quiet",
                  "--override", f"outputs={out}"])
@@ -332,7 +359,7 @@ def test_converge_failure_removes_stale_csv(tmp_path):
     out = tmp_path / "conv"
     cfg = write_config(
         tmp_path,
-        BASE + "converge.n_values = 4, 8\nconverge.n_ref = 32\nconverge.t_star = 0.02\n",
+        CONVERGE_TEXT,
     )
     args = ["converge", "--config", str(cfg), "--quiet", "--override", f"outputs={out}"]
     assert main(args) == EXIT_OK
@@ -353,8 +380,8 @@ def test_soliton_command(tmp_path):
     cfg = write_config(
         tmp_path,
         "model.m = 1\nmodel.r = 0.5\nmodel.gamma = 0\nmodel.delta = 1\nmodel.q = 1\n"
-        "model.domain_scale = 8\nn_modes = 128\nsoliton.c = 0.5\nsoliton.t_star = 1\n"
-        "soliton.dt = 5e-3\n",
+        "model.domain_scale = 8\nn_modes = 128\ninitial.speed = 0.5\nintegrator.t_end = 1\n"
+        "integrator.dt = 5e-3\n",
     )
     code = main(["soliton", "--config", str(cfg), "--quiet",
                  "--override", f"outputs={out}"])
@@ -370,7 +397,7 @@ def test_soliton_command(tmp_path):
 
 def test_soliton_failure_removes_stale_results(tmp_path):
     text = ("model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"
-            "soliton.t_star = 0.01\nsoliton.dt = 5e-3\n")
+            "integrator.t_end = 0.01\nintegrator.dt = 5e-3\n")
     code, _ = run_command(tmp_path, "soliton", text=text)
     assert code == EXIT_OK
     assert (tmp_path / "out" / "profile.txt").exists()
@@ -442,8 +469,8 @@ def test_large_q_exit_code(tmp_path, command):
 @pytest.mark.parametrize("command, extra", [
     ("solve", ["integrator.dt=1e-300"]),
     ("converge", ["integrator.dt=5e-324"]),
-    ("soliton", ["soliton.dt=5e-324"]),
-    ("soliton", ["soliton.dt=1e-300"]),
+    ("soliton", ["integrator.dt=5e-324"]),
+    ("soliton", ["integrator.dt=1e-300"]),
     ("solve", ["model.q=1000000"]),
 ], ids=["solve-1e-300", "converge-5e-324", "soliton-5e-324", "soliton-1e-300", "solve-q"])
 def test_over_bound_run_exit_code(tmp_path, command, extra):
@@ -452,21 +479,19 @@ def test_over_bound_run_exit_code(tmp_path, command, extra):
     code, manifest = run_command(tmp_path, command, extra, text=text)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CONFIG
-    if manifest is not None:  # the config parsed: the run itself was refused
-        assert manifest["status"] == "validation-error"
-    assert (manifest is None) == (command != "soliton")
+    assert manifest is None  # refused at parse time
 
 
 @pytest.mark.parametrize("command, override", [
-    ("soliton", "soliton.dt=-1"),
-    ("soliton", "soliton.dt=0"),
-    ("soliton", "soliton.t_star=0"),
-    ("converge", "converge.t_star=0"),
+    ("soliton", "integrator.dt=-1"),
+    ("soliton", "integrator.dt=0"),
+    ("soliton", "integrator.t_end=0"),
+    ("converge", "integrator.t_end=0"),
     ("converge", "converge.n_ref=0"),
 ])
 def test_non_positive_value_is_a_config_error(tmp_path, command, override):
-    # only an unset key falls back to a default; a set value no run can use
-    # is refused at parse time, before the manifest could echo it
+    # a step, horizon or reference bandwidth no run can use is refused at
+    # parse time, before the manifest could echo it
     text = ("model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"
             "integrator.t_end = 0.01\nconverge.n_values = 4, 8\n")
     code, manifest = run_command(tmp_path, command, [override], text=text)
@@ -575,7 +600,7 @@ def test_converge_member_divergence_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(benj.harness, "evolve_rows", evolve_rows_with_a_bad_row)
     code, manifest = run_command(tmp_path, "converge", ["converge.n_values=4,8",
-                                                        "converge.t_star=0.02"])
+                                                        "integrator.t_end=0.02"])
     assert code == manifest["exit_code"] == EXIT_DIVERGED
     assert manifest["status"] == "divergence"
     assert list(manifest["results"]["failures"]) == ["8"]
@@ -592,9 +617,8 @@ def _listing(path):
 def test_foreign_outputs_directory_is_refused(tmp_path, first, second):
     # a second command into the first one's directory exits 2 before it
     # removes or writes anything, its manifest included
-    soliton = "model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\nsoliton.t_star = 0.01\n"
-    texts = {"soliton": soliton}
-    extra = ["converge.n_values=4,8", "converge.t_star=0.02"]
+    texts = {"soliton": "model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"}
+    extra = ["converge.n_values=4,8", "integrator.t_end=0.02"]
     code, _ = run_command(tmp_path, first, extra, texts.get(first, BASE))
     assert code == EXIT_OK
     before = _listing(tmp_path / "out")
@@ -632,7 +656,7 @@ def test_converge_step_policy(tmp_path, monkeypatch, dt_line, expected):
     real = benj.cli.self_convergence
     monkeypatch.setattr(benj.cli, "self_convergence", recording)
     # n_modes = 8 alone would give dt = 5e-3, which snaps to 7 steps over t*
-    text = "n_modes = 8\nconverge.n_values = 8, 16, 128\nconverge.t_star = 0.03125\n"
+    text = "n_modes = 8\nconverge.n_values = 8, 16, 128\nintegrator.t_end = 0.03125\n"
     code, _ = run_command(tmp_path, "converge", text=text + dt_line)
     assert code == EXIT_OK
     assert reports[0].dt == expected
@@ -640,8 +664,8 @@ def test_converge_step_policy(tmp_path, monkeypatch, dt_line, expected):
 
 def test_soliton_builds_closed_form_once(tmp_path):
     # a short domain leaves a visible tail, so building the profile warns
-    text = ("model.gamma = 0\nmodel.domain_scale = 1\nn_modes = 32\nsoliton.c = 0.5\n"
-            "soliton.t_star = 0.01\nsoliton.dt = 5e-3\n")
+    text = ("model.gamma = 0\nmodel.domain_scale = 1\nn_modes = 32\ninitial.speed = 0.5\n"
+            "integrator.t_end = 0.01\nintegrator.dt = 5e-3\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_command(tmp_path, "soliton", text=text)
@@ -661,12 +685,8 @@ _FUZZ_POOLS = {
     "n_modes": ["0", "-1", "1", "4", "8", "x", "nan"],
     "integrator.dt": _TIME_VALUES,
     "integrator.t_end": _TIME_VALUES,
-    "converge.t_star": _TIME_VALUES,
-    "soliton.t_star": _TIME_VALUES,
-    "soliton.dt": _TIME_VALUES,
     "converge.n_values": ["4,8", "8", "0,8", "-4,8", "4,4", "", "x"],
     "converge.n_ref": ["0", "-1", "16", "32", "x"],
-    "converge.track_max": ["true", "maybe"],
     "initial.kind": [*KINDS, "bogus"],
     "initial.path": ["/nonexistent/datum.txt", str(Path(__file__).parent)],
     "integrator.method": ["etdrk4", "ifrk4", "bogus"],

@@ -84,15 +84,6 @@ def test_self_convergence_analytic_data_superalgebraic(benjamin_params):
     assert report.fitted_rate is not None
     assert report.fit_r2 is not None
 
-def test_self_convergence_track_max_bounds_final(benjamin_params):
-    kwargs = dict(integrator_policy=IntegratorPolicy(dt=2e-3))
-    final = self_convergence(benjamin_params, GAUSS, [8, 16], 64, 0.1, **kwargs)
-    tracked = self_convergence(
-        benjamin_params, GAUSS, [8, 16], 64, 0.1, track_max=True, **kwargs
-    )
-    for a, b in zip(tracked.errors, final.errors):
-        assert a >= b * (1.0 - 1e-12)
-
 # ------------------------------------------------------------ member failures
 
 def _diverge_at(monkeypatch, row):
@@ -269,6 +260,17 @@ def test_bandwidth_below_one_is_refused_before_any_run(monkeypatch, benjamin_par
 
 
 @pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
+def test_unknown_method_is_refused_before_the_datum(monkeypatch, benjamin_params, study):
+    def never(*args, **kwargs):
+        raise AssertionError("the study built the datum")
+
+    monkeypatch.setattr(benj.harness, "build_field", never)
+    with pytest.raises(ValueError, match="method must be one of"):
+        study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(method="bogus"))
+    assert IntegratorPolicy(method="IFRK4").method == "ifrk4"
+
+
+@pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
 def test_study_step_over_the_bound_is_a_value_error(benjamin_params, study):
     # t*/dt is inf here; it must not reach math.ceil
     with pytest.raises(ValueError, match="exceed the bound"):
@@ -419,7 +421,7 @@ def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
 
 def test_soliton_zero_horizon(kdv_params):
     # a wave that is not propagated has no speed to measure
-    for t_star in (0.0, -1.0):
+    for t_star in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="t_star must be > 0"):
             soliton_propagation_test(0.5, kdv_params, 64, t_star)
 

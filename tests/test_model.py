@@ -40,6 +40,14 @@ def test_symbol_kdv_reduction():
         (dict(delta=0.0), "delta must"),
         (dict(q=0), "q must"),
         (dict(domain_scale=0.0), "domain_scale must"),
+        # NaN passes no range check: the error names the field, not a
+        # nonfinite symbol later on
+        (dict(gamma=np.nan), "gamma must"),
+        (dict(gamma=np.inf), "gamma must"),
+        (dict(delta=np.nan), "delta must"),
+        (dict(delta=np.inf), "delta must"),
+        (dict(domain_scale=np.nan), "domain_scale must"),
+        (dict(domain_scale=np.inf), "domain_scale must"),
     ],
 )
 def test_params_validation(kwargs, fragment):

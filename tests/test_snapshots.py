@@ -136,8 +136,12 @@ def test_signed_zeros_survive_a_round_trip(tmp_path, n):
     ("benj-snapshot 1\nN 0\nL 1\nt 0\n0 0 0\n", "n_modes"),
     ("benj-snapshot 1\nN 1\nL -1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "domain_scale"),
     ("benj-snapshot 1\nN 1\nL 1\nt 0\n-1 -inf 0\n0 0 0\n1 inf 0\n", "no Hermitian part"),
+    ("benj-snapshot 1\nN 1\nL nan\nt 0\n-1 0 0\n0 1 0\n1 0 0\n", "domain_scale"),
+    ("benj-snapshot 1\nN 1\nL inf\nt 0\n-1 0 0\n0 1 0\n1 0 0\n", "domain_scale"),
+    ("benj-snapshot 1\nN 1\nL 1\nt nan\n-1 0 0\n0 1 0\n1 0 0\n", "header: time t nan"),
+    ("benj-snapshot 1\nN 1\nL 1\nt inf\n-1 0 0\n0 1 0\n1 0 0\n", "header: time t inf"),
 ], ids=["version", "header", "re", "im", "mode", "n-zero", "negative-scale",
-        "opposite-infinities"])
+        "opposite-infinities", "nan-scale", "inf-scale", "nan-time", "inf-time"])
 def test_rejects_malformed_tokens(tmp_path, text, match):
     # with the message of the per-line oracle, which names the same first bad line
     path = tmp_path / "bad.txt"

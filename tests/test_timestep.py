@@ -411,6 +411,11 @@ def test_config_validation():
         IntegratorConfig(dt=2.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-2, t_end=1.0, snapshot_stride=0)
+    # NaN names its field, not "nan time steps exceed the bound"
+    with pytest.raises(ValueError, match="^dt must be > 0, got nan"):
+        IntegratorConfig(dt=np.nan, t_end=1.0)
+    with pytest.raises(ValueError, match="^t_end must be > 0, got nan"):
+        IntegratorConfig(dt=1e-2, t_end=np.nan)
 
 
 @pytest.mark.parametrize("dt", [1e-300, 5e-324, 0.5 / MAX_STEPS])
