@@ -311,10 +311,7 @@ CONVERGE_TEXT = (BASE.replace("integrator.t_end = 0.05", "integrator.t_end = 0.0
 
 def test_converge_report_structure(tmp_path):
     out = tmp_path / "conv"
-    cfg = write_config(
-        tmp_path,
-        CONVERGE_TEXT,
-    )
+    cfg = write_config(tmp_path, CONVERGE_TEXT)
     code = main(["converge", "--config", str(cfg), "--quiet",
                  "--override", f"outputs={out}"])
     assert code == EXIT_OK
@@ -357,10 +354,7 @@ def test_converge_reference_divergence_exit_code(tmp_path):
 
 def test_converge_failure_removes_stale_csv(tmp_path):
     out = tmp_path / "conv"
-    cfg = write_config(
-        tmp_path,
-        CONVERGE_TEXT,
-    )
+    cfg = write_config(tmp_path, CONVERGE_TEXT)
     args = ["converge", "--config", str(cfg), "--quiet", "--override", f"outputs={out}"]
     assert main(args) == EXIT_OK
     assert (out / "convergence.csv").exists()
