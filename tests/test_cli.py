@@ -104,11 +104,14 @@ def test_config_sections_name_the_dataclass_fields(section, cls):
     assert keys == {f.name for f in fields(cls)}
 
 
-@pytest.mark.parametrize("key", ["converge.t_star", "soliton.t_star", "soliton.dt", "soliton.c",
-                                 "initial.seed", "converge.track_max"])
+# the aliases of integrator.t_end, integrator.dt, initial.speed and seed,
+# and the unused track_max: one key per value
+REMOVED_KEYS = ("converge.t_star", "soliton.t_star", "soliton.dt", "soliton.c",
+                "initial.seed", "converge.track_max")
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_keys_are_unknown(tmp_path, capsys, key):
-    # one key per value: the aliases of integrator.t_end, integrator.dt,
-    # initial.speed and seed, and the unused track_max, are refused
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"n_modes = 16\noutputs = {out}\n{key} = 1\n")
     assert main(["solve", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
@@ -134,11 +137,14 @@ def test_config_rejects_oversized_grids(text):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", [k for k, (parse, _) in _SCHEMA.items() if parse is not str])
+@pytest.mark.parametrize(
+    "key", [k for k, (parse, _) in _SCHEMA.items() if parse is not str] + list(REMOVED_KEYS))
 def test_config_rejects_non_finite_numbers(key, value):
+    # a removed key is still refused with a non-finite value: as unknown
     with pytest.raises(ConfigError) as info:
         parse_config("n_modes = 16\n", overrides=[f"{key}={value}"])
     assert info.value.key == key
+    assert ("unknown override key" in str(info.value)) == (key in REMOVED_KEYS)
 
 
 # ------------------------------------------------------------------- solve
