@@ -38,10 +38,13 @@ formats ``invariants.csv``.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref`` that is not positive (an unset one is four times
-the finest of ``converge.n_values``).  Every value has one key: ``converge``
-and ``soliton`` run to ``integrator.t_end`` with ``integrator.dt``,
-``soliton`` sends a wave of speed ``initial.speed``, and the top-level
-``seed`` seeds ``random_sobolev`` data.
+the finest of ``converge.n_values``).  Every value has one key: ``solve``,
+``converge`` and ``soliton`` run to ``integrator.t_end`` in the equal
+steps that ``timestep.IntegratorConfig`` makes of the target
+``integrator.dt`` (an unset one is derived from ``n_modes``, or by
+``converge``'s study from its finest bandwidth), ``soliton`` sends a wave
+of speed ``initial.speed``, and the top-level ``seed`` seeds
+``random_sobolev`` data.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ error.  The member runs follow the reference as one stack
 (``timestep.evolve_rows``): row i is the bandwidth-n_i member posed at
 the finest member's bandwidth with its flux masked to |k| <= n_i, the
 same Galerkin system up to rounding.  A row that diverges becomes its
-member's ``failures`` entry; the other rows go on.  Bandwidths below 1
-and horizons or steps that are not positive are ValueErrors, raised
+member's ``failures`` entry; the other rows go on.  Every run steps the
+time grid of ``timestep.IntegratorConfig``, equal steps that end exactly
+on t_star; a target step past the horizon is one step.  Bandwidths below
+1 and horizons or steps that are not positive are ValueErrors, raised
 before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
@@ -24,7 +26,7 @@ the last stage time it saw, the study's one cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,10 +34,9 @@ import numpy as np
 from .initdata import InitialDataSpec, build_field, kdv_soliton
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
-from .semidiscrete import folded_nonlinear_term, frozen_nonlinear_term
+from .semidiscrete import _row_mask, folded_nonlinear_term, frozen_nonlinear_term
 from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
-from .timestep import (IntegratorConfig, check_method, check_step_count, default_dt, evolve,
-                       evolve_rows)
+from .timestep import IntegratorConfig, check_method, default_dt, evolve, evolve_rows
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
@@ -45,9 +46,9 @@ _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable err
 class IntegratorPolicy:
     """Time-stepping choices shared by the member runs of a study.
 
-    ``dt`` is the step of the measured runs (None derives it from the
-    finest measured bandwidth); it is snapped so an integer number of steps
-    lands exactly on the horizon, and the reference run uses dt/4.  A dt
+    ``dt`` is the target step of the measured runs (None derives it from
+    the finest measured bandwidth); ``IntegratorConfig`` snaps it to the
+    run's time grid, and the reference run uses a quarter of that step.  A dt
     that is not > 0 (NaN included), or a method ``IntegratorConfig`` does
     not know, is a ValueError, raised before a study builds its datum.
     """
@@ -119,20 +120,18 @@ def _fit_tail(n_values, errors):
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
-def _snap_dt(t_star: float, dt_target: float) -> tuple[float, int]:
-    """Largest dt <= target such that an integer number of steps spans t_star."""
+def _time_grid(method: str, t_star: float, dt_target: float) -> IntegratorConfig:
+    """The config of a run to t_star with a step of at most ``dt_target``;
+    a target past the horizon is one step."""
     if not t_star > 0:
         raise ValueError(f"t_star must be > 0, got {t_star}")
-    if not dt_target > 0:
-        raise ValueError(f"dt must be > 0, got {dt_target}")
-    n_steps = max(1, math.ceil(check_step_count(t_star / dt_target) - 1e-9))
-    return t_star / n_steps, n_steps
+    return IntegratorConfig(method, min(dt_target, t_star), t_star)
 
 
 def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy, ref_factor=4):
     """Checked bandwidths (n_ref at least ``ref_factor`` times the finest),
-    the method, the snapped member step and step count, and the initial
-    datum at n_ref.  Every check runs before the datum is built."""
+    the members' time grid, and the initial datum at n_ref.  Every check
+    runs before the datum is built."""
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1 or len(set(n_values)) != len(n_values):
         raise ValueError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
@@ -143,15 +142,15 @@ def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy
         )
     policy = integrator_policy or IntegratorPolicy()
     dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
-    dt, n_steps = _snap_dt(t_star, dt_target)
-    return n_values, policy.method, dt, n_steps, build_field(data_spec, params, n_ref)
+    grid = _time_grid(policy.method, t_star, dt_target)
+    return n_values, grid, build_field(data_spec, params, n_ref)
 
 
 def _stack(u0_ref: SpectralField, n_values) -> np.ndarray:
     """The members' initial rows: the datum projected to each bandwidth, in
     the folded half layout of the finest one (zero above a row's own)."""
     top = u0_ref.half[: n_values[-1] + 1]
-    return np.where(np.arange(len(top)) <= np.array(n_values)[:, None], top, 0)
+    return np.where(_row_mask(n_values, n_values[-1]), top, 0)
 
 
 def _error(ref: SpectralField, row: np.ndarray, n: int) -> float:
@@ -200,16 +199,15 @@ def self_convergence(
     error includes the projection tail.  The error is the final-time
     value, a lower bound for the max over [0, t_star].
     """
-    n_values, method, dt, n_steps, u0_ref = _prepare_study(
+    n_values, grid, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy
     )
-    ref_config = IntegratorConfig(method, dt / 4.0, t_star, 4 * n_steps)
+    ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 4 * grid.n_steps)
     ref_final = evolve(u0_ref, params, ref_config).final
     flux = folded_nonlinear_term(params, n_values)
-    result = evolve_rows(_stack(u0_ref, n_values), params,
-                         IntegratorConfig(method, dt, t_star, n_steps), lambda c, t: flux(c))
+    result = evolve_rows(_stack(u0_ref, n_values), params, grid, lambda c, t: flux(c))
     errors = [_error(ref_final, row, n) for row, n in zip(result.final, n_values)]
-    return _report(n_values, errors, result.failures, n_ref, t_star, dt)
+    return _report(n_values, errors, result.failures, n_ref, t_star, grid.dt)
 
 
 def _interpolate(states: np.ndarray, dt: float, t: float) -> np.ndarray:
@@ -249,10 +247,11 @@ def intermediate_problem_study(
     interpolated cubically at stage midpoints.  The sup norm of each w-run
     is monitored and reported alongside the error decay.
     """
-    n_values, method, dt_measure, n_measure, u0_ref = _prepare_study(
+    n_values, grid, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
     )
-    dt, n_steps = dt_measure / 4.0, 4 * n_measure
+    ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
+    dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
     stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)
     stored[0] = u0_ref.half[: n_keep + 1]
@@ -263,7 +262,6 @@ def intermediate_problem_study(
         filled += 1  # a step past the last row raises IndexError
         stored[filled] = f.half[: n_keep + 1]
 
-    ref_config = IntegratorConfig(method, dt, t_star, 1)
     u_ref_final = evolve(u0_ref, params, ref_config, observer=keep).final
     if filled != n_steps:
         raise RuntimeError(f"the reference run took {filled} steps, not {n_steps}")
@@ -277,7 +275,7 @@ def intermediate_problem_study(
         for i, n in enumerate(n_values):
             linf_max[i] = max(linf_max[i], linf_norm(u0_ref.with_half(rows[i, : n + 1])))
 
-    config = IntegratorConfig(method, dt, t_star, max(1, n_steps // 128))
+    config = replace(ref_config, snapshot_stride=max(1, n_steps // 128))
     result = evolve_rows(w0, params, config, term, watch)
     errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]
     return _report(n_values, errors, result.failures, n_ref, t_star, dt, linf_max)
@@ -302,10 +300,8 @@ def soliton_propagation_test(
     or a step dt that is not positive is a ValueError, as in the studies.
     """
     period = 2.0 * params.domain_scale * np.pi
-    dt_target = dt if dt is not None else min(default_dt(params, n_modes), t_star)
-    dt_run, n_steps = _snap_dt(t_star, dt_target)
-    stride = max(1, n_steps // 200)
-    config = IntegratorConfig(method, dt_run, t_star, stride)
+    grid = _time_grid(method, t_star, dt if dt is not None else default_dt(params, n_modes))
+    config = replace(grid, snapshot_stride=max(1, grid.n_steps // 200))
     u0 = profile if profile is not None else kdv_soliton(speed, 0.0, params, n_modes)
     result = evolve(u0, params, config)
 

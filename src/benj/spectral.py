@@ -67,7 +67,6 @@ class SpectralField:
         self._store(domain_scale, fold_half(hermitian_part(c), n_modes))
 
     def _store(self, domain_scale: float, half: np.ndarray) -> None:
-        _check_sizes(len(half) - 1, domain_scale)
         half[0] = half[0].real
         half.setflags(write=False)
         object.__setattr__(self, "n_modes", len(half) - 1)
@@ -77,8 +76,10 @@ class SpectralField:
     @classmethod
     def from_half(cls, half, domain_scale: float) -> "SpectralField":
         """Field of a copy of the folded half vector ``half``, mode 0 made real."""
+        half = np.array(half, dtype=np.complex128)
+        _check_sizes(len(half) - 1, domain_scale)
         out = object.__new__(cls)
-        out._store(domain_scale, np.array(half, dtype=np.complex128))
+        out._store(domain_scale, half)
         return out
 
     def with_half(self, half) -> "SpectralField":
@@ -199,18 +200,9 @@ def project(field: SpectralField, n_modes: int) -> SpectralField:
     """L2-orthogonal projection: truncate coefficients to |k| <= N'."""
     if n_modes > field.n_modes:
         raise BandwidthError(
-            f"cannot project bandwidth {field.n_modes} up to {n_modes}; use embed"
+            f"cannot project bandwidth {field.n_modes} up to {n_modes}"
         )
     return field.with_half(field.half[: n_modes + 1])
-
-
-def embed(field: SpectralField, n_modes: int) -> SpectralField:
-    """Zero-extend the coefficient vector to a larger bandwidth."""
-    if n_modes < field.n_modes:
-        raise BandwidthError(
-            f"cannot embed bandwidth {field.n_modes} into {n_modes}; use project"
-        )
-    return field.with_half(np.pad(field.half, (0, n_modes - field.n_modes)))
 
 
 def dealiased_power(field: SpectralField, p: int) -> SpectralField:

@@ -15,17 +15,21 @@ are fourth order in the nonlinear dynamics:
 Both multiply mode 0 by exp(0) = 1 and receive an identically zero
 nonlinear increment there, so the mean is conserved bit-exactly.
 
+Every run steps one time grid, fixed by ``IntegratorConfig``: n =
+max(1, ceil(t_end/dt - 1e-9)) equal steps of t_end/n, with n <=
+``MAX_STEPS``.  The config stores that step in ``dt`` and reads the count
+back as ``n_steps``; the loop's last step ends exactly on t_end.
+
 The loop, ``evolve_rows``, carries a (B, N+1) stack of rows in the folded
 half layout of ``spectral`` (modes k = 0..N times (-1)^k), so a flux
 evaluation is one irfft and one rfft along the last axis for the whole
 stack, and every row is Hermitian by construction.  The rows share N, dt
 and the multipliers, and so the diagonal weights, k = 0..N; a convergence
 study steps its members as one stack, each posed at the largest member's
-bandwidth.  The loop builds the weights once per run; a shortened final
-step rebuilds only its weights.  A run plans at most ``MAX_STEPS`` steps.
-A Lambda_k*dt outside the floating-point range is a ParameterError under
-either method, raised where the weights are built; ``check_operator``
-runs the loop's operator checks without stepping.
+bandwidth.  The loop builds the weights once per run.  A Lambda_k*dt
+outside the floating-point range is a ParameterError under either method,
+raised where the weights are built; ``check_operator`` runs the loop's
+operator checks without stepping.
 ``evolve`` is the stack of one row: it steps ``u0.half`` with the flux of
 ``folded_nonlinear_term`` and builds the observed and final fields
 ``with_half``.  It keeps ``snapshots`` on the observer cadence only when
@@ -66,6 +70,9 @@ NonlinearTerm = Callable[[np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """A run's method, time grid and observer cadence.  ``dt`` is snapped
+    to t_end/n_steps, the run's one step (see the module docstring)."""
+
     method: str = "etdrk4"
     dt: float = 1e-2
     t_end: float = 1.0
@@ -79,9 +86,18 @@ class IntegratorConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.dt > self.t_end * (1 + 1e-12):
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
-        check_step_count(self.t_end / self.dt)
+        steps = self.t_end / self.dt - 1e-9
+        if not steps <= MAX_STEPS:  # before math.ceil, which refuses inf
+            raise ValueError(f"{steps:.3g} time steps exceed the bound of {MAX_STEPS}")
+        n_steps = max(1, math.ceil(steps))
+        object.__setattr__(self, "dt", self.t_end / n_steps)
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+
+    @property
+    def n_steps(self) -> int:
+        """The step count: t_end/dt is within 1e-9 of it, as dt = t_end/n_steps."""
+        return round(self.t_end / self.dt)
 
 
 def check_method(method: str) -> str:
@@ -90,13 +106,6 @@ def check_method(method: str) -> str:
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     return method
-
-
-def check_step_count(steps: float) -> float:
-    """A planned step count (a float, possibly inf), if it is <= MAX_STEPS."""
-    if not steps <= MAX_STEPS:
-        raise ValueError(f"{steps:.3g} time steps exceed the bound of {MAX_STEPS}")
-    return steps
 
 
 @dataclass(frozen=True)
@@ -201,8 +210,7 @@ def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
 def check_operator(params: ModelParams, n_modes: int, config: IntegratorConfig) -> None:
     """Raise the ParameterError that ``evolve_rows`` raises at its start for
     this operator, without stepping: it builds the bandwidth-N multipliers
-    and the weights of a full step with the functions the loop uses.  (A
-    shortened final step has a smaller dt, so its weights stay in range.)"""
+    and the weights of the run's step with the functions the loop uses."""
     _step_function(linear_multipliers(params, n_modes)[None], config.method, None, config.dt)
 
 
@@ -227,8 +235,8 @@ def evolve_rows(
     nonlinear: NonlinearTerm,
     observer: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> RowsResult:
-    """Step a (B, N+1) stack of folded half-layout rows from 0 to t_end at
-    fixed dt; the last step is shortened to land exactly on the horizon.
+    """Step a (B, N+1) stack of folded half-layout rows from 0 to t_end in
+    ``config.n_steps`` steps of ``config.dt``.
 
     Every row shares the multipliers of bandwidth N and the flux
     ``nonlinear(rows, t)`` (see the module docstring).  The observer (if
@@ -240,12 +248,7 @@ def evolve_rows(
     at zero; the other rows go on.  The run stops early once every row has
     failed.
     """
-    n_full = int(math.floor(config.t_end / config.dt + 1e-9))
-    remainder = config.t_end - n_full * config.dt
-    if remainder <= 1e-9 * config.dt:
-        remainder = 0.0
-    total_steps = n_full + (1 if remainder > 0.0 else 0)
-
+    n_steps = config.n_steps
     # a (1, N+1) row: a one-row stack then multiplies same-shape arrays,
     # which numpy does faster than broadcasting
     lam = linear_multipliers(params, rows.shape[-1] - 1)[None]
@@ -258,10 +261,8 @@ def evolve_rows(
     failures = {}
     t = 0.0
 
-    for s in range(1, total_steps + 1):
-        if s == n_full + 1:  # shortened final step: only its weights change
-            step = _step_function(lam, config.method, nonlinear, remainder)
-        t_next = s * config.dt if s < total_steps else config.t_end
+    for s in range(1, n_steps + 1):
+        t_next = s * config.dt if s < n_steps else config.t_end
         c = step(c, t, t_next)
         t = t_next
         # twice the stack's squared sum bounds every row's squared norm, and
@@ -280,10 +281,10 @@ def evolve_rows(
             tightest = limit.min()
             if len(failures) == len(c):
                 return RowsResult(c, s, failures)
-        if observer is not None and (s % config.snapshot_stride == 0 or s == total_steps):
+        if observer is not None and (s % config.snapshot_stride == 0 or s == n_steps):
             observer(t, c)
 
-    return RowsResult(c, total_steps, failures)
+    return RowsResult(c, n_steps, failures)
 
 
 def evolve(

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from benj.errors import BandwidthError
 from benj.model import ModelParams, symbol_l
 from benj.spectral import SpectralField
 
@@ -27,6 +28,13 @@ def rand_field(n_modes, seed, domain_scale=1.0, scale=None, decay=0.0):
     c = mags * (rng.standard_normal(2 * n_modes + 1)
                 + 1j * rng.standard_normal(2 * n_modes + 1))
     return SpectralField(n_modes, domain_scale, c)
+
+
+def embed(field: SpectralField, n_modes: int) -> SpectralField:
+    """Zero-extend the coefficient vector to a larger bandwidth."""
+    if n_modes < field.n_modes:
+        raise BandwidthError(f"cannot embed bandwidth {field.n_modes} into {n_modes}")
+    return field.with_half(np.pad(field.half, (0, n_modes - field.n_modes)))
 
 
 def full_kappa(field: SpectralField):
@@ -134,9 +142,9 @@ def _flux_full_range(params: ModelParams, n_modes: int):
 
 
 def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end):
-    """Final state of a fixed-step run carrying all modes k = -N..N, with the
+    """Final state of a run carrying all modes k = -N..N, with the
     full-range ETDRK4/IFRK4 update formulas and a Hermitian projection after
-    every step; the last step is shortened to land on t_end.
+    every step, over n = max(1, ceil(t_end/dt - 1e-9)) equal steps of t_end/n.
 
     It takes the library's half-range multipliers, mirrored here to
     k = -N..N, and its ETD weights (both checked on their own elsewhere),
@@ -149,14 +157,13 @@ def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end)
     half = linear_multipliers(params, u0.n_modes)
     lam = np.concatenate([np.conj(half[:0:-1]), half])  # Lambda_{-k} = conj(Lambda_k)
     flux = _flux_full_range(params, u0.n_modes)
-    n_full = int(np.floor(t_end / dt + 1e-9))
-    steps = [dt] * n_full
-    if t_end - n_full * dt > 1e-9 * dt:
-        steps.append(t_end - n_full * dt)
+    n = max(1, math.ceil(t_end / dt - 1e-9))
+    h = t_end / n
+    k = etd_coefficients(lam, h)
+    e_full, e_half = np.exp(lam * h), np.exp(lam * h / 2.0)
     c = u0.coeffs.copy()
-    for h in steps:
+    for _ in range(n):
         if method == "etdrk4":
-            k = etd_coefficients(lam, h)
             na = flux(c)
             a = k.e_half * c + k.q * na
             nb = flux(a)
@@ -166,7 +173,6 @@ def evolve_full_range(u0: SpectralField, params: ModelParams, method, dt, t_end)
             nd = flux(cstage)
             c = k.e_full * c + k.f1 * na + 2.0 * k.f2 * (nb + nc) + k.f3 * nd
         else:
-            e_full, e_half = np.exp(lam * h), np.exp(lam * h / 2.0)
             k1 = flux(c)
             k2 = flux(e_half * (c + 0.5 * h * k1))
             k3 = flux(e_half * c + 0.5 * h * k2)

@@ -183,6 +183,17 @@ def test_solve_byte_identical_reruns(tmp_path):
         assert snap.read_bytes() == (out2 / snap.name).read_bytes()
 
 
+def test_solve_takes_equal_steps_to_the_horizon(tmp_path):
+    # dt = 0.003 does not divide t_end = 0.01: four equal steps of 0.01/4
+    out = tmp_path / "out"
+    extra = ["integrator.dt=0.003", "integrator.t_end=0.01", "integrator.snapshot_stride=1"]
+    assert run_solve(tmp_path, out, extra) == EXIT_OK
+    headers = [snap.read_text().splitlines()[3] for snap in sorted(out.glob("snap_*.txt"))]
+    assert headers == [f"t {t:.17g}" for t in (0.0, 0.01 / 4, 2 * 0.01 / 4, 3 * 0.01 / 4, 0.01)]
+    assert headers[1] == "t 0.0025000000000000001"
+    assert headers[-1] == "t 0.01"
+
+
 def test_solve_validation_exit_code(tmp_path):
     out = tmp_path / "out"
     code = run_solve(tmp_path, out, extra=["model.gamma=-1"])

@@ -15,8 +15,10 @@ from benj.harness import (
 from benj.initdata import InitialDataSpec, build_field, kdv_soliton, random_sobolev
 from benj.model import ModelParams
 from benj.snapshots import write_snapshot
-from benj.spectral import SpectralField, embed, fold_half, l2_norm, project, unfold_half
+from benj.spectral import SpectralField, fold_half, l2_norm, project, unfold_half
 from benj.timestep import IntegratorConfig, evolve, evolve_rows
+
+from oracles import embed
 
 GAUSS = InitialDataSpec(kind="gaussian", amplitude=1.0, width=0.5, center=0.0)
 ROUGH = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=0)

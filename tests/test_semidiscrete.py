@@ -10,9 +10,9 @@ from benj.semidiscrete import (
     linear_multipliers,
     rhs,
 )
-from benj.spectral import SpectralField, embed, fold_half, project, unfold_half
+from benj.spectral import SpectralField, fold_half, project, unfold_half
 
-from oracles import frozen_term_direct, inner, rand_field, rhs_direct
+from oracles import embed, frozen_term_direct, inner, rand_field, rhs_direct
 
 
 def mode_field(n_modes, entries, domain_scale=1.0):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from benj.errors import BandwidthError
+import benj.spectral
+from benj.errors import BandwidthError, ShapeError
 from benj.invariants import e_pi, i_pi
 from benj.model import ModelParams, symbol_l
 from benj.spectral import (
@@ -14,7 +15,6 @@ from benj.spectral import (
     dealiased_grid,
     dealiased_power,
     derivative,
-    embed,
     fold_half,
     half_values,
     hermitian_part,
@@ -31,7 +31,8 @@ from benj.spectral import (
     unfold_half,
 )
 
-from oracles import grid, periodic_trapezoid, power_coeffs_direct, rand_field, sample_field
+from oracles import (embed, grid, periodic_trapezoid, power_coeffs_direct, rand_field,
+                     sample_field)
 
 
 def mode_field(n_modes, entries, domain_scale=1.0):
@@ -40,6 +41,24 @@ def mode_field(n_modes, entries, domain_scale=1.0):
     for k, v in entries.items():
         c[k + n_modes] = v
     return SpectralField(n_modes, domain_scale, c)
+
+
+def test_sizes_are_checked_once_per_construction(monkeypatch):
+    real, calls = benj.spectral._check_sizes, []
+    monkeypatch.setattr(benj.spectral, "_check_sizes",
+                        lambda n, scale: calls.append(n) or real(n, scale))
+    f = SpectralField(4, 1.0, np.zeros(9))
+    assert calls == [4]
+    SpectralField.from_half(f.half, 2.0)
+    assert calls == [4, 4]
+    with pytest.raises(BandwidthError):
+        SpectralField(0, 1.0, np.zeros(1))
+    with pytest.raises(ShapeError):
+        SpectralField(4, 0.0, np.zeros(9))
+    with pytest.raises(BandwidthError):
+        SpectralField.from_half(np.zeros(1), 1.0)
+    with pytest.raises(ShapeError):
+        SpectralField.from_half(np.zeros(5), np.inf)
 
 
 # ------------------------ transforms: synth_values (physical), analyze_coeffs (spectral)

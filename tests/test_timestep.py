@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benj.errors import DivergenceError, ParameterError
 from benj.initdata import gaussian
@@ -186,29 +190,51 @@ def test_observer_count_and_snapshots(benjamin_params):
     assert seen[-1] == pytest.approx(10e-3, rel=1e-12)
 
 
-def test_shortened_final_step(benjamin_params):
-    u0 = rand_field(8, seed=4)
-    seen = []
-    result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 0.4e-2, 1.0e-2, 1),
-                    observer=lambda t, f: seen.append(t))
-    assert result.n_steps == 3
-    assert seen[-1] == pytest.approx(1.0e-2, rel=1e-15)  # the final state's time
-
-
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
-def test_shortened_final_step_rebuilds_only_its_weights(method, benjamin_params, monkeypatch):
+def test_equal_steps_end_on_the_horizon(method, benjamin_params, monkeypatch):
+    # dt does not divide t_end: the run takes ceil(2.5) = 3 equal steps of
+    # t_end/3, the last ending exactly on t_end, with weights built once
     import benj.timestep
 
-    real, built = benj.timestep.folded_nonlinear_term, []
+    real, built = benj.timestep._step_function, []
 
     def counting(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(benj.timestep, "folded_nonlinear_term", counting)
+    monkeypatch.setattr(benj.timestep, "_step_function", counting)
     config = IntegratorConfig(method, 0.4e-2, 1.0e-2, 1)
-    assert evolve(rand_field(8, seed=4), benjamin_params, config).n_steps == 3
+    seen = []
+    result = evolve(rand_field(8, seed=4), benjamin_params, config,
+                    observer=lambda t, f: seen.append(t))
+    assert result.n_steps == 3
+    assert seen[:2] == pytest.approx([1.0e-2 / 3, 2.0e-2 / 3], rel=1e-15)
+    assert seen[2] == 1.0e-2
     assert len(built) == 1
+
+
+def test_config_step_snaps_to_the_grid():
+    # a step that divides the horizon is kept bit for bit; one that does
+    # not becomes t_end/n for the fewest steps n no longer than it
+    for dt, t_end, n_steps in ((1e-3, 1.0, 1000), (5e-4, 0.5, 1000), (2e-3, 0.05, 25)):
+        config = IntegratorConfig(dt=dt, t_end=t_end)
+        assert (config.dt, config.n_steps) == (dt, n_steps)
+    config = IntegratorConfig(dt=0.003, t_end=0.01)
+    assert (config.dt, config.n_steps) == (0.01 / 4, 4)
+    assert IntegratorConfig(dt=0.1, t_end=0.3).n_steps == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_end=st.floats(1e-6, 1e3), steps=st.floats(1.0, MAX_STEPS))
+def test_config_snap_is_idempotent(t_end, steps):
+    # the studies re-snap a snapped step (a quarter of it for the reference
+    # run): the grid must come back bit for bit
+    config = IntegratorConfig(dt=t_end / steps, t_end=t_end)
+    assert config.dt <= t_end / steps * (1 + 1e-9)
+    assert replace(config) == config
+    if 4 * config.n_steps <= MAX_STEPS:
+        quarter = IntegratorConfig(dt=config.dt / 4, t_end=t_end)
+        assert (quarter.dt, quarter.n_steps) == (config.dt / 4, 4 * config.n_steps)
 
 
 def test_evolve_deterministic_bit_identical(benjamin_params):
@@ -235,8 +261,8 @@ def test_hermitian_symmetry_after_evolution(benjamin_params):
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("n", [15, 16])
 def test_half_layout_matches_full_range_stepper(method, q, n):
-    # 10 full steps and a shortened one; the reference carries k = -N..N
-    # and re-projects onto the Hermitian subspace after every step.
+    # 11 equal steps of 10.4e-3/11; the reference carries k = -N..N and
+    # re-projects onto the Hermitian subspace after every step.
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
     u0 = rand_field(n, seed=10 * q + n, decay=1.0)
     config = IntegratorConfig(method, 1e-3, 10.4e-3, 4)
