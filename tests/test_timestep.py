@@ -190,6 +190,34 @@ def test_observer_count_and_snapshots(benjamin_params):
     assert seen[-1] == pytest.approx(10e-3, rel=1e-12)
 
 
+def test_shortened_final_step(benjamin_params):
+    # a 0.4e-2 step over 1e-2 would leave a short last step; the grid spreads
+    # it over 3 equal steps instead, and the final state's time is t_end
+    u0 = rand_field(8, seed=4)
+    seen = []
+    result = evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 0.4e-2, 1.0e-2, 1),
+                    observer=lambda t, f: seen.append(t))
+    assert result.n_steps == 3
+    assert seen[-1] == pytest.approx(1.0e-2, rel=1e-15)  # the final state's time
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_shortened_final_step_rebuilds_only_its_weights(method, benjamin_params, monkeypatch):
+    # the nonlinear term is built once per run, whatever dt leaves over
+    import benj.timestep
+
+    real, built = benj.timestep.folded_nonlinear_term, []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(benj.timestep, "folded_nonlinear_term", counting)
+    config = IntegratorConfig(method, 0.4e-2, 1.0e-2, 1)
+    assert evolve(rand_field(8, seed=4), benjamin_params, config).n_steps == 3
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
 def test_equal_steps_end_on_the_horizon(method, benjamin_params, monkeypatch):
     # dt does not divide t_end: the run takes ceil(2.5) = 3 equal steps of
