@@ -13,7 +13,7 @@ import argparse
 import sys
 import warnings
 
-from benj.harness import soliton_propagation_test
+from benj.harness import IntegratorPolicy, soliton_propagation_test
 from benj.initdata import gaussian, petviashvili
 from benj.model import ModelParams
 
@@ -46,7 +46,8 @@ def main() -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         report = soliton_propagation_test(
-            args.c, params, args.n_modes, args.t_star, dt=args.dt, profile=profile
+            args.c, params, args.n_modes, args.t_star, profile=profile,
+            integrator_policy=IntegratorPolicy(dt=args.dt),
         )
 
     print("quantity,value")

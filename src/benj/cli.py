@@ -33,8 +33,10 @@ this command's earlier result files are removed.  A directory that cannot
 be claimed gets no manifest.  ``solve`` then checks the operator (the
 multipliers and step weights, with ``timestep.check_operator``) before
 it writes its first snapshot, so a refused operator leaves only the
-manifest.  The ``invariants`` table on stdout is formatted as ``solve``
-formats ``invariants.csv``.
+manifest.  Every table, the three CSV files and the ``invariants`` table
+on stdout, has one format (``_table``): a header line, then one line of
+``%.17g`` values per row; ``convergence.csv`` ends with a ``rate`` line
+of the fitted rate and r2 in that format.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref`` that is not positive (an unset one is four times
@@ -60,7 +62,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, DivergenceError, IterationError
 from .harness import IntegratorPolicy, self_convergence, soliton_propagation_test
-from .initdata import KINDS, InitialDataSpec, build_field
+from .initdata import InitialDataSpec, build_field
 from .invariants import record_invariants
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
@@ -150,15 +152,13 @@ def _read_pairs(text: str) -> dict:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(
-                f"line {lineno}: expected 'key = value', got {stripped!r}", line=lineno
-            )
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, value = stripped.split("=", 1)
         key, value = key.strip(), value.split("#", 1)[0].strip()
         if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key, line=lineno)
+            raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key)
         if key in pairs:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key, line=lineno)
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
         pairs[key] = value
     return pairs
 
@@ -228,12 +228,6 @@ def parse_config(text: str, overrides=None) -> RunConfig:
                           key="converge.n_ref")
     _check_grid(model, r)
 
-    if r["initial.kind"] not in KINDS:
-        raise ConfigError(
-            f"initial.kind must be one of {KINDS}, got {r['initial.kind']!r}",
-            key="initial.kind",
-        )
-
     # an unset integrator.dt stays None in ``raw``: each command derives its own
     integrator = _section(r, "integrator")
     if integrator["dt"] is None:
@@ -249,38 +243,21 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     )
 
 
-class _Manifest:
-    """Run metadata; ``main`` writes it exactly once, as the last output."""
+def _utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
-    def __init__(self, command: str, config: RunConfig):
-        self.payload = {
-            "tool": "benj",
-            "version": __version__,
-            "command": command,
-            "config": dict(config.raw),
-            "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "finished_utc": None,
-            "status": "incomplete",
-            "exit_code": None,
-            "results": {},
-        }
-        self.outdir = config.outputs
 
-    def record(self, status: str, exit_code: int, results: dict):
-        self.payload.update(status=status, exit_code=exit_code, results=results)
-
-    def finish(self) -> int:
-        """Write manifest.json and return the recorded exit code, or
-        EXIT_CONFIG when the output directory refuses the manifest."""
-        self.payload["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        try:
-            with open(self.outdir / "manifest.json", "w") as fh:
-                json.dump(self.payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write the manifest: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return self.payload["exit_code"]
+def _write_manifest(outdir: Path, manifest: dict) -> int:
+    """Stamp ``finished_utc``, write manifest.json and return the recorded
+    exit code, or EXIT_CONFIG when the output directory refuses the manifest."""
+    manifest["finished_utc"] = _utc_now()
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (outdir / "manifest.json").write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write the manifest: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return manifest["exit_code"]
 
 
 def _progress(quiet: bool, message: str):
@@ -288,10 +265,19 @@ def _progress(quiet: bool, message: str):
         print(message, file=sys.stderr)
 
 
+def _row(values) -> str:
+    return ",".join(map(_fmt, values)) + "\n"
+
+
+def _table(header: str, rows) -> str:
+    """The CSV text of every table benj writes: a header line, then one
+    line of ``_fmt`` values per row."""
+    return header + "\n" + "".join(map(_row, rows))
+
+
 def _invariants_table(record) -> str:
     """The ``t,C,I,E`` table of ``invariants.csv`` and of ``benj invariants``."""
-    rows = zip(record.times, record.C, record.I, record.E)
-    return "t,C,I,E\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    return _table("t,C,I,E", zip(record.times, record.C, record.I, record.E))
 
 
 def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
@@ -335,13 +321,9 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
     # raised here comes from the reference run
     report = self_convergence(config.model, config.initial, n_values, n_ref, t_star, policy)
 
-    with open(config.outputs / "convergence.csv", "w", newline="\n") as fh:
-        fh.write("N,error\n")
-        for n, err in zip(report.n_values, report.errors):
-            fh.write(f"{n},{_fmt(err)}\n")
-        rate = report.fitted_rate if report.fitted_rate is not None else float("nan")
-        r2 = report.fit_r2 if report.fit_r2 is not None else float("nan")
-        fh.write(f"rate,{_fmt(rate)},{_fmt(r2)}\n")
+    fit = [float("nan") if v is None else v for v in (report.fitted_rate, report.fit_r2)]
+    table = _table("N,error", zip(report.n_values, report.errors)) + "rate," + _row(fit)
+    (config.outputs / "convergence.csv").write_text(table, newline="\n")
 
     if report.failures:
         print(f"error: {len(report.failures)} member run(s) diverged", file=sys.stderr)
@@ -357,19 +339,15 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
                    center=0.0)
     profile = build_field(spec, model, config.n_modes)
     _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={t_star:g}")
-    report = soliton_propagation_test(speed, model, config.n_modes, t_star, config.integrator.dt,
-                                      profile, config.integrator.method)
+    policy = IntegratorPolicy(config.integrator.method, config.integrator.dt)
+    report = soliton_propagation_test(speed, model, config.n_modes, t_star, profile, policy)
 
     write_snapshot(config.outputs / "profile.txt", profile, 0.0)
-    speed_est = report.speed_estimate
-    with open(config.outputs / "soliton_report.csv", "w", newline="\n") as fh:
-        fh.write("c,speed_estimate,speed_error,shape_error_linf,"
-                 "rel_drift_C,rel_drift_I,rel_drift_E\n")
-        fh.write(
-            f"{_fmt(speed)},{_fmt(speed_est)},{_fmt(abs(speed_est - speed))},"
-            f"{_fmt(report.shape_error_linf)},{_fmt(report.drifts.rel_drift_C)},"
-            f"{_fmt(report.drifts.rel_drift_I)},{_fmt(report.drifts.rel_drift_E)}\n"
-        )
+    speed_est, drifts = report.speed_estimate, report.drifts
+    header = "c,speed_estimate,speed_error,shape_error_linf,rel_drift_C,rel_drift_I,rel_drift_E"
+    row = (speed, speed_est, abs(speed_est - speed), report.shape_error_linf,
+           drifts.rel_drift_C, drifts.rel_drift_I, drifts.rel_drift_E)
+    (config.outputs / "soliton_report.csv").write_text(_table(header, [row]), newline="\n")
     _progress(quiet, f"soliton: measured speed {speed_est:.6g} "
                      f"(target {speed:g}), shape error {report.shape_error_linf:.3g}")
     return "ok", EXIT_OK, {"speed_estimate": speed_est,
@@ -452,17 +430,21 @@ def main(argv=None) -> int:
         if args.command == "invariants":  # writes no files, so no manifest
             return _cmd_invariants(config, args.files)
         _claim_outputs(args.command, config.outputs)  # no manifest: the directory is not ours
-        manifest = _Manifest(args.command, config)
-        manifest.record(*_COMMANDS[args.command][0](config, args.quiet))
+        manifest = {"tool": "benj", "version": __version__, "command": args.command,
+                    "config": dict(config.raw), "started_utc": _utc_now(),
+                    "finished_utc": None, "status": "incomplete", "exit_code": None,
+                    "results": {}}
+        status, code, results = _COMMANDS[args.command][0](config, args.quiet)
+        manifest.update(status=status, exit_code=code, results=results)
     except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
         if manifest is not None:
             failed_at = {"failed_at": exc.time} if code == EXIT_DIVERGED else {}
-            manifest.record(status, code, failed_at)
+            manifest.update(status=status, exit_code=code, results=failed_at)
     finally:
-        if manifest is not None:
-            code = manifest.finish()
+        if manifest is not None:  # written once, last; a bug leaves it "incomplete"
+            code = _write_manifest(config.outputs, manifest)
     return code
 
 

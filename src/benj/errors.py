@@ -40,7 +40,6 @@ class IterationError(RuntimeError):
 class ConfigError(ValueError):
     """A run configuration document is malformed or fails validation."""
 
-    def __init__(self, message, key=None, line=None):
+    def __init__(self, message, key=None):
         super().__init__(message)
         self.key = key
-        self.line = line

@@ -9,11 +9,14 @@ error.  The member runs follow the reference as one stack
 (``timestep.evolve_rows``): row i is the bandwidth-n_i member posed at
 the finest member's bandwidth with its flux masked to |k| <= n_i, the
 same Galerkin system up to rounding.  A row that diverges becomes its
-member's ``failures`` entry; the other rows go on.  Every run steps the
-time grid of ``timestep.IntegratorConfig``, equal steps that end exactly
-on t_star; a target step past the horizon is one step.  Bandwidths below
-1 and horizons or steps that are not positive are ValueErrors, raised
-before anything is built or run.
+member's ``failures`` entry; the other rows go on.  Both studies and the
+soliton test take their step from an ``IntegratorPolicy`` through one
+function, ``_time_grid``: the policy's target step, or ``default_dt`` at
+the run's bandwidth when it has none, made into the equal steps of
+``timestep.IntegratorConfig`` that end exactly on t_star; a target step
+past the horizon is one step.  Bandwidths below 1 and horizons or steps
+that are not positive are ValueErrors, raised before anything is built
+or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -44,13 +47,16 @@ _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable err
 
 @dataclass(frozen=True)
 class IntegratorPolicy:
-    """Time-stepping choices shared by the member runs of a study.
+    """Time-stepping choices of a study's runs or of a soliton run.
 
-    ``dt`` is the target step of the measured runs (None derives it from
-    the finest measured bandwidth); ``IntegratorConfig`` snaps it to the
-    run's time grid, and the reference run uses a quarter of that step.  A dt
-    that is not > 0 (NaN included), or a method ``IntegratorConfig`` does
-    not know, is a ValueError, raised before a study builds its datum.
+    ``dt`` is a target step (None derives it from the run's bandwidth: the
+    finest measured one in a study); ``IntegratorConfig`` snaps it to the
+    run's time grid.  ``self_convergence`` steps its members on that grid
+    and its reference on a quarter of the step.  ``intermediate_problem_study``
+    steps its reference on the quarter step and its w-runs on the
+    reference's grid, so its measured runs take dt/4 too.  A dt that is not
+    > 0 (NaN included), or a method ``IntegratorConfig`` does not know, is a
+    ValueError, raised before anything is built.
     """
 
     method: str = "etdrk4"
@@ -120,12 +126,17 @@ def _fit_tail(n_values, errors):
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
-def _time_grid(method: str, t_star: float, dt_target: float) -> IntegratorConfig:
-    """The config of a run to t_star with a step of at most ``dt_target``;
-    a target past the horizon is one step."""
+def _time_grid(params: ModelParams, n_modes: int, t_star: float,
+               policy: Optional[IntegratorPolicy]) -> IntegratorConfig:
+    """The config of a run to t_star under ``policy`` (None is the default
+    ``IntegratorPolicy``): its method, and equal steps of at most its dt, or
+    of ``default_dt`` at bandwidth ``n_modes`` when it has none; a target
+    past the horizon is one step."""
     if not t_star > 0:
         raise ValueError(f"t_star must be > 0, got {t_star}")
-    return IntegratorConfig(method, min(dt_target, t_star), t_star)
+    policy = policy or IntegratorPolicy()
+    dt_target = policy.dt if policy.dt is not None else default_dt(params, n_modes)
+    return IntegratorConfig(policy.method, min(dt_target, t_star), t_star)
 
 
 def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy, ref_factor=4):
@@ -140,9 +151,7 @@ def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy
             f"reference bandwidth {n_ref} must be at least {ref_factor}x the finest "
             f"measured bandwidth {max(n_values)}, i.e. >= {ref_factor * max(n_values)}"
         )
-    policy = integrator_policy or IntegratorPolicy()
-    dt_target = policy.dt if policy.dt is not None else default_dt(params, max(n_values))
-    grid = _time_grid(policy.method, t_star, dt_target)
+    grid = _time_grid(params, max(n_values), t_star, integrator_policy)
     return n_values, grid, build_field(data_spec, params, n_ref)
 
 
@@ -286,9 +295,8 @@ def soliton_propagation_test(
     params: ModelParams,
     n_modes: int,
     t_star: float,
-    dt: Optional[float] = None,
     profile: Optional[SpectralField] = None,
-    method: str = "etdrk4",
+    integrator_policy: Optional[IntegratorPolicy] = None,
 ) -> SolitonReport:
     """Propagate a traveling wave and measure its speed and shape fidelity.
 
@@ -296,11 +304,13 @@ def soliton_propagation_test(
     m = 1, q = 1 reduction; a converged fixed-point profile may be passed
     instead.  Speed is the slope of a linear fit through the unwrapped peak
     trajectory; the shape error is the sup-norm mismatch after translating
-    the final state back by the measured displacement.  A horizon t_star
-    or a step dt that is not positive is a ValueError, as in the studies.
+    the final state back by the measured displacement.  The run steps the
+    grid of ``integrator_policy`` as the studies do (``_time_grid``), with
+    the step derived at ``n_modes`` when the policy has no dt; a horizon
+    t_star that is not positive is a ValueError.
     """
     period = 2.0 * params.domain_scale * np.pi
-    grid = _time_grid(method, t_star, dt if dt is not None else default_dt(params, n_modes))
+    grid = _time_grid(params, n_modes, t_star, integrator_policy)
     config = replace(grid, snapshot_stride=max(1, grid.n_steps // 200))
     u0 = profile if profile is not None else kdv_soliton(speed, 0.0, params, n_modes)
     result = evolve(u0, params, config)

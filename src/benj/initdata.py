@@ -249,18 +249,17 @@ def build_field(spec: InitialDataSpec, params: ModelParams, n_modes: int) -> Spe
         guess = gaussian(spec.amplitude, spec.width, spec.center, n_modes, L)
         wave, _ = petviashvili(params, spec.speed, guess, spec.tol, spec.max_iter)
         return wave
-    if spec.kind == "file":
-        if spec.path is None:
-            raise ParameterError("file kind requires a path")
-        loaded, _ = read_snapshot(spec.path)
-        if loaded.domain_scale != L:
-            raise ShapeError(
-                f"snapshot domain scale {loaded.domain_scale} does not match "
-                f"model domain scale {L}"
-            )
-        if loaded.n_modes < n_modes:
-            raise ShapeError(
-                f"snapshot bandwidth {loaded.n_modes} is below the requested {n_modes}"
-            )
-        return project(loaded, n_modes)
-    raise ParameterError(f"unknown kind {spec.kind!r}")
+    # "file", the last of KINDS: ``InitialDataSpec`` refuses any other kind
+    if spec.path is None:
+        raise ParameterError("file kind requires a path")
+    loaded, _ = read_snapshot(spec.path)
+    if loaded.domain_scale != L:
+        raise ShapeError(
+            f"snapshot domain scale {loaded.domain_scale} does not match "
+            f"model domain scale {L}"
+        )
+    if loaded.n_modes < n_modes:
+        raise ShapeError(
+            f"snapshot bandwidth {loaded.n_modes} is below the requested {n_modes}"
+        )
+    return project(loaded, n_modes)

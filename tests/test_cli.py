@@ -95,6 +95,16 @@ def test_config_bad_value_type():
         parse_config("n_modes = sixteen\n")
 
 
+def test_unknown_kind_is_refused_before_the_output_directory(tmp_path, capsys):
+    # ``InitialDataSpec`` checks the kind while the config parses
+    code, manifest = run_command(tmp_path, "solve", ["initial.kind=bogus"])
+    assert code == EXIT_CONFIG
+    assert manifest is None
+    err = capsys.readouterr().err
+    assert all(repr(kind) in err for kind in KINDS)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, cls", [
     ("model", ModelParams), ("initial", InitialDataSpec), ("integrator", IntegratorConfig)])
 def test_config_sections_name_the_dataclass_fields(section, cls):
@@ -342,6 +352,27 @@ def test_converge_report_structure(tmp_path):
     assert "fitted_rate" in manifest["results"]
 
 
+@pytest.mark.parametrize("n_values", ["8", "4,8"], ids=["one-bandwidth", "two-bandwidths"])
+def test_convergence_csv_bytes(tmp_path, monkeypatch, n_values):
+    reports = record_returns(monkeypatch, "self_convergence")
+    code, _ = run_command(tmp_path, "converge",
+                          [f"converge.n_values={n_values}", "integrator.t_end=0.02"])
+    assert code == EXIT_OK
+    (report,) = reports
+    nan = float("nan")
+    rate = nan if report.fitted_rate is None else report.fitted_rate
+    r2 = nan if report.fit_r2 is None else report.fit_r2
+    # the format, one f-string per line
+    expected = "N,error\n"
+    for n, err in zip(report.n_values, report.errors):
+        expected += f"{n},{err:.17g}\n"
+    expected += f"rate,{rate:.17g},{r2:.17g}\n"
+    written = (tmp_path / "out" / "convergence.csv").read_bytes()
+    assert written == expected.encode()
+    if n_values == "8":  # one bandwidth leaves nothing to fit a rate to
+        assert written.endswith(b"\nrate,nan,nan\n")
+
+
 def test_converge_requires_n_values(tmp_path):
     out = tmp_path / "conv"
     cfg = write_config(tmp_path)
@@ -406,6 +437,23 @@ def test_soliton_command(tmp_path):
     assert float(values["shape_error_linf"]) < 1e-4
 
 
+def test_soliton_report_csv_bytes(tmp_path, monkeypatch):
+    reports = record_returns(monkeypatch, "soliton_propagation_test")
+    text = ("model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"
+            "integrator.t_end = 0.01\nintegrator.dt = 5e-3\n")
+    code, _ = run_command(tmp_path, "soliton", text=text)
+    assert code == EXIT_OK
+    (report,) = reports
+    c, drifts = 0.5, report.drifts  # the default initial.speed
+    # the format, one f-string per line
+    expected = ("c,speed_estimate,speed_error,shape_error_linf,"
+                "rel_drift_C,rel_drift_I,rel_drift_E\n")
+    expected += (f"{c:.17g},{report.speed_estimate:.17g},{abs(report.speed_estimate - c):.17g},"
+                 f"{report.shape_error_linf:.17g},{drifts.rel_drift_C:.17g},"
+                 f"{drifts.rel_drift_I:.17g},{drifts.rel_drift_E:.17g}\n")
+    assert (tmp_path / "out" / "soliton_report.csv").read_bytes() == expected.encode()
+
+
 def test_soliton_failure_removes_stale_results(tmp_path):
     text = ("model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\n"
             "integrator.t_end = 0.01\nintegrator.dt = 5e-3\n")
@@ -455,6 +503,18 @@ def run_command(tmp_path, command, extra=(), text=BASE):
     code = main(args)
     manifest = out / "manifest.json"
     return code, json.loads(manifest.read_text()) if manifest.exists() else None
+
+
+def record_returns(monkeypatch, name):
+    """Wrap ``benj.cli.<name>``; the list it returns collects each call's result."""
+    results, real = [], getattr(benj.cli, name)
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(benj.cli, name, recording)
+    return results
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -594,6 +654,24 @@ def test_internal_error_leaves_incomplete_manifest(tmp_path, monkeypatch):
     assert manifest["status"] == "incomplete"
     assert manifest["exit_code"] is None
     assert manifest["finished_utc"] is not None
+
+
+MANIFEST_KEYS = {"tool", "version", "command", "config", "started_utc", "finished_utc",
+                 "status", "exit_code", "results"}
+
+
+@pytest.mark.parametrize("extra, status", [
+    ([], "ok"),
+    (["initial.kind=petviashvili_wave", "initial.max_iter=0"], "validation-error"),
+], ids=["ok", "validation-error"])
+def test_manifest_keys_and_timestamps(tmp_path, extra, status):
+    code, manifest = run_command(tmp_path, "solve", extra)
+    assert manifest["status"] == status
+    assert manifest["exit_code"] == code
+    assert set(manifest) == MANIFEST_KEYS
+    started, finished = (time.strptime(manifest[k], "%Y-%m-%dT%H:%M:%SZ")
+                         for k in ("started_utc", "finished_utc"))
+    assert started <= finished
 
 
 def test_converge_member_divergence_exit_code(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from benj.initdata import InitialDataSpec, build_field, kdv_soliton, random_sobo
 from benj.model import ModelParams
 from benj.snapshots import write_snapshot
 from benj.spectral import SpectralField, fold_half, l2_norm, project, unfold_half
-from benj.timestep import IntegratorConfig, evolve, evolve_rows
+from benj.timestep import IntegratorConfig, default_dt, evolve, evolve_rows
 
 from oracles import embed
 
@@ -428,7 +430,8 @@ def test_soliton_zero_horizon(kdv_params):
             soliton_propagation_test(0.5, kdv_params, 64, t_star)
 
 def test_soliton_short_propagation(kdv_params):
-    report = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3)
+    report = soliton_propagation_test(0.5, kdv_params, 128, 1.0,
+                                      integrator_policy=IntegratorPolicy(dt=5e-3))
     assert report.speed_estimate == pytest.approx(0.5, abs=1e-3)
     assert report.shape_error_linf < 1e-4
     assert report.drifts.rel_drift_I < 1e-10
@@ -436,18 +439,44 @@ def test_soliton_short_propagation(kdv_params):
 @pytest.mark.parametrize("dt", [1e-300, 5e-324])
 def test_soliton_step_over_the_bound_is_a_value_error(kdv_params, dt):
     with pytest.raises(ValueError, match="exceed the bound"):
-        soliton_propagation_test(0.5, kdv_params, 64, 1.0, dt=dt)
+        soliton_propagation_test(0.5, kdv_params, 64, 1.0,
+                                 integrator_policy=IntegratorPolicy(dt=dt))
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])
 def test_soliton_step_not_positive_is_a_value_error(kdv_params, dt):
     with pytest.raises(ValueError, match="dt must be > 0"):
-        soliton_propagation_test(0.5, kdv_params, 64, 1.0, dt=dt)
+        soliton_propagation_test(0.5, kdv_params, 64, 1.0,
+                                 integrator_policy=IntegratorPolicy(dt=dt))
 
 def test_non_soliton_contrast(kdv_params):
     # Doubling the amplitude breaks the traveling-wave balance: the shape
     # error must be far larger than the true soliton's.
-    clean = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3)
+    clean = soliton_propagation_test(0.5, kdv_params, 128, 1.0,
+                                     integrator_policy=IntegratorPolicy(dt=5e-3))
     fat = kdv_soliton(0.5, 0.0, kdv_params, 128)
     fat = SpectralField(fat.n_modes, fat.domain_scale, 2.0 * fat.coeffs)
-    messy = soliton_propagation_test(0.5, kdv_params, 128, 1.0, dt=5e-3, profile=fat)
+    messy = soliton_propagation_test(0.5, kdv_params, 128, 1.0,
+                                     integrator_policy=IntegratorPolicy(dt=5e-3), profile=fat)
     assert messy.shape_error_linf > 1e3 * clean.shape_error_linf
+
+def test_soliton_default_policy_steps_default_dt_to_the_horizon(kdv_params):
+    # default_dt at N = 64 is 5e-3, which leaves a short step over 0.012:
+    # the run takes 3 equal steps of 0.004 instead
+    t_star = 0.012
+    report = soliton_propagation_test(0.5, kdv_params, 64, t_star,
+                                      integrator_policy=IntegratorPolicy())
+    n = math.ceil(t_star / default_dt(kdv_params, 64))
+    assert n == 3
+    assert report.times.tolist() == [s * (t_star / n) for s in range(n)] + [t_star]
+
+def test_soliton_target_past_the_horizon_is_one_step(kdv_params):
+    report = soliton_propagation_test(0.5, kdv_params, 64, 0.01,
+                                      integrator_policy=IntegratorPolicy(dt=1.0))
+    assert report.times.tolist() == [0.0, 0.01]
+
+def test_soliton_policy_method_is_the_run_method(kdv_params):
+    etd, ifrk = (soliton_propagation_test(0.5, kdv_params, 64, 0.05,
+                                          integrator_policy=IntegratorPolicy(method, 5e-3))
+                 for method in ("etdrk4", "ifrk4"))
+    assert ifrk.times.tolist() == etd.times.tolist()
+    assert ifrk.shape_error_linf != etd.shape_error_linf
