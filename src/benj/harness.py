@@ -12,11 +12,11 @@ same Galerkin system up to rounding.  A row that diverges becomes its
 member's ``failures`` entry; the other rows go on.  Both studies and the
 soliton test take their step from an ``IntegratorPolicy`` through one
 function, ``_time_grid``: the policy's target step, or ``default_dt`` at
-the run's bandwidth when it has none, made into the equal steps of
-``timestep.IntegratorConfig`` that end exactly on t_star; a target step
-past the horizon is one step.  Bandwidths below 1 and horizons or steps
-that are not positive are ValueErrors, raised before anything is built
-or run.
+the run's bandwidth (a study's finest measured one) when it has none,
+made into the equal steps of ``timestep.IntegratorConfig`` that end
+exactly on t_star; a target step past the horizon is one step.
+Bandwidths below 1 and horizons or steps that are not positive are
+ValueErrors, raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
