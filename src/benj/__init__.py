@@ -9,17 +9,12 @@ through its module (``benj.spectral``, ``benj.semidiscrete``, ...).
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DivergenceError, IterationError
-from .harness import (
-    IntegratorPolicy,
-    intermediate_problem_study,
-    self_convergence,
-    soliton_propagation_test,
-)
+from .harness import intermediate_problem_study, self_convergence, soliton_propagation_test
 from .initdata import InitialDataSpec, build_field, gaussian, petviashvili
 from .invariants import c_pi, e_pi, i_pi, record_invariants
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
-from .timestep import IntegratorConfig, default_dt, evolve
+from .timestep import IntegratorConfig, IntegratorPolicy, evolve
 
 __all__ = [
     "ConfigError",
@@ -31,7 +26,6 @@ __all__ = [
     "ModelParams",
     "build_field",
     "c_pi",
-    "default_dt",
     "e_pi",
     "evolve",
     "gaussian",

@@ -41,10 +41,10 @@ A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref`` that is not positive (an unset one is four times
 the finest of ``converge.n_values``).  Every value has one key: ``solve``,
-``converge`` and ``soliton`` run to ``integrator.t_end`` in the equal
-steps that ``timestep.IntegratorConfig`` makes of the target
-``integrator.dt`` (an unset one is derived from ``n_modes``, or by
-``converge``'s study from its finest bandwidth), ``soliton`` sends a wave
+``converge`` and ``soliton`` run to ``integrator.t_end`` on the grid that
+``timestep.IntegratorPolicy.grid`` makes of ``integrator.method`` and the
+target ``integrator.dt`` (an unset one is derived at ``n_modes``, or by
+``converge``'s study at its finest bandwidth), ``soliton`` sends a wave
 of speed ``initial.speed``, and the top-level ``seed`` seeds
 ``random_sobolev`` data.
 """
@@ -61,13 +61,13 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DivergenceError, IterationError
-from .harness import IntegratorPolicy, self_convergence, soliton_propagation_test
+from .harness import self_convergence, soliton_propagation_test
 from .initdata import InitialDataSpec, build_field
 from .invariants import record_invariants
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import dealiased_grid
-from .timestep import IntegratorConfig, check_operator, default_dt, evolve
+from .timestep import IntegratorConfig, IntegratorPolicy, check_operator, evolve
 
 # Re-exported: perfbench's tracer patches this name on this module.
 from .invariants import e_pi  # noqa: F401
@@ -230,13 +230,13 @@ def parse_config(text: str, overrides=None) -> RunConfig:
 
     # an unset integrator.dt stays None in ``raw``: each command derives its own
     integrator = _section(r, "integrator")
-    if integrator["dt"] is None:
-        integrator["dt"] = min(default_dt(model, n_modes), integrator["t_end"])
+    grid = IntegratorPolicy(integrator["method"], integrator["dt"]).grid(
+        model, n_modes, integrator["t_end"])
 
     return RunConfig(
         model=model,
         initial=InitialDataSpec(**_section(r, "initial"), seed=r["seed"]),
-        integrator=IntegratorConfig(**integrator),
+        integrator=replace(grid, snapshot_stride=integrator["snapshot_stride"]),
         n_modes=n_modes,
         outputs=Path(r["outputs"]),
         raw=r,
@@ -339,7 +339,7 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
                    center=0.0)
     profile = build_field(spec, model, config.n_modes)
     _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={t_star:g}")
-    policy = IntegratorPolicy(config.integrator.method, config.integrator.dt)
+    policy = IntegratorPolicy(config.integrator.method, config.raw["integrator.dt"])
     report = soliton_propagation_test(speed, model, config.n_modes, t_star, profile, policy)
 
     write_snapshot(config.outputs / "profile.txt", profile, 0.0)

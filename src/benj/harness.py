@@ -10,13 +10,10 @@ error.  The member runs follow the reference as one stack
 the finest member's bandwidth with its flux masked to |k| <= n_i, the
 same Galerkin system up to rounding.  A row that diverges becomes its
 member's ``failures`` entry; the other rows go on.  Both studies and the
-soliton test take their step from an ``IntegratorPolicy`` through one
-function, ``_time_grid``: the policy's target step, or ``default_dt`` at
-the run's bandwidth (a study's finest measured one) when it has none,
-made into the equal steps of ``timestep.IntegratorConfig`` that end
-exactly on t_star; a target step past the horizon is one step.
-Bandwidths below 1 and horizons or steps that are not positive are
-ValueErrors, raised before anything is built or run.
+soliton test take their time grid to t_star from
+``timestep.IntegratorPolicy.grid``, at the run's bandwidth (a study's
+finest measured one).  Bandwidths below 1 and horizons or steps that are
+not positive are ValueErrors, raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -34,38 +31,16 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import BandwidthError
 from .initdata import InitialDataSpec, build_field, kdv_soliton
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
 from .semidiscrete import _row_mask, folded_nonlinear_term, frozen_nonlinear_term
 from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
-from .timestep import IntegratorConfig, check_method, default_dt, evolve, evolve_rows
+from .timestep import IntegratorConfig, IntegratorPolicy, evolve, evolve_rows
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
-
-
-@dataclass(frozen=True)
-class IntegratorPolicy:
-    """Time-stepping choices of a study's runs or of a soliton run.
-
-    ``dt`` is a target step (None derives it from the run's bandwidth: the
-    finest measured one in a study); ``IntegratorConfig`` snaps it to the
-    run's time grid.  ``self_convergence`` steps its members on that grid
-    and its reference on a quarter of the step.  ``intermediate_problem_study``
-    steps its reference on the quarter step and its w-runs on the
-    reference's grid, so its measured runs take dt/4 too.  A dt that is not
-    > 0 (NaN included), or a method ``IntegratorConfig`` does not know, is a
-    ValueError, raised before anything is built.
-    """
-
-    method: str = "etdrk4"
-    dt: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "method", check_method(self.method))
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
 
 
 @dataclass
@@ -126,19 +101,6 @@ def _fit_tail(n_values, errors):
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
-def _time_grid(params: ModelParams, n_modes: int, t_star: float,
-               policy: Optional[IntegratorPolicy]) -> IntegratorConfig:
-    """The config of a run to t_star under ``policy`` (None is the default
-    ``IntegratorPolicy``): its method, and equal steps of at most its dt, or
-    of ``default_dt`` at bandwidth ``n_modes`` when it has none; a target
-    past the horizon is one step."""
-    if not t_star > 0:
-        raise ValueError(f"t_star must be > 0, got {t_star}")
-    policy = policy or IntegratorPolicy()
-    dt_target = policy.dt if policy.dt is not None else default_dt(params, n_modes)
-    return IntegratorConfig(policy.method, min(dt_target, t_star), t_star)
-
-
 def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy, ref_factor=4):
     """Checked bandwidths (n_ref at least ``ref_factor`` times the finest),
     the members' time grid, and the initial datum at n_ref.  Every check
@@ -151,7 +113,7 @@ def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy
             f"reference bandwidth {n_ref} must be at least {ref_factor}x the finest "
             f"measured bandwidth {max(n_values)}, i.e. >= {ref_factor * max(n_values)}"
         )
-    grid = _time_grid(params, max(n_values), t_star, integrator_policy)
+    grid = integrator_policy.grid(params, max(n_values), t_star)
     return n_values, grid, build_field(data_spec, params, n_ref)
 
 
@@ -198,7 +160,7 @@ def self_convergence(
     n_values,
     n_ref: int,
     t_star: float,
-    integrator_policy: Optional[IntegratorPolicy] = None,
+    integrator_policy: IntegratorPolicy = IntegratorPolicy(),
 ) -> ConvergenceReport:
     """L2 errors at t_star of bandwidth-N runs against a fine reference.
 
@@ -206,7 +168,9 @@ def self_convergence(
     projected down for each member run, and fields are compared at the
     reference bandwidth (the coarser one zero-extended), so the reported
     error includes the projection tail.  The error is the final-time
-    value, a lower bound for the max over [0, t_star].
+    value, a lower bound for the max over [0, t_star].  The members step
+    the policy's grid at the finest measured bandwidth, and the reference
+    a quarter of its step.
     """
     n_values, grid, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy
@@ -246,7 +210,7 @@ def intermediate_problem_study(
     n_values,
     n_ref: int,
     t_star: float,
-    integrator_policy: Optional[IntegratorPolicy] = None,
+    integrator_policy: IntegratorPolicy = IntegratorPolicy(),
 ) -> ConvergenceReport:
     """Decay of ||u - w^N|| for the advection-frozen linearized systems.
 
@@ -254,7 +218,9 @@ def intermediate_problem_study(
     one stack, reuse that exact step size, each freezing the advection
     coefficient at the reference solution projected to bandwidth (1+q)N and
     interpolated cubically at stage midpoints.  The sup norm of each w-run
-    is monitored and reported alongside the error decay.
+    is monitored and reported alongside the error decay.  The reference
+    steps a quarter of the step of the policy's grid at the finest measured
+    bandwidth, so the measured w-runs take that quarter step too.
     """
     n_values, grid, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
@@ -296,7 +262,7 @@ def soliton_propagation_test(
     n_modes: int,
     t_star: float,
     profile: Optional[SpectralField] = None,
-    integrator_policy: Optional[IntegratorPolicy] = None,
+    integrator_policy: IntegratorPolicy = IntegratorPolicy(),
 ) -> SolitonReport:
     """Propagate a traveling wave and measure its speed and shape fidelity.
 
@@ -305,12 +271,14 @@ def soliton_propagation_test(
     instead.  Speed is the slope of a linear fit through the unwrapped peak
     trajectory; the shape error is the sup-norm mismatch after translating
     the final state back by the measured displacement.  The run steps the
-    grid of ``integrator_policy`` as the studies do (``_time_grid``), with
-    the step derived at ``n_modes`` when the policy has no dt; a horizon
-    t_star that is not positive is a ValueError.
+    grid of ``integrator_policy`` at ``n_modes``.  An ``n_modes`` below 1 is
+    a BandwidthError, and a horizon t_star that is not positive a
+    ValueError, raised before the profile is built.
     """
+    if n_modes < 1:
+        raise BandwidthError(f"n_modes must be >= 1, got {n_modes}")
     period = 2.0 * params.domain_scale * np.pi
-    grid = _time_grid(params, n_modes, t_star, integrator_policy)
+    grid = integrator_policy.grid(params, n_modes, t_star)
     config = replace(grid, snapshot_stride=max(1, grid.n_steps // 200))
     u0 = profile if profile is not None else kdv_soliton(speed, 0.0, params, n_modes)
     result = evolve(u0, params, config)

@@ -18,7 +18,11 @@ nonlinear increment there, so the mean is conserved bit-exactly.
 Every run steps one time grid, fixed by ``IntegratorConfig``: n =
 max(1, ceil(t_end/dt - 1e-9)) equal steps of t_end/n, with n <=
 ``MAX_STEPS``.  The config stores that step in ``dt`` and reads the count
-back as ``n_steps``; the loop's last step ends exactly on t_end.
+back as ``n_steps``; the loop's last step ends exactly on t_end.  The
+config is also the one check of a method, a horizon and a step.  A run's
+target step comes from ``IntegratorPolicy.grid``, the one rule for it:
+the policy's dt, or ``default_dt`` at the run's bandwidth when it has
+none, clipped to the horizon, so a target past it is one step.
 
 The loop, ``evolve_rows``, carries a (B, N+1) stack of rows in the folded
 half layout of ``spectral`` (modes k = 0..N times (-1)^k), so a flux
@@ -79,7 +83,10 @@ class IntegratorConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "method", check_method(self.method))
+        method = self.method.lower()
+        if method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+        object.__setattr__(self, "method", method)
         if not self.t_end > 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if not self.dt > 0:
@@ -100,12 +107,26 @@ class IntegratorConfig:
         return round(self.t_end / self.dt)
 
 
-def check_method(method: str) -> str:
-    """The lowercased ``method``, if it names one of ``_METHODS``."""
-    method = method.lower()
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    return method
+@dataclass(frozen=True)
+class IntegratorPolicy:
+    """A method and a target step, the time-stepping choices a caller makes
+    before it knows a run's bandwidth and horizon.
+
+    ``grid`` turns them into a run's ``IntegratorConfig``; a dt of None is
+    derived there from the run's bandwidth (``default_dt``).  The policy
+    checks nothing itself: the config refuses an unknown method and a dt
+    that is not > 0 (NaN included) when ``grid`` builds it.
+    """
+
+    method: str = "etdrk4"
+    dt: Optional[float] = None
+
+    def grid(self, params: ModelParams, n_modes: int, t_end: float) -> IntegratorConfig:
+        """The equal-step grid to t_end of a bandwidth-``n_modes`` run: the
+        target dt, or ``default_dt(params, n_modes)`` when it is None,
+        clipped to t_end; the config snaps it."""
+        dt = default_dt(params, n_modes) if self.dt is None else self.dt
+        return IntegratorConfig(self.method, min(dt, t_end), t_end)
 
 
 @dataclass(frozen=True)
@@ -149,7 +170,7 @@ def etd_coefficients(lam: np.ndarray, dt: float) -> EtdCoefficients:
     averaged over a complex contour around z instead of using the closed
     forms, which lose digits to cancellation there.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN included
         raise ValueError(f"dt must be > 0, got {dt}")
     z = lam * dt
     small = np.abs(z) < _SMALL_Z

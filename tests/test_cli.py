@@ -2,7 +2,7 @@ import json
 import tempfile
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from benj.errors import ConfigError, ParameterError
 from benj.initdata import KINDS, InitialDataSpec
 from benj.model import ModelParams
 from benj.snapshots import read_snapshot
-from benj.timestep import IntegratorConfig
+from benj.timestep import IntegratorConfig, IntegratorPolicy
 
 BASE = """
 model.m = 1
@@ -48,6 +48,18 @@ def test_minimal_config_defaults():
     assert config.integrator.dt > 0  # derived from the step-size policy
     assert config.initial.kind == "gaussian"
     assert config.initial.seed == 0  # the top-level seed
+
+
+@pytest.mark.parametrize("dt", [None, 2e-3, 1.0], ids=["unset", "set", "past-horizon"])
+def test_config_integrator_is_the_policy_grid(dt):
+    # the parser derives no step of its own: its grid is the policy's, with
+    # the config's stride
+    text = "n_modes = 32\nmodel.domain_scale = 2\nintegrator.method = IFRK4\n" \
+           "integrator.t_end = 0.03\nintegrator.snapshot_stride = 3\n"
+    config = parse_config(text + ("" if dt is None else f"integrator.dt = {dt}\n"))
+    grid = IntegratorPolicy("ifrk4", dt).grid(config.model, 32, 0.03)
+    assert config.integrator == replace(grid, snapshot_stride=3)
+    assert config.raw["integrator.dt"] == dt
 
 
 def test_config_rejects_negative_gamma():

@@ -6,6 +6,7 @@ import pytest
 
 import benj.harness
 import benj.spectral
+from benj.errors import BandwidthError
 from benj.harness import (
     IntegratorPolicy,
     _interpolate,
@@ -271,7 +272,7 @@ def test_unknown_method_is_refused_before_the_datum(monkeypatch, benjamin_params
     monkeypatch.setattr(benj.harness, "build_field", never)
     with pytest.raises(ValueError, match="method must be one of"):
         study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(method="bogus"))
-    assert IntegratorPolicy(method="IFRK4").method == "ifrk4"
+    assert IntegratorPolicy("IFRK4").grid(benjamin_params, 8, 0.01).method == "ifrk4"
 
 
 @pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
@@ -426,8 +427,21 @@ def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
 def test_soliton_zero_horizon(kdv_params):
     # a wave that is not propagated has no speed to measure
     for t_star in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="t_star must be > 0"):
+        with pytest.raises(ValueError, match="t_end must be > 0"):
             soliton_propagation_test(0.5, kdv_params, 64, t_star)
+
+@pytest.mark.parametrize("dt", [None, 5e-3], ids=["unset", "set"])
+@pytest.mark.parametrize("n_modes", [0, -4])
+def test_soliton_bandwidth_below_one_is_refused_before_any_run(monkeypatch, kdv_params,
+                                                                n_modes, dt):
+    def never(*args, **kwargs):
+        raise AssertionError("the soliton test built or ran something")
+
+    monkeypatch.setattr(benj.harness, "kdv_soliton", never)
+    monkeypatch.setattr(benj.harness, "evolve", never)
+    with pytest.raises(BandwidthError, match=f"n_modes must be >= 1, got {n_modes}"):
+        soliton_propagation_test(0.5, kdv_params, n_modes, 0.01,
+                                 integrator_policy=IntegratorPolicy(dt=dt))
 
 def test_soliton_short_propagation(kdv_params):
     report = soliton_propagation_test(0.5, kdv_params, 128, 1.0,

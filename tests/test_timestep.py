@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from benj.spectral import SpectralField, fold_half, l2_norm, unfold_half
 from benj.timestep import (
     MAX_STEPS,
     IntegratorConfig,
+    IntegratorPolicy,
     check_operator,
     default_dt,
     etd_coefficients,
@@ -73,6 +75,15 @@ def test_weights_out_of_range_are_a_parameter_error():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ParameterError, match="floating-point range"):
         etd_coefficients(fake_multipliers([1e300j]), dt=1.0)
+
+
+@pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])
+def test_weights_refuse_a_step_that_is_not_positive(dt):
+    # NaN names the step, not a nonfinite weight, and numpy never sees it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^dt must be > 0, got {dt}"):
+            etd_coefficients(fake_multipliers([0.0, 0.2j]), dt=dt)
 
 
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
@@ -477,6 +488,23 @@ def test_config_rejects_step_counts_over_the_bound(dt):
     with pytest.raises(ValueError, match="exceed the bound"):
         IntegratorConfig(dt=dt, t_end=1.0)
     IntegratorConfig(dt=1.0 / MAX_STEPS, t_end=1.0)  # at the bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    method=st.sampled_from(["etdrk4", "ifrk4", "IFRK4"]),
+    t_end=st.floats(1e-3, 10.0),
+    ratio=st.none() | st.floats(1e-6, 10.0),
+    n_modes=st.integers(1, 4096),
+    domain_scale=st.floats(0.1, 100.0),
+)
+def test_policy_grid_is_the_one_step_rule(method, t_end, ratio, n_modes, domain_scale):
+    # the target step, or default_dt at the run's bandwidth, clipped to the
+    # horizon and snapped by the config: the rule every run's grid follows
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1, domain_scale=domain_scale)
+    dt = None if ratio is None else ratio * t_end
+    grid = IntegratorPolicy(method, dt).grid(p, n_modes, t_end)
+    assert grid == IntegratorConfig(method, min(dt or default_dt(p, n_modes), t_end), t_end)
 
 
 def test_default_dt_scales(benjamin_params):
