@@ -63,7 +63,7 @@ from . import __version__
 from .errors import ConfigError, DivergenceError, IterationError
 from .harness import self_convergence, soliton_propagation_test
 from .initdata import InitialDataSpec, build_field
-from .invariants import record_invariants
+from .invariants import invariant_row, record_invariants, record_rows
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import dealiased_grid
@@ -284,23 +284,24 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
     outdir = config.outputs
     check_operator(config.model, config.n_modes, config.integrator)
     u0 = build_field(config.initial, config.model, config.n_modes)
-    written = [(0.0, u0)]
+    # each snapshot's invariants are evaluated as it is written; no field is kept
+    rows = [invariant_row(0.0, u0, config.model)]
     write_snapshot(outdir / "snap_0000.txt", u0, 0.0)
 
     def observer(t, field):
-        written.append((t, field))
-        write_snapshot(outdir / f"snap_{len(written) - 1:04d}.txt", field, t)
+        rows.append(invariant_row(t, field, config.model))
+        write_snapshot(outdir / f"snap_{len(rows) - 1:04d}.txt", field, t)
 
     _progress(quiet, f"solve: N={config.n_modes}, dt={config.integrator.dt:g}, "
                      f"t_end={config.integrator.t_end:g}")
     try:
         evolve(u0, config.model, config.integrator, observer=observer)
     finally:  # a diverged run still reports the snapshots it wrote
-        record = record_invariants(written, config.model)
+        record = record_rows(rows)
         (outdir / "invariants.csv").write_text(_invariants_table(record), newline="\n")
-    _progress(quiet, f"solve: wrote {len(written)} snapshots to {outdir}")
+    _progress(quiet, f"solve: wrote {len(rows)} snapshots to {outdir}")
     return "ok", EXIT_OK, {
-        "snapshots": len(written),
+        "snapshots": len(rows),
         "rel_drift_C": record.rel_drift_C,
         "rel_drift_I": record.rel_drift_I,
         "rel_drift_E": record.rel_drift_E,
@@ -393,8 +394,8 @@ def _claim_outputs(command: str, outdir: Path) -> None:
 def _cmd_invariants(config: RunConfig, files) -> int:
     if not files:
         raise ConfigError("invariants command needs at least one snapshot file")
-    snapshots = sorted(((t, field) for field, t in map(read_snapshot, files)),
-                       key=lambda snapshot: snapshot[0])
+    # one file's field at a time; the record sorts the rows by t
+    snapshots = ((t, field) for field, t in map(read_snapshot, files))
     print(_invariants_table(record_invariants(snapshots, config.model)), end="")
     return EXIT_OK
 

@@ -18,9 +18,12 @@ not positive are ValueErrors, raised before anything is built or run.
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
 converts: a member is the field ``with_half`` of its row's first n+1
-entries.  The linearized study's reference trajectory is one array that
-the observer fills in place; the frozen term keeps every row's u^q for
-the last stage time it saw, the study's one cache.
+entries.  The linearized study runs its reference and its w-run in
+lockstep: the reference's observer keeps the last 4 reference states in
+a fixed window and advances the w-run (``timestep.evolve_steps``) as far
+as they reach, so the study's memory is O(N) whatever t_star/dt is.  The
+frozen term keeps every row's u^q for the last stage time it saw, the
+study's one cache.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams
 from .semidiscrete import _row_mask, folded_nonlinear_term, frozen_nonlinear_term
 from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
-from .timestep import IntegratorConfig, IntegratorPolicy, evolve, evolve_rows
+from .timestep import IntegratorConfig, IntegratorPolicy, evolve, evolve_rows, evolve_steps
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
@@ -183,15 +186,19 @@ def self_convergence(
     return _report(n_values, errors, result.failures, n_ref, t_star, grid.dt)
 
 
-def _interpolate(states: np.ndarray, dt: float, t: float) -> np.ndarray:
-    """Cubic-in-time interpolant at t of ``states``, stored at every step of
-    size dt (at least 4 rows): the stored state within 1e-8 steps of a step
-    time, else the Lagrange polynomial through the 4 rows around t."""
+def _interpolate(window: np.ndarray, dt: float, t: float, last: int) -> np.ndarray:
+    """Cubic-in-time interpolant at t of a trajectory of states 0..last at
+    every step of size dt (last >= 3), read from its ``window``: 8 rows
+    that hold state j at rows j % 4 and j % 4 + 4, so that the 4 latest
+    states are one contiguous slice, oldest first.  Returns the state
+    within 1e-8 steps of a step time, else the Lagrange polynomial through
+    the 4 states around t; the window must hold them (see
+    ``intermediate_problem_study``).  Nothing is copied."""
     pos = t / dt
     nearest = round(pos)
     if abs(pos - nearest) < 1e-8:
-        return states[min(max(nearest, 0), len(states) - 1)]
-    start = min(max(math.floor(pos) - 1, 0), len(states) - 4)
+        return window[min(max(nearest, 0), last) % 4]
+    start = min(max(math.floor(pos) - 1, 0), last - 3)
     xi = pos - start
     weights = []
     for a in range(4):
@@ -201,7 +208,8 @@ def _interpolate(states: np.ndarray, dt: float, t: float) -> np.ndarray:
                 w *= (xi - b) / (a - b)
         weights.append(w)
     # the (1, 4) @ (4, modes) product np.tensordot forms, without its overhead
-    return np.dot(np.array([weights]), states[start : start + 4])[0]
+    row = start % 4
+    return np.dot(np.array([weights]), window[row : row + 4])[0]
 
 
 def intermediate_problem_study(
@@ -214,13 +222,23 @@ def intermediate_problem_study(
 ) -> ConvergenceReport:
     """Decay of ||u - w^N|| for the advection-frozen linearized systems.
 
-    A reference trajectory is stored at every integrator step; the w-runs,
-    one stack, reuse that exact step size, each freezing the advection
-    coefficient at the reference solution projected to bandwidth (1+q)N and
-    interpolated cubically at stage midpoints.  The sup norm of each w-run
-    is monitored and reported alongside the error decay.  The reference
-    steps a quarter of the step of the policy's grid at the finest measured
-    bandwidth, so the measured w-runs take that quarter step too.
+    The w-runs, one stack, step the reference's exact step size, each
+    freezing the advection coefficient at the reference solution projected
+    to bandwidth (1+q)N and interpolated cubically at stage midpoints.
+    The sup norm of each w-run is monitored and reported alongside the
+    error decay.  The reference steps a quarter of the step of the
+    policy's grid at the finest measured bandwidth, so the measured w-runs
+    take that quarter step too.
+
+    The two runs go in lockstep, so memory does not grow with t_star/dt:
+    the reference's observer writes its state j into a window of the last
+    4 states (``_interpolate``) and then advances the w-run
+    (``timestep.evolve_steps``) through every step whose stencil is
+    complete.  W-step s reads states up to min(max(s+2, 3), n): steps 0
+    and 1 run at j = 3, step j-2 at each later j, and steps n-2 and n-1 at
+    j = n.  A reference run that takes fewer steps than the n it planned
+    is a RuntimeError, and one that takes more an IndexError when the
+    extra state arrives.
     """
     n_values, grid, u0_ref = _prepare_study(
         params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
@@ -228,21 +246,13 @@ def intermediate_problem_study(
     ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
-    stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)
-    stored[0] = u0_ref.half[: n_keep + 1]
-    filled = 0
-
-    def keep(t, f):
-        nonlocal filled
-        filled += 1  # a step past the last row raises IndexError
-        stored[filled] = f.half[: n_keep + 1]
-
-    u_ref_final = evolve(u0_ref, params, ref_config, observer=keep).final
-    if filled != n_steps:
-        raise RuntimeError(f"the reference run took {filled} steps, not {n_steps}")
+    window = np.empty((8, n_keep + 1), dtype=np.complex128)
+    window[0] = window[4] = u0_ref.half[: n_keep + 1]
 
     n_u = [(1 + params.q) * n for n in n_values]
-    term = frozen_nonlinear_term(params, n_values, n_u, lambda t: _interpolate(stored, dt, t))
+    term = frozen_nonlinear_term(
+        params, n_values, n_u, lambda t: _interpolate(window, dt, t, n_steps)
+    )
     w0 = _stack(u0_ref, n_values)
     linf_max = [linf_norm(u0_ref.with_half(row[: n + 1])) for row, n in zip(w0, n_values)]
 
@@ -251,7 +261,22 @@ def intermediate_problem_study(
             linf_max[i] = max(linf_max[i], linf_norm(u0_ref.with_half(rows[i, : n + 1])))
 
     config = replace(ref_config, snapshot_stride=max(1, n_steps // 128))
-    result = evolve_rows(w0, params, config, term, watch)
+    w_run = evolve_steps(w0, params, config, term, watch)
+    state, w_steps, result = 0, 0, None
+
+    def advance(t, f):
+        nonlocal state, w_steps, result
+        state += 1
+        if state > n_steps:
+            raise IndexError(f"the reference run passed its {n_steps} planned steps")
+        window[state % 4] = window[state % 4 + 4] = f.half[: n_keep + 1]
+        while w_steps < n_steps and min(max(w_steps + 2, 3), n_steps) <= state:
+            result = next(w_run, result)  # a w-run that stopped early keeps its result
+            w_steps += 1
+
+    u_ref_final = evolve(u0_ref, params, ref_config, observer=advance).final
+    if state != n_steps:
+        raise RuntimeError(f"the reference run took {state} steps, not {n_steps}")
     errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]
     return _report(n_values, errors, result.failures, n_ref, t_star, dt, linf_max)
 
@@ -271,12 +296,17 @@ def soliton_propagation_test(
     instead.  Speed is the slope of a linear fit through the unwrapped peak
     trajectory; the shape error is the sup-norm mismatch after translating
     the final state back by the measured displacement.  The run steps the
-    grid of ``integrator_policy`` at ``n_modes``.  An ``n_modes`` below 1 is
-    a BandwidthError, and a horizon t_star that is not positive a
-    ValueError, raised before the profile is built.
+    grid of ``integrator_policy`` at ``n_modes``.  An ``n_modes`` below 1,
+    or a passed profile of another bandwidth, is a BandwidthError, and a
+    horizon t_star that is not positive a ValueError, raised before the
+    profile is built or anything is stepped.
     """
     if n_modes < 1:
         raise BandwidthError(f"n_modes must be >= 1, got {n_modes}")
+    if profile is not None and profile.n_modes != n_modes:
+        raise BandwidthError(
+            f"the profile has bandwidth {profile.n_modes}, not n_modes = {n_modes}"
+        )
     period = 2.0 * params.domain_scale * np.pi
     grid = integrator_policy.grid(params, n_modes, t_star)
     config = replace(grid, snapshot_stride=max(1, grid.n_steps // 200))

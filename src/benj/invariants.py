@@ -70,15 +70,19 @@ def _rel_drift(series: np.ndarray) -> float:
     return float(np.max(np.abs(series - series[0])) / max(abs(series[0]), DRIFT_FLOOR))
 
 
-def record_invariants(snapshots, params: ModelParams) -> InvariantRecord:
-    """Evaluate all three functionals on a sequence of (t, field) snapshots."""
-    snapshots = list(snapshots)
-    if not snapshots:
+def invariant_row(t: float, u: SpectralField, params: ModelParams) -> tuple:
+    """(t, C, I, E) of one snapshot, the row ``record_rows`` takes."""
+    return t, c_pi(u), i_pi(u), e_pi(u, params)
+
+
+def record_rows(rows) -> InvariantRecord:
+    """The record of (t, C, I, E) rows (``invariant_row``) sorted by t,
+    rows at equal times in the order given; the drifts are measured from
+    the earliest."""
+    rows = sorted(rows, key=lambda row: row[0])
+    if not rows:
         raise ValueError("need at least one snapshot")
-    times = np.array([t for t, _ in snapshots])
-    c = np.array([c_pi(f) for _, f in snapshots])
-    i = np.array([i_pi(f) for _, f in snapshots])
-    e = np.array([e_pi(f, params) for _, f in snapshots])
+    times, c, i, e = (np.array(column) for column in zip(*rows))
     return InvariantRecord(
         times=times,
         C=c,
@@ -88,3 +92,11 @@ def record_invariants(snapshots, params: ModelParams) -> InvariantRecord:
         rel_drift_I=_rel_drift(i),
         rel_drift_E=_rel_drift(e),
     )
+
+
+def record_invariants(snapshots, params: ModelParams) -> InvariantRecord:
+    """Evaluate all three functionals on (t, field) snapshots, in time
+    order.  The snapshots are taken one at a time and only their rows are
+    kept, so an iterator that builds each field (say, by reading a file)
+    holds one field at a time."""
+    return record_rows(invariant_row(t, f, params) for t, f in snapshots)

@@ -24,21 +24,27 @@ target step comes from ``IntegratorPolicy.grid``, the one rule for it:
 the policy's dt, or ``default_dt`` at the run's bandwidth when it has
 none, clipped to the horizon, so a target past it is one step.
 
-The loop, ``evolve_rows``, carries a (B, N+1) stack of rows in the folded
-half layout of ``spectral`` (modes k = 0..N times (-1)^k), so a flux
-evaluation is one irfft and one rfft along the last axis for the whole
-stack, and every row is Hermitian by construction.  The rows share N, dt
-and the multipliers, and so the diagonal weights, k = 0..N; a convergence
-study steps its members as one stack, each posed at the largest member's
-bandwidth.  The loop builds the weights once per run.  A Lambda_k*dt
-outside the floating-point range is a ParameterError under either method,
-raised where the weights are built; ``check_operator`` runs the loop's
-operator checks without stepping.
+The one stepping loop, ``evolve_steps``, is a generator over steps: it
+yields the run so far after each step, so a caller can advance a run
+step by step in between the steps of another (the linearized study
+advances its w-run from inside its reference's observer, and so keeps
+only a window of the reference).  It owns the divergence checks, the
+early stop and the observer cadence; ``evolve_rows`` runs it to its end.
+The loop carries a (B, N+1) stack of rows in the folded half layout of
+``spectral`` (modes k = 0..N times (-1)^k), so a flux evaluation is one
+irfft and one rfft along the last axis for the whole stack, and every row
+is Hermitian by construction.  The rows share N, dt and the multipliers,
+and so the diagonal weights, k = 0..N; a convergence study steps its
+members as one stack, each posed at the largest member's bandwidth.  The
+loop builds the weights once per run.  A Lambda_k*dt outside the
+floating-point range is a ParameterError under either method, raised
+where the weights are built; ``check_operator`` runs the loop's operator
+checks without stepping.
 ``evolve`` is the stack of one row: it steps ``u0.half`` with the flux of
 ``folded_nonlinear_term`` and builds the observed and final fields
 ``with_half``.  It keeps ``snapshots`` on the observer cadence only when
 no observer is given; an observer owns its retention.
-``evolve_rows`` takes the flux as a callable on (B, N+1) stacks of folded
+The loop takes the flux as a callable on (B, N+1) stacks of folded
 half-layout rows, ``nonlinear(c_rows, t) -> flux_rows``, whose mode-0
 entries must be real (the projection of a real function's mean); a custom
 flux is stepped there.  A step calls it at its t, twice at t + dt/2, and
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -249,25 +255,29 @@ class RowsResult:
     failures: dict  # row index -> DivergenceError, in the order the rows failed
 
 
-def evolve_rows(
+def evolve_steps(
     rows: np.ndarray,
     params: ModelParams,
     config: IntegratorConfig,
     nonlinear: NonlinearTerm,
     observer: Optional[Callable[[float, np.ndarray], None]] = None,
-) -> RowsResult:
-    """Step a (B, N+1) stack of folded half-layout rows from 0 to t_end in
-    ``config.n_steps`` steps of ``config.dt``.
+) -> Iterator[RowsResult]:
+    """The stepping loop as a generator: step a (B, N+1) stack of folded
+    half-layout rows from 0 to t_end in ``config.n_steps`` steps of
+    ``config.dt``, and yield the run so far as a ``RowsResult`` after each
+    step.  The last one it yields is the run's result.
 
     Every row shares the multipliers of bandwidth N and the flux
     ``nonlinear(rows, t)`` (see the module docstring).  The observer (if
     any) sees the stack every ``snapshot_stride`` steps and after the final
-    step; it must copy what it keeps.  Divergence is checked per row: a row
-    whose coefficients go nonfinite or whose norm grows by more than a
-    factor of 1e6 over its own initial norm becomes a ``failures`` entry,
-    tagged with the failure time, and is zeroed, which both flux terms keep
-    at zero; the other rows go on.  The run stops early once every row has
-    failed.
+    step, before that step is yielded; it must copy what it keeps.
+    Divergence is checked per row: a row whose coefficients go nonfinite or
+    whose norm grows by more than a factor of 1e6 over its own initial norm
+    becomes a ``failures`` entry, tagged with the failure time, and is
+    zeroed, which both flux terms keep at zero; the other rows go on.  The
+    run stops early, after yielding that step, once every row has failed.
+    Nothing runs before the first step is asked for: the weights are built,
+    and a bad operator refused, then.
     """
     n_steps = config.n_steps
     # a (1, N+1) row: a one-row stack then multiplies same-shape arrays,
@@ -301,11 +311,26 @@ def evolve_rows(
                 limit[i] = math.inf
             tightest = limit.min()
             if len(failures) == len(c):
-                return RowsResult(c, s, failures)
+                yield RowsResult(c, s, failures)
+                return
         if observer is not None and (s % config.snapshot_stride == 0 or s == n_steps):
             observer(t, c)
+        yield RowsResult(c, s, failures)
 
-    return RowsResult(c, n_steps, failures)
+
+def evolve_rows(
+    rows: np.ndarray,
+    params: ModelParams,
+    config: IntegratorConfig,
+    nonlinear: NonlinearTerm,
+    observer: Optional[Callable[[float, np.ndarray], None]] = None,
+) -> RowsResult:
+    """Run ``evolve_steps`` to its end and return its last result: the
+    stack at t_end (or at the step where every row had failed), the step
+    count and the failures."""
+    for result in evolve_steps(rows, params, config, nonlinear, observer):
+        pass
+    return result
 
 
 def evolve(

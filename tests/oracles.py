@@ -3,10 +3,12 @@
 Everything here is deliberately naive: direct convolution sums instead of
 padded transforms, trapezoid quadrature instead of Parseval, extended
 precision instead of contour tricks.  None of it shares code with the
-library paths it checks, except the two oracles at the end, which keep the
-library's earlier forms of a path it has since made faster: the per-line
-snapshot reader and the energy from a full analysis of u^(q+2), whose
-quadratic part is summed exactly (``math.fsum``).
+library paths it checks, except the three oracles at the end, which keep
+the library's earlier forms of a path it has since made faster or
+leaner: the per-line snapshot reader, the energy from a full analysis of
+u^(q+2), whose quadratic part is summed exactly (``math.fsum``), and the
+linearized study that stores the whole reference trajectory before its
+w-run starts.
 """
 
 import math
@@ -258,3 +260,71 @@ def energy_dealiased_power(u: SpectralField, params: ModelParams):
     quad = math.fsum((symbol_l(params, full_kappa(u)) * (c.real**2 + c.imag**2)).tolist())
     f_mean = float(zero_mode) / ((params.q + 1) * (params.q + 2))
     return 2.0 * u.domain_scale * np.pi * (quad - 2.0 * f_mean)
+
+
+def _interpolate_stored(states, dt, t):
+    """Cubic-in-time interpolant at t of ``states``, stored at every step of
+    size dt: the stored state within 1e-8 steps of a step time, else the
+    Lagrange polynomial through the 4 rows around t."""
+    pos = t / dt
+    nearest = round(pos)
+    if abs(pos - nearest) < 1e-8:
+        return states[min(max(nearest, 0), len(states) - 1)]
+    start = min(max(math.floor(pos) - 1, 0), len(states) - 4)
+    xi = pos - start
+    weights = []
+    for a in range(4):
+        w = 1.0
+        for b in range(4):
+            if a != b:
+                w *= (xi - b) / (a - b)
+        weights.append(w)
+    return np.dot(np.array([weights]), states[start : start + 4])[0]
+
+
+def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, integrator_policy):
+    """``harness.intermediate_problem_study`` as it was before it ran in
+    lockstep: the reference stored at every step, (n_steps+1) x ((1+q)N+1)
+    complex, then the stacked w-run on the stored trajectory.  It shares
+    the study's set-up, stack, error and report helpers, so a difference
+    can only come from the order of the runs and the store."""
+    from dataclasses import replace
+
+    from benj.harness import _error, _prepare_study, _report, _stack
+    from benj.semidiscrete import frozen_nonlinear_term
+    from benj.spectral import linf_norm
+    from benj.timestep import IntegratorConfig, evolve, evolve_rows
+
+    n_values, grid, u0_ref = _prepare_study(
+        params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
+    )
+    ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
+    dt, n_steps = ref_config.dt, ref_config.n_steps
+    n_keep = (1 + params.q) * max(n_values)
+    stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)
+    stored[0] = u0_ref.half[: n_keep + 1]
+    filled = 0
+
+    def keep(t, f):
+        nonlocal filled
+        filled += 1
+        stored[filled] = f.half[: n_keep + 1]
+
+    u_ref_final = evolve(u0_ref, params, ref_config, observer=keep).final
+    assert filled == n_steps
+
+    n_u = [(1 + params.q) * n for n in n_values]
+    term = frozen_nonlinear_term(
+        params, n_values, n_u, lambda t: _interpolate_stored(stored, dt, t)
+    )
+    w0 = _stack(u0_ref, n_values)
+    linf_max = [linf_norm(u0_ref.with_half(row[: n + 1])) for row, n in zip(w0, n_values)]
+
+    def watch(t, rows):
+        for i, n in enumerate(n_values):
+            linf_max[i] = max(linf_max[i], linf_norm(u0_ref.with_half(rows[i, : n + 1])))
+
+    config = replace(ref_config, snapshot_stride=max(1, n_steps // 128))
+    result = evolve_rows(w0, params, config, term, watch)
+    errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]
+    return _report(n_values, errors, result.failures, n_ref, t_star, dt, linf_max)

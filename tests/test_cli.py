@@ -336,6 +336,34 @@ def test_invariants_table_matches_run_csv(tmp_path, capsys):
     assert table == csv
 
 
+def test_invariants_table_sorts_the_files_by_time(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_solve(tmp_path, out)
+    cfg = write_config(tmp_path)
+    snaps = sorted((str(p) for p in out.glob("snap_*.txt")), reverse=True)
+    assert main(["invariants", "--config", str(cfg), "--quiet"] + snaps) == EXIT_OK
+    assert capsys.readouterr().out == (out / "invariants.csv").read_text()
+
+
+def test_diverged_solve_keeps_the_rows_of_the_snapshots_it_wrote(tmp_path, capsys):
+    # the growth guard trips after some snapshots: invariants.csv has one
+    # row per snapshot written, the table ``benj invariants`` prints for them
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_solve(tmp_path, out, extra=[
+            "initial.amplitude=4", "model.q=2", "integrator.method=ifrk4",
+            "integrator.dt=0.02", "integrator.t_end=2", "integrator.snapshot_stride=1",
+        ])
+    assert code == EXIT_DIVERGED
+    snaps = sorted(str(p) for p in out.glob("snap_*.txt"))
+    csv = (out / "invariants.csv").read_text()
+    assert 1 < len(snaps) == len(csv.splitlines()) - 1
+    cfg = write_config(tmp_path)
+    args = ["invariants", "--config", str(cfg), "--quiet", "--override", "model.q=2"]
+    assert main(args + snaps) == EXIT_OK
+    assert capsys.readouterr().out == csv
+
+
 def test_invariants_requires_files(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["invariants", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG

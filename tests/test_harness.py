@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from benj.snapshots import write_snapshot
 from benj.spectral import SpectralField, fold_half, l2_norm, project, unfold_half
 from benj.timestep import IntegratorConfig, default_dt, evolve, evolve_rows
 
-from oracles import embed
+from oracles import embed, intermediate_study_full_store
 
 GAUSS = InitialDataSpec(kind="gaussian", amplitude=1.0, width=0.5, center=0.0)
 ROUGH = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=0)
@@ -91,20 +92,30 @@ def test_self_convergence_analytic_data_superalgebraic(benjamin_params):
 
 # ------------------------------------------------------------ member failures
 
-def _diverge_at(monkeypatch, row):
+def _diverge_at(monkeypatch, study, row):
     """Make the stacked members' row ``row`` blow up: its flux gains a huge
     linear growth term, which the real per-row check catches at the first
     step.  The term vanishes on the zeroed row; the other rows see the
-    real flux."""
-    real = benj.harness.evolve_rows
-
-    def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
+    real flux.  The linearized study's w-run flux comes from the
+    ``frozen_nonlinear_term`` factory, the other study's through
+    ``evolve_rows``."""
+    def with_a_bad_row(nonlinear):
         def blow_up(c, t):
             flux = nonlinear(c, t)
             flux[row] += 1e6 * c[row]
             return flux
 
-        return real(rows, params, config, blow_up, observer)
+        return blow_up
+
+    if study is intermediate_problem_study:
+        factory = benj.harness.frozen_nonlinear_term
+        monkeypatch.setattr(benj.harness, "frozen_nonlinear_term",
+                            lambda *args: with_a_bad_row(factory(*args)))
+        return
+    real = benj.harness.evolve_rows
+
+    def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
+        return real(rows, params, config, with_a_bad_row(nonlinear), observer)
 
     monkeypatch.setattr(benj.harness, "evolve_rows", evolve_rows_with_a_bad_row)
 
@@ -116,7 +127,7 @@ def _diverge_at(monkeypatch, row):
 def test_diverged_member_reported_and_skipped(benjamin_params, monkeypatch, study, spec):
     args = (benjamin_params, spec, [8, 16, 32], 128, 0.05, IntegratorPolicy(dt=2e-3))
     clean = study(*args)
-    _diverge_at(monkeypatch, 1)  # the member at N = 16
+    _diverge_at(monkeypatch, study, 1)  # the member at N = 16
     report = study(*args)
     assert np.isnan(report.errors[1])
     assert list(report.failures) == [16]
@@ -343,18 +354,33 @@ def _lagrange_at_numpy_nodes(states, dt, t):
     return np.tensordot(weights, states[start : start + 4], axes=1)
 
 
+def _window_after(states, j):
+    """The study's window of the trajectory ``states`` once states 0..j
+    have arrived: state i at rows i % 4 and i % 4 + 4."""
+    window = np.full((8, states.shape[1]), np.nan, dtype=states.dtype)
+    for i in range(j + 1):
+        window[i % 4] = window[i % 4 + 4] = states[i]
+    return window
+
+
 def test_trajectory_interpolation_bit_identical_to_numpy_weights():
     rng = np.random.default_rng(14)
     count, dt = 12, 2.5e-4
+    last = count - 1
     states = rng.standard_normal((count, 9)) + 1j * rng.standard_normal((count, 9))
     # stage midpoints, as the linearized runs query them, plus arbitrary times
     times = [(i + 0.5) * dt for i in range(count - 1)]
     times += list(rng.uniform(0.0, (count - 1) * dt, 40))
     for t in times:
         expected = _lagrange_at_numpy_nodes(states, dt, t)
-        assert _interpolate(states, dt, t).tobytes() == expected.tobytes()
-    for i in range(count):  # a step time gives its stored state
-        assert _interpolate(states, dt, i * dt).tobytes() == states[i].tobytes()
+        # the window whose newest state closes t's stencil
+        newest = min(max(math.floor(t / dt) + 2, 3), last)
+        window = _window_after(states, newest)
+        assert _interpolate(window, dt, t, last).tobytes() == expected.tobytes()
+    for i in range(count):  # a step time gives its state from any window that holds it
+        for j in range(i, min(i + 3, last) + 1):
+            window = _window_after(states, j)
+            assert _interpolate(window, dt, i * dt, last).tobytes() == states[i].tobytes()
 
 @pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
 def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, method):
@@ -362,11 +388,14 @@ def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, 
     # step's end, which is the next step's t: 2 syntheses of u^q (one
     # batched transform for the whole stack) per step plus the first, and
     # one interpolation per distinct time, for one member as for three.
+    # The w-run runs inside the reference's observer, so its flux calls,
+    # seen through the frozen-term factory, mark the w-run's transforms;
+    # either method calls the flux 4 times a step.
     irfft, interpolate = np.fft.irfft, _interpolate
-    evolve_rows = benj.harness.evolve_rows
+    factory = benj.harness.frozen_nonlinear_term
     for n_values, n_ref in (([8], 32), ([4, 8, 16], 64)):
         n_keep = 2 * max(n_values)  # q = 1 freezes u at bandwidth 2N
-        counts = {"syntheses": 0, "interpolations": 0, "midpoints": 0, "steps": 0,
+        counts = {"syntheses": 0, "interpolations": 0, "midpoints": 0, "flux_calls": 0,
                   "w_run": False}
 
         def counting_irfft(a, *args, **kwargs):
@@ -374,32 +403,78 @@ def test_w_run_synthesises_each_frozen_state_once(monkeypatch, benjamin_params, 
                 counts["syntheses"] += 1
             return irfft(a, *args, **kwargs)
 
-        def counting_interpolate(states, dt, t):
+        def counting_interpolate(window, dt, t, last):
             counts["interpolations"] += 1
             pos = t / dt
             if abs(pos - round(pos)) > 1e-8:
                 counts["midpoints"] += 1
-            return interpolate(states, dt, t)
+            return interpolate(window, dt, t, last)
 
-        def counting_evolve_rows(*args, **kwargs):
-            counts["w_run"] = True
-            try:
-                result = evolve_rows(*args, **kwargs)
-            finally:
-                counts["w_run"] = False
-            counts["steps"] += result.n_steps
-            return result
+        def counting_factory(*args):
+            term = factory(*args)
+
+            def counted(w, t):
+                counts["w_run"] = True
+                counts["flux_calls"] += 1
+                try:
+                    return term(w, t)
+                finally:
+                    counts["w_run"] = False
+
+            return counted
 
         monkeypatch.setattr(np.fft, "irfft", counting_irfft)
         monkeypatch.setattr(benj.harness, "_interpolate", counting_interpolate)
-        monkeypatch.setattr(benj.harness, "evolve_rows", counting_evolve_rows)
+        monkeypatch.setattr(benj.harness, "frozen_nonlinear_term", counting_factory)
         report = intermediate_problem_study(benjamin_params, ROUGH, n_values, n_ref, 0.02,
                                             IntegratorPolicy(method=method, dt=2e-3))
         assert len(report.errors) == len(n_values) and not report.failures
-        steps = counts["steps"]
+        assert counts["flux_calls"] % 4 == 0
+        steps = counts["flux_calls"] // 4
         assert steps == 40
         assert counts["syntheses"] == counts["interpolations"] == 2 * steps + 1
         assert counts["midpoints"] == steps
+
+@pytest.mark.parametrize("method, q", [("etdrk4", 1), ("ifrk4", 1), ("etdrk4", 2)],
+                         ids=["etdrk4", "ifrk4", "q2"])
+def test_lockstep_study_matches_the_full_store(method, q):
+    # the reference and the w-run in lockstep, with a 4-state window, give
+    # the report of the study that stores the whole reference first, every
+    # field by repr
+    params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=q)
+    spec = InitialDataSpec(kind="random_sobolev", regularity=4.0, seed=1)
+    args = (params, spec, [8, 16, 32], 128, 0.05, IntegratorPolicy(method, 2e-3))
+    lockstep, full_store = intermediate_problem_study(*args), intermediate_study_full_store(*args)
+    assert {k: repr(v) for k, v in vars(lockstep).items()} == {
+        k: repr(v) for k, v in vars(full_store).items()
+    }
+    assert not lockstep.failures
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_intermediate_study_memory_does_not_grow_with_the_horizon(benjamin_params, method):
+    # The study keeps 4 reference states, not the trajectory.  Measured
+    # tracemalloc peaks from t* = 0.02 to 4t* = 0.08 (40 to 160 reference
+    # steps): -112 and +176 B here, against +124,736 B (1,040 B a step)
+    # when the whole trajectory was stored first.
+    def peak(t_star):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            intermediate_problem_study(benjamin_params, ROUGH, [8, 16, 32], 128, t_star,
+                                       IntegratorPolicy(method, 2e-3))
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    peak(0.02)  # first-call allocations (plans, caches) out of the way
+    short, long = peak(0.02), peak(0.08)
+    assert long - short < 4096, (short, long)
+
 
 def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
     # Criterion 6's configuration over the linearized benchmark's horizon:
@@ -442,6 +517,23 @@ def test_soliton_bandwidth_below_one_is_refused_before_any_run(monkeypatch, kdv_
     with pytest.raises(BandwidthError, match=f"n_modes must be >= 1, got {n_modes}"):
         soliton_propagation_test(0.5, kdv_params, n_modes, 0.01,
                                  integrator_policy=IntegratorPolicy(dt=dt))
+
+@pytest.mark.parametrize("dt", [None, 5e-3], ids=["unset", "set"])
+def test_soliton_profile_of_another_bandwidth_is_refused_before_any_run(monkeypatch, kdv_params,
+                                                                        dt):
+    # the run would step the profile's bandwidth while an unset step is
+    # derived at n_modes
+    profile = kdv_soliton(0.5, 0.0, kdv_params, 128)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the soliton test built or ran something")
+
+    monkeypatch.setattr(benj.harness, "kdv_soliton", never)
+    monkeypatch.setattr(benj.harness, "evolve", never)
+    for n_modes in (4, 64, 256):
+        with pytest.raises(BandwidthError, match=f"bandwidth 128, not n_modes = {n_modes}"):
+            soliton_propagation_test(0.5, kdv_params, n_modes, 0.01, profile,
+                                     integrator_policy=IntegratorPolicy(dt=dt))
 
 def test_soliton_short_propagation(kdv_params):
     report = soliton_propagation_test(0.5, kdv_params, 128, 1.0,

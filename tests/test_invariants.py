@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from benj.initdata import InitialDataSpec, build_field
-from benj.invariants import c_pi, e_pi, i_pi, record_invariants
+from benj.invariants import c_pi, e_pi, i_pi, invariant_row, record_invariants, record_rows
 from benj.model import ModelParams, symbol_l
 from benj.spectral import (
     SpectralField,
@@ -140,3 +142,33 @@ def test_drift_floor_for_zero_invariants(benjamin_params):
     u = mode_field(6, {1: -0.5j, -1: 0.5j})
     rec = record_invariants([(0.0, u), (1.0, u)], benjamin_params)
     assert rec.rel_drift_C == 0.0
+
+
+def test_record_keeps_rows_not_fields(benjamin_params):
+    # fields taken from an iterator are dropped once their row is evaluated
+    # (only the latest may still be held), and the rows come out in time
+    # order, as the record of the fields in that order
+    times = (0.2, 0.0, 0.1)
+    refs = []
+
+    def snapshots():
+        for i, t in enumerate(times):
+            assert all(ref() is None for ref in refs[:-1])
+            field = rand_field(8, seed=i)
+            refs.append(weakref.ref(field))
+            yield t, field
+            del field
+
+    record = record_invariants(snapshots(), benjamin_params)
+    assert len(refs) == 3 and record.times.tolist() == [0.0, 0.1, 0.2]
+    in_order = sorted(((t, rand_field(8, seed=i)) for i, t in enumerate(times)),
+                      key=lambda snapshot: snapshot[0])
+    expected = record_invariants(in_order, benjamin_params)
+    assert repr(record) == repr(expected)
+    rows = [invariant_row(t, f, benjamin_params) for t, f in in_order]
+    assert repr(record_rows(rows[::-1])) == repr(expected)
+
+
+def test_record_of_no_rows_is_refused():
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        record_rows([])
