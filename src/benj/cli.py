@@ -30,13 +30,13 @@ the output directory: one that holds another command's result files
 (``_COMMANDS``) or manifest is a validation error, so no manifest is
 written over the other run's; otherwise the directory is created and
 this command's earlier result files are removed.  A directory that cannot
-be claimed gets no manifest.  ``solve`` then checks the operator (the
-multipliers and step weights, with ``timestep.check_operator``) before
-it writes its first snapshot, so a refused operator leaves only the
-manifest.  Every table, the three CSV files and the ``invariants`` table
-on stdout, has one format (``_table``): a header line, then one line of
-``%.17g`` values per row; ``convergence.csv`` ends with a ``rate`` line
-of the fitted rate and r2 in that format.
+be claimed gets no manifest.  ``solve`` writes every snapshot from the
+stepping loop's observer, which a refused operator (its multipliers or
+step weights) never reaches, so that leaves only the manifest.  Every
+table, the three CSV files and the ``invariants`` table on stdout, has
+one format (``_table``): a header line, then one line of ``%.17g``
+values per row; ``convergence.csv`` ends with a ``rate`` line of the
+fitted rate and r2 in that format.
 A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
 grid of more than ``MAX_GRID`` points, is a validation error, and so is a
 set ``converge.n_ref`` that is not positive (an unset one is four times
@@ -67,7 +67,7 @@ from .invariants import invariant_row, record_invariants, record_rows
 from .model import ModelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import dealiased_grid
-from .timestep import IntegratorConfig, IntegratorPolicy, check_operator, evolve
+from .timestep import IntegratorConfig, IntegratorPolicy, evolve
 
 # Re-exported: perfbench's tracer patches this name on this module.
 from .invariants import e_pi  # noqa: F401
@@ -282,11 +282,9 @@ def _invariants_table(record) -> str:
 
 def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
     outdir = config.outputs
-    check_operator(config.model, config.n_modes, config.integrator)
     u0 = build_field(config.initial, config.model, config.n_modes)
     # each snapshot's invariants are evaluated as it is written; no field is kept
-    rows = [invariant_row(0.0, u0, config.model)]
-    write_snapshot(outdir / "snap_0000.txt", u0, 0.0)
+    rows = []
 
     def observer(t, field):
         rows.append(invariant_row(t, field, config.model))
@@ -296,9 +294,10 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
                      f"t_end={config.integrator.t_end:g}")
     try:
         evolve(u0, config.model, config.integrator, observer=observer)
-    finally:  # a diverged run still reports the snapshots it wrote
-        record = record_rows(rows)
-        (outdir / "invariants.csv").write_text(_invariants_table(record), newline="\n")
+    finally:  # a diverged run still reports the snapshots it wrote; a refused one wrote none
+        if rows:
+            record = record_rows(rows)
+            (outdir / "invariants.csv").write_text(_invariants_table(record), newline="\n")
     _progress(quiet, f"solve: wrote {len(rows)} snapshots to {outdir}")
     return "ok", EXIT_OK, {
         "snapshots": len(rows),

@@ -18,18 +18,19 @@ nonlinear increment there, so the mean is conserved bit-exactly.
 Every run steps one time grid, fixed by ``IntegratorConfig``: n =
 max(1, ceil(t_end/dt - 1e-9)) equal steps of t_end/n, with n <=
 ``MAX_STEPS``.  The config stores that step in ``dt`` and reads the count
-back as ``n_steps``; the loop's last step ends exactly on t_end.  The
-config is also the one check of a method, a horizon and a step.  A run's
-target step comes from ``IntegratorPolicy.grid``, the one rule for it:
-the policy's dt, or ``default_dt`` at the run's bandwidth when it has
-none, clipped to the horizon, so a target past it is one step.
+back as ``n_steps``; the loop's last step ends exactly on t_end, and a
+step past the horizon is one step of t_end.  The config is also the one
+check of a method, a horizon and a step.  A run's target step comes from
+``IntegratorPolicy.grid``, the one rule for it: the policy's dt, or
+``default_dt`` at the run's bandwidth when it has none.
 
 The one stepping loop, ``evolve_steps``, is a generator over steps: it
 yields the run so far after each step, so a caller can advance a run
 step by step in between the steps of another (the linearized study
 advances its w-run from inside its reference's observer, and so keeps
 only a window of the reference).  It owns the divergence checks, the
-early stop and the observer cadence; ``evolve_rows`` runs it to its end.
+early stop and the observer cadence, every ``snapshot_stride``-th state
+from state 0 plus the last; ``evolve_rows`` runs it to its end.
 The loop carries a (B, N+1) stack of rows in the folded half layout of
 ``spectral`` (modes k = 0..N times (-1)^k), so a flux evaluation is one
 irfft and one rfft along the last axis for the whole stack, and every row
@@ -38,8 +39,7 @@ and so the diagonal weights, k = 0..N; a convergence study steps its
 members as one stack, each posed at the largest member's bandwidth.  The
 loop builds the weights once per run.  A Lambda_k*dt outside the
 floating-point range is a ParameterError under either method, raised
-where the weights are built; ``check_operator`` runs the loop's operator
-checks without stepping.
+where the weights are built, before the initial state is observed.
 ``evolve`` is the stack of one row: it steps ``u0.half`` with the flux of
 ``folded_nonlinear_term`` and builds the observed and final fields
 ``with_half``.  It keeps ``snapshots`` on the observer cadence only when
@@ -97,8 +97,6 @@ class IntegratorConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.dt > self.t_end * (1 + 1e-12):
-            raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
         steps = self.t_end / self.dt - 1e-9
         if not steps <= MAX_STEPS:  # before math.ceil, which refuses inf
             raise ValueError(f"{steps:.3g} time steps exceed the bound of {MAX_STEPS}")
@@ -129,10 +127,10 @@ class IntegratorPolicy:
 
     def grid(self, params: ModelParams, n_modes: int, t_end: float) -> IntegratorConfig:
         """The equal-step grid to t_end of a bandwidth-``n_modes`` run: the
-        target dt, or ``default_dt(params, n_modes)`` when it is None,
-        clipped to t_end; the config snaps it."""
+        target dt, or ``default_dt(params, n_modes)`` when it is None; the
+        config snaps it."""
         dt = default_dt(params, n_modes) if self.dt is None else self.dt
-        return IntegratorConfig(self.method, min(dt, t_end), t_end)
+        return IntegratorConfig(self.method, dt, t_end)
 
 
 @dataclass(frozen=True)
@@ -234,17 +232,10 @@ def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
     return lambda c, t, t_next: _ifrk4_step(c, nl, *w, dt, t, t_next)
 
 
-def check_operator(params: ModelParams, n_modes: int, config: IntegratorConfig) -> None:
-    """Raise the ParameterError that ``evolve_rows`` raises at its start for
-    this operator, without stepping: it builds the bandwidth-N multipliers
-    and the weights of the run's step with the functions the loop uses."""
-    _step_function(linear_multipliers(params, n_modes)[None], config.method, None, config.dt)
-
-
 @dataclass
 class EvolveResult:
     final: SpectralField
-    snapshots: list  # (t, SpectralField) pairs at the snapshot cadence; empty with an observer
+    snapshots: list  # (t, SpectralField) on the observer cadence, from t = 0; empty with one
     n_steps: int
 
 
@@ -269,15 +260,15 @@ def evolve_steps(
 
     Every row shares the multipliers of bandwidth N and the flux
     ``nonlinear(rows, t)`` (see the module docstring).  The observer (if
-    any) sees the stack every ``snapshot_stride`` steps and after the final
-    step, before that step is yielded; it must copy what it keeps.
+    any) sees the stack on the cadence of the module docstring, a step's
+    state before that step is yielded; it must copy what it keeps.
     Divergence is checked per row: a row whose coefficients go nonfinite or
     whose norm grows by more than a factor of 1e6 over its own initial norm
     becomes a ``failures`` entry, tagged with the failure time, and is
     zeroed, which both flux terms keep at zero; the other rows go on.  The
     run stops early, after yielding that step, once every row has failed.
     Nothing runs before the first step is asked for: the weights are built,
-    and a bad operator refused, then.
+    and a bad operator refused, then, before the initial stack is observed.
     """
     n_steps = config.n_steps
     # a (1, N+1) row: a one-row stack then multiplies same-shape arrays,
@@ -291,6 +282,8 @@ def evolve_steps(
     tightest = limit.min()
     failures = {}
     t = 0.0
+    if observer is not None:
+        observer(t, c)
 
     for s in range(1, n_steps + 1):
         t_next = s * config.dt if s < n_steps else config.t_end
@@ -341,9 +334,9 @@ def evolve(
 ) -> EvolveResult:
     """Step one field from 0 to t_end: ``evolve_rows`` on a stack of one row.
 
-    The observer (if any) fires every ``snapshot_stride`` steps and after
-    the final step; without one, the same cadence populates ``snapshots``
-    (with one, ``snapshots`` stays empty).  Evolution is single-threaded and
+    The observer (if any) fires on the cadence of ``evolve_steps``, from
+    t = 0; without one, the same cadence populates ``snapshots`` (with one,
+    ``snapshots`` stays empty).  Evolution is single-threaded and
     bit-deterministic for identical inputs.
 
     Raises DivergenceError, tagged with the failure time, if coefficients

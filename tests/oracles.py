@@ -302,8 +302,7 @@ def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, in
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
     stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)
-    stored[0] = u0_ref.half[: n_keep + 1]
-    filled = 0
+    filled = -1  # the observer sees state 0 first
 
     def keep(t, f):
         nonlocal filled

@@ -364,6 +364,27 @@ def test_diverged_solve_keeps_the_rows_of_the_snapshots_it_wrote(tmp_path, capsy
     assert capsys.readouterr().out == csv
 
 
+def test_solve_diverging_on_its_first_step_keeps_the_initial_snapshot(tmp_path, monkeypatch):
+    # the flux is nonfinite from its first call, so the run fails on step 1:
+    # only the initial state was observed, and its snapshot and row stay
+    import benj.timestep
+
+    nan_flux = lambda c: np.full_like(c, np.nan)
+    monkeypatch.setattr(benj.timestep, "folded_nonlinear_term", lambda *args: nan_flux)
+    with np.errstate(invalid="ignore"):
+        code, manifest = run_command(tmp_path, "solve")
+    assert code == manifest["exit_code"] == EXIT_DIVERGED
+    assert manifest["status"] == "divergence"
+    first_step = parse_config(BASE).integrator.dt
+    assert manifest["results"] == {"failed_at": first_step}
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "invariants.csv", "manifest.json", "snap_0000.txt"]
+    assert read_snapshot(out / "snap_0000.txt")[1] == 0.0
+    csv = (out / "invariants.csv").read_text().splitlines()
+    assert csv[0] == "t,C,I,E" and len(csv) == 2 and csv[1].startswith("0,")
+
+
 def test_invariants_requires_files(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["invariants", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
@@ -671,9 +692,10 @@ def test_overflowing_symbol_exit_code(tmp_path, command, override, method):
     ["model.delta=1e302", "integrator.dt=10", "integrator.t_end=10"],
 ], ids=["symbol", "symbol-times-dt"])
 def test_refused_operator_leaves_only_the_manifest(tmp_path, overrides, method):
-    # solve checks the multipliers and the step weights before it writes a
-    # snapshot; a finite symbol whose product with dt overflows is refused
-    # there under either method, not run into a divergence
+    # solve's stepping loop checks the multipliers and the step weights
+    # before it observes the initial state, so no snapshot is written; a
+    # finite symbol whose product with dt overflows is refused there under
+    # either method, not run into a divergence
     text = "n_modes = 64\nintegrator.t_end = 0.01\n"
     with np.errstate(over="ignore", invalid="ignore"):
         code, manifest = run_command(tmp_path, "solve",

@@ -14,7 +14,6 @@ from benj.timestep import (
     MAX_STEPS,
     IntegratorConfig,
     IntegratorPolicy,
-    check_operator,
     default_dt,
     etd_coefficients,
     evolve,
@@ -93,8 +92,6 @@ def test_symbol_times_dt_out_of_range_is_a_parameter_error(method):
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1e302, q=1)
     config = IntegratorConfig(method, 10.0, 10.0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ParameterError, match="times dt"):
-            check_operator(p, 64, config)
         with pytest.raises(ParameterError, match="times dt"):
             evolve(rand_field(64, seed=0), p, config)
 
@@ -195,10 +192,58 @@ def test_observer_count_and_snapshots(benjamin_params):
     seen = []
     config = IntegratorConfig("etdrk4", 1e-3, 10e-3, snapshot_stride=3)
     result = evolve(u0, benjamin_params, config, observer=lambda t, f: seen.append(t))
-    assert len(seen) == 4  # ceil(10/3)
+    assert len(seen) == 5  # states 0, 3, 6, 9 and the last, 10
     assert result.snapshots == []  # an observer owns the states it is shown
-    assert len(evolve(u0, benjamin_params, config).snapshots) == 4
+    assert len(evolve(u0, benjamin_params, config).snapshots) == 5
+    assert seen[0] == 0.0
     assert seen[-1] == pytest.approx(10e-3, rel=1e-12)
+
+
+def observed_run(stacked, params, config, calls, n=8):
+    """Run ``evolve`` (one field) or ``evolve_rows`` (a stack of two rows),
+    append the observer's (t, stack copy) calls to ``calls`` and return
+    the initial stack."""
+    from benj.semidiscrete import folded_nonlinear_term
+
+    if stacked:
+        rows = _rows(n, (30, 31))
+        term = folded_nonlinear_term(params, [n, n])
+        evolve_rows(rows, params, config, lambda c, t: term(c),
+                    lambda t, c: calls.append((t, c.copy())))
+        return rows
+    u0 = rand_field(n, seed=30)
+    evolve(u0, params, config, observer=lambda t, f: calls.append((t, f.half[None].copy())))
+    return u0.half[None]
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["evolve", "evolve_rows"])
+@pytest.mark.parametrize("n_steps, stride, states", [
+    (7, 3, [0, 3, 6, 7]), (6, 3, [0, 3, 6]), (2, 1000, [0, 2]),
+])
+def test_observer_sees_state_0_then_every_stride_th_state_and_the_last(
+        method, stacked, n_steps, stride, states, benjamin_params):
+    config = IntegratorConfig(method, 1e-3, n_steps * 1e-3, stride)
+    calls, every = [], []
+    initial = observed_run(stacked, benjamin_params, config, calls)
+    observed_run(stacked, benjamin_params, replace(config, snapshot_stride=1), every)
+    assert calls[0][0] == 0.0 and calls[0][1].tobytes() == initial.tobytes()
+    assert len(every) == n_steps + 1
+    assert [t for t, _ in calls] == [every[s][0] for s in states]
+    assert all(c.tobytes() == every[s][1].tobytes() for (_, c), s in zip(calls, states))
+    assert calls[-1][0] == config.t_end
+
+
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["evolve", "evolve_rows"])
+def test_a_refused_operator_observes_nothing(method, stacked):
+    # Lambda*dt leaves the floating-point range at N = 64
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1e302, q=1)
+    calls = []
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ParameterError, match="times dt"):
+        observed_run(stacked, p, IntegratorConfig(method, 10.0, 10.0, 1), calls, n=64)
+    assert calls == []
 
 
 def test_shortened_final_step(benjamin_params):
@@ -247,8 +292,9 @@ def test_equal_steps_end_on_the_horizon(method, benjamin_params, monkeypatch):
     result = evolve(rand_field(8, seed=4), benjamin_params, config,
                     observer=lambda t, f: seen.append(t))
     assert result.n_steps == 3
-    assert seen[:2] == pytest.approx([1.0e-2 / 3, 2.0e-2 / 3], rel=1e-15)
-    assert seen[2] == 1.0e-2
+    assert seen[0] == 0.0
+    assert seen[1:3] == pytest.approx([1.0e-2 / 3, 2.0e-2 / 3], rel=1e-15)
+    assert seen[3] == 1.0e-2
     assert len(built) == 1
 
 
@@ -352,7 +398,7 @@ def test_hook_final_stage_runs_at_the_next_step_time(method, benjamin_params):
     assert result.n_steps == steps and len(times) == 4 * steps
     ends, starts = times[3::4], times[4::4]
     assert sum(a != b for a, b in zip(ends, starts)) == 0  # bitwise equal floats
-    assert ends == observed
+    assert observed == [0.0] + ends
     assert times[1::4] == times[2::4] == [t + 0.5 * dt for t in times[0::4]]
 
 
@@ -410,8 +456,9 @@ def test_a_diverging_row_is_zeroed_and_the_others_go_on(benjamin_params, kind):
     assert bad.failures[1].time == 1e-3
     message = "norm grew beyond 1e6x" if kind == "growth" else "nonfinite coefficients"
     assert str(bad.failures[1]).startswith(message)
-    assert bad.n_steps == clean.n_steps == len(seen) == 10
-    assert all(np.all(c[1] == 0) for c in seen)
+    assert bad.n_steps == clean.n_steps == len(seen) - 1 == 10
+    assert seen[0].tobytes() == rows.tobytes()
+    assert all(np.all(c[1] == 0) for c in seen[1:])
     assert bad.final[[0, 2]].tobytes() == clean.final[[0, 2]].tobytes()
 
 
@@ -462,7 +509,7 @@ def test_cubic_nonlinearity_evolves():
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=3)
     u0 = random_sobolev(4.0, 0, 48, 1.0)
     result = evolve(u0, p, IntegratorConfig("etdrk4", 5e-4, 0.1, 100))
-    rec = record_invariants([(0.0, u0)] + result.snapshots, p)
+    rec = record_invariants(result.snapshots, p)
     assert rec.rel_drift_I < 1e-12
     assert rec.rel_drift_E < 1e-12
 
@@ -472,8 +519,9 @@ def test_config_validation():
         IntegratorConfig(method="rk4", dt=1e-2, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=-1e-2, t_end=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=2.0, t_end=1.0)
+    # a step past the horizon is one step of t_end, not an error
+    config = IntegratorConfig(dt=2.0, t_end=1.0)
+    assert (config.dt, config.n_steps) == (1.0, 1)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-2, t_end=1.0, snapshot_stride=0)
     # NaN names its field, not "nan time steps exceed the bound"
@@ -499,12 +547,13 @@ def test_config_rejects_step_counts_over_the_bound(dt):
     domain_scale=st.floats(0.1, 100.0),
 )
 def test_policy_grid_is_the_one_step_rule(method, t_end, ratio, n_modes, domain_scale):
-    # the target step, or default_dt at the run's bandwidth, clipped to the
-    # horizon and snapped by the config: the rule every run's grid follows
+    # the target step, or default_dt at the run's bandwidth, snapped by the
+    # config (one step when it is past the horizon): the rule every run's
+    # grid follows
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1, domain_scale=domain_scale)
     dt = None if ratio is None else ratio * t_end
     grid = IntegratorPolicy(method, dt).grid(p, n_modes, t_end)
-    assert grid == IntegratorConfig(method, min(dt or default_dt(p, n_modes), t_end), t_end)
+    assert grid == IntegratorConfig(method, dt or default_dt(p, n_modes), t_end)
 
 
 def test_default_dt_scales(benjamin_params):
