@@ -691,11 +691,11 @@ def test_overflowing_symbol_exit_code(tmp_path, command, override, method):
     ["model.m=200"],
     ["model.delta=1e302", "integrator.dt=10", "integrator.t_end=10"],
 ], ids=["symbol", "symbol-times-dt"])
-def test_refused_operator_leaves_only_the_manifest(tmp_path, overrides, method):
+def test_refused_operator_leaves_only_the_manifest(tmp_path, capsys, overrides, method):
     # solve's stepping loop checks the multipliers and the step weights
     # before it observes the initial state, so no snapshot is written; a
     # finite symbol whose product with dt overflows is refused there under
-    # either method, not run into a divergence
+    # either method, not run into a divergence, and the error names it
     text = "n_modes = 64\nintegrator.t_end = 0.01\n"
     with np.errstate(over="ignore", invalid="ignore"):
         code, manifest = run_command(tmp_path, "solve",
@@ -703,6 +703,7 @@ def test_refused_operator_leaves_only_the_manifest(tmp_path, overrides, method):
     assert code == manifest["exit_code"] == EXIT_CONFIG
     assert manifest["status"] == "validation-error"
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+    assert "leaves the floating-point range" in capsys.readouterr().err
 
 
 def test_internal_error_leaves_incomplete_manifest(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from benj.harness import (
 from benj.initdata import InitialDataSpec, build_field, kdv_soliton, random_sobolev
 from benj.model import ModelParams
 from benj.snapshots import write_snapshot
-from benj.spectral import SpectralField, fold_half, l2_norm, project, unfold_half
+from benj.spectral import SpectralField, fold_half, l2_norm, linf_norm, project, unfold_half
 from benj.timestep import IntegratorConfig, default_dt, evolve, evolve_rows
 
 from oracles import embed, intermediate_study_full_store
@@ -222,6 +222,16 @@ def test_intermediate_study_smoke(benjamin_params):
     spread = max(report.w_linf_max) / min(report.w_linf_max)
     assert spread < 1.5
     assert report.fitted_rate is not None and report.fitted_rate > 1.5
+
+
+def test_intermediate_study_sup_norm_includes_t_0(benjamin_params):
+    # a narrow Gaussian disperses, so each w-run's sup norm is largest at
+    # t = 0: the reported maximum is that of the projected datum
+    spec = InitialDataSpec(kind="gaussian", amplitude=0.1, width=0.1)
+    report = intermediate_problem_study(benjamin_params, spec, [16, 32], 128, 0.02,
+                                        IntegratorPolicy(dt=2e-3))
+    u0 = build_field(spec, benjamin_params, 128)
+    assert report.w_linf_max == [linf_norm(u0.with_half(u0.half[: n + 1])) for n in (16, 32)]
 
 
 @pytest.mark.parametrize("shift, error", [(-1, RuntimeError), (1, IndexError)],
