@@ -300,6 +300,8 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
             (outdir / "invariants.csv").write_text(_invariants_table(record), newline="\n")
     _progress(quiet, f"solve: wrote {len(rows)} snapshots to {outdir}")
     return "ok", EXIT_OK, {
+        "dt": config.integrator.dt,
+        "n_steps": config.integrator.n_steps,
         "snapshots": len(rows),
         "rel_drift_C": record.rel_drift_C,
         "rel_drift_I": record.rel_drift_I,
@@ -329,7 +331,8 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
         print(f"error: {len(report.failures)} member run(s) diverged", file=sys.stderr)
         return "divergence", EXIT_DIVERGED, {"failures": report.failures}
     _progress(quiet, f"converge: fitted rate {report.fitted_rate}")
-    return "ok", EXIT_OK, {"fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
+    return "ok", EXIT_OK, {"dt": report.dt, "fitted_rate": report.fitted_rate,
+                           "fit_r2": report.fit_r2}
 
 
 def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:

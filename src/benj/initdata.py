@@ -213,7 +213,7 @@ def petviashvili(
             return field, PetviashviliReport(it - 1, residuals, stabilizers)
         num = float(mode_sum(h, denom))
         den = float(mode_sum(fhat, other=h))
-        if den <= 0.0 or num <= 0.0:
+        if not (den > 0.0 and num > 0.0):  # NaN included
             raise IterationError(
                 f"stabilizer degenerated (num={num:.3g}, den={den:.3g}) at sweep {it}",
                 residuals=residuals,

@@ -61,14 +61,20 @@ def symbol_l(params: ModelParams, kappa):
 
     Accepts scalars or arrays.  Even in kappa.  For r = 0 the convention
     |0|^0 := 1 applies, so the gamma term is a bounded perturbation; for
-    r > 0 both powers vanish at kappa = 0.
+    r > 0 both powers vanish at kappa = 0.  A kappa*symbol(kappa), and so a
+    multiplier, outside the floating-point range is a ParameterError.
     """
     ak = np.abs(kappa)
-    high = params.delta * ak ** (2 * params.m)
-    if params.r == 0.0:
-        low = params.gamma * np.ones_like(high)
-    else:
-        # 0.0**positive == 0.0, and positive bases take the real power branch.
-        low = params.gamma * ak ** (2.0 * params.r)
-    out = high - low
+    with np.errstate(over="ignore", invalid="ignore"):
+        high = params.delta * ak ** (2 * params.m)
+        if params.r == 0.0:
+            low = params.gamma * np.ones_like(high)
+        else:
+            # 0.0**positive == 0.0, and positive bases take the real power branch.
+            low = params.gamma * ak ** (2.0 * params.r)
+        out = high - low
+        finite = np.isfinite(ak * out)
+    if not np.all(finite):
+        raise ParameterError(f"nonfinite kappa*symbol(kappa) at |kappa| = {np.min(ak[~finite]):g}"
+                             ": the dispersion leaves the floating-point range")
     return float(out) if np.isscalar(kappa) else out

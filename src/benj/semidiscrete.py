@@ -48,15 +48,10 @@ from .spectral import analyze_coeffs, synth_values  # noqa: F401
 def linear_multipliers(params: ModelParams, n_modes: int) -> np.ndarray:
     """Read-only Lambda_k = i*kappa_k*symbol(kappa_k) for k = 0..N, purely
     imaginary with Lambda_0 = 0.  They commute with the sign fold, so they
-    act on the folded half layout as they stand.  A Lambda_k outside the
-    floating-point range is a ParameterError."""
+    act on the folded half layout as they stand.  ``symbol_l`` refuses a
+    Lambda_k outside the floating-point range, so every one here is finite."""
     kappa = np.arange(n_modes + 1) / params.domain_scale
     lam = 1j * kappa * symbol_l(params, kappa)
-    if not np.all(np.isfinite(lam)):
-        raise ParameterError(
-            f"nonfinite linear symbol at bandwidth {n_modes}: the dispersion "
-            "leaves the floating-point range"
-        )
     lam.setflags(write=False)
     return lam
 

@@ -37,9 +37,9 @@ irfft and one rfft along the last axis for the whole stack, and every row
 is Hermitian by construction.  The rows share N, dt and the multipliers,
 and so the diagonal weights, k = 0..N; a convergence study steps its
 members as one stack, each posed at the largest member's bandwidth.  The
-loop builds the weights once per run.  A Lambda_k*dt outside the
-floating-point range is a ParameterError under either method, raised
-where the weights are built, before the initial state is observed.
+loop builds the weights once per run, with ``etd_coefficients`` under
+either method (IFRK4 takes its exponentials), before the initial state
+is observed; that refuses a weight outside the floating-point range.
 ``evolve`` is the stack of one row: it steps ``u0.half`` with the flux of
 ``folded_nonlinear_term`` and builds the observed and final fields
 ``with_half``.  It keeps ``snapshots`` on the observer cadence only when
@@ -135,7 +135,7 @@ class IntegratorPolicy:
 
 @dataclass(frozen=True)
 class EtdCoefficients:
-    """Per-mode ETDRK4 weights for one step size."""
+    """Per-mode ETDRK4 weights for one step size, exponentials included."""
 
     dt: float
     e_full: np.ndarray  # exp(z)
@@ -150,7 +150,7 @@ class EtdCoefficients:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise ParameterError(
-                    f"nonfinite ETDRK4 weight in {name}: the linear symbol times dt "
+                    f"nonfinite step weight in {name}: the linear symbol times dt "
                     "leaves the floating-point range"
                 )
             arr.setflags(write=False)
@@ -172,19 +172,22 @@ def etd_coefficients(lam: np.ndarray, dt: float) -> EtdCoefficients:
     Modes with |Lambda_k*dt| below a small threshold (including Lambda = 0,
     where the weights reduce to the classical RK4 values dt/2 and dt/6) are
     averaged over a complex contour around z instead of using the closed
-    forms, which lose digits to cancellation there.
+    forms, which lose digits to cancellation there.  A weight outside the
+    floating-point range (|Lambda_k*dt| above about 1e154) is a
+    ParameterError, raised without a numpy warning.
     """
     if not dt > 0:  # NaN included
         raise ValueError(f"dt must be > 0, got {dt}")
-    z = lam * dt
-    small = np.abs(z) < _SMALL_Z
-    weights = np.empty((4,) + z.shape, dtype=np.complex128)  # q, f1, f2, f3 at dt = 1
-    weights[:, ~small] = _etd_weight_formulas(z[~small])
-    angles = 2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS
-    contour = z[small, None] + np.exp(angles)[None, :]
-    weights[:, small] = np.mean(_etd_weight_formulas(contour), axis=-1)
-    q, f1, f2, f3 = dt * weights
-    return EtdCoefficients(dt, np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = lam * dt
+        small = np.abs(z) < _SMALL_Z
+        weights = np.empty((4,) + z.shape, dtype=np.complex128)  # q, f1, f2, f3 at dt = 1
+        weights[:, ~small] = _etd_weight_formulas(z[~small])
+        angles = 2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS
+        contour = z[small, None] + np.exp(angles)[None, :]
+        weights[:, small] = np.mean(_etd_weight_formulas(contour), axis=-1)
+        q, f1, f2, f3 = dt * weights
+        return EtdCoefficients(dt, np.exp(z), np.exp(z / 2.0), q, f1, f2, f3)
 
 
 def _etdrk4_step(c, nl: NonlinearTerm, k: EtdCoefficients, two_f2, t: float, t_next: float):
@@ -210,25 +213,15 @@ def _ifrk4_step(c, nl, e_full, e_half, dt_e_half, two_e_half, dt: float, t: floa
 
 
 def _step_function(lam: np.ndarray, method: str, nl: NonlinearTerm, dt: float):
-    """One step of size dt, ``step(c, t, t_next) -> c``, in the folded half layout.
-
-    A Lambda*dt outside the floating-point range is a ParameterError under
-    either method, raised here, where the weights are built.
-    """
-    z = lam * dt
-    if not np.all(np.isfinite(z)):
-        raise ParameterError(
-            f"nonfinite linear symbol times dt={dt}: the dispersion over one "
-            "step leaves the floating-point range"
-        )
+    """One step of size dt, ``step(c, t, t_next) -> c``, in the folded half layout,
+    with the weights of ``etd_coefficients`` (IFRK4 its ``e_full`` and ``e_half``)."""
+    weights = etd_coefficients(lam, dt)
     # products of weights (2*f2; dt*e_half, 2*e_half) are formed once: the
     # same bits as forming them inside every step
     if method == "etdrk4":
-        weights = etd_coefficients(lam, dt)
         two_f2 = 2.0 * weights.f2
         return lambda c, t, t_next: _etdrk4_step(c, nl, weights, two_f2, t, t_next)
-    e_full, e_half = np.exp(z), np.exp(z / 2.0)
-    w = (e_full, e_half, dt * e_half, 2.0 * e_half)
+    w = (weights.e_full, weights.e_half, dt * weights.e_half, 2.0 * weights.e_half)
     return lambda c, t, t_next: _ifrk4_step(c, nl, *w, dt, t, t_next)
 
 

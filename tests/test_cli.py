@@ -214,6 +214,9 @@ def test_solve_takes_equal_steps_to_the_horizon(tmp_path):
     assert headers == [f"t {t:.17g}" for t in (0.0, 0.01 / 4, 2 * 0.01 / 4, 3 * 0.01 / 4, 0.01)]
     assert headers[1] == "t 0.0025000000000000001"
     assert headers[-1] == "t 0.01"
+    # the manifest records the step the run took, not the target step
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert (results["dt"], results["n_steps"]) == (0.0025, 4)
 
 
 def test_solve_validation_exit_code(tmp_path):
@@ -385,6 +388,23 @@ def test_solve_diverging_on_its_first_step_keeps_the_initial_snapshot(tmp_path, 
     assert csv[0] == "t,C,I,E" and len(csv) == 2 and csv[1].startswith("0,")
 
 
+def test_invariants_of_an_overflowing_symbol_exit_code(tmp_path, capsys):
+    # the energy's symbol leaves the floating-point range at m = 200: exit 2
+    # with the range message, no table and no numpy warning
+    out = tmp_path / "out"
+    assert run_solve(tmp_path, out) == EXIT_OK
+    capsys.readouterr()
+    snaps = sorted(str(p) for p in out.glob("snap_*.txt"))
+    args = ["invariants", "--config", str(write_config(tmp_path)), "--quiet",
+            "--override", "model.m=200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + snaps) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaves the floating-point range" in captured.err
+
+
 def test_invariants_requires_files(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["invariants", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
@@ -411,6 +431,8 @@ def test_converge_report_structure(tmp_path):
     assert len(lines[3].split(",")) == 3  # rate plus fit quality
     manifest = json.loads((out / "manifest.json").read_text())
     assert "fitted_rate" in manifest["results"]
+    # the members' step: the 2e-3 target divides t_end = 0.02
+    assert manifest["results"]["dt"] == 0.02 / 10
 
 
 @pytest.mark.parametrize("n_values", ["8", "4,8"], ids=["one-bandwidth", "two-bandwidths"])
@@ -690,14 +712,18 @@ def test_overflowing_symbol_exit_code(tmp_path, command, override, method):
 @pytest.mark.parametrize("overrides", [
     ["model.m=200"],
     ["model.delta=1e302", "integrator.dt=10", "integrator.t_end=10"],
-], ids=["symbol", "symbol-times-dt"])
+    ["model.m=200", "initial.kind=petviashvili_wave"],
+], ids=["symbol", "symbol-times-dt", "symbol-in-the-datum"])
 def test_refused_operator_leaves_only_the_manifest(tmp_path, capsys, overrides, method):
     # solve's stepping loop checks the multipliers and the step weights
     # before it observes the initial state, so no snapshot is written; a
     # finite symbol whose product with dt overflows is refused there under
-    # either method, not run into a divergence, and the error names it
+    # either method, not run into a divergence, and the error names it.  A
+    # solitary-wave datum meets the symbol's refusal first, before a sweep.
+    # No refusal emits a numpy warning.
     text = "n_modes = 64\nintegrator.t_end = 0.01\n"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, manifest = run_command(tmp_path, "solve",
                                      [*overrides, f"integrator.method={method}"], text=text)
     assert code == manifest["exit_code"] == EXIT_CONFIG

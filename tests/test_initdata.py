@@ -170,6 +170,34 @@ def test_petviashvili_overflowing_stabilizer(kdv_params):
         petviashvili(kdv_params, 1e300, guess)
 
 
+def test_petviashvili_overflowing_symbol_is_refused_before_a_sweep(monkeypatch):
+    # kappa^(2m) at m = 200 leaves the floating-point range: ``symbol_l``
+    # refuses it, without a numpy warning, before the first power is formed
+    import benj.initdata
+
+    powers = []
+    monkeypatch.setattr(benj.initdata, "dealiased_power",
+                        lambda *args: powers.append(args))
+    params = ModelParams(m=200, r=0.5, gamma=1.0, delta=1.0, q=1, domain_scale=8.0)
+    guess = gaussian(1.0, 1.0, 0.0, 64, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="leaves the floating-point range"):
+            petviashvili(params, 0.75, guess)
+    assert powers == []
+
+
+def test_petviashvili_nan_stabilizer_stops_at_once():
+    # an amplitude of 1e200 makes f(phi) overflow, so the stabilizer's
+    # numerator is inf and its denominator NaN on the first sweep
+    params = ModelParams(m=1, r=0.5, gamma=0.5, delta=1.0, q=1, domain_scale=8.0)
+    guess = gaussian(1e200, 1.0, 0.0, 64, 8.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IterationError, match="stabilizer degenerated") as info:
+        petviashvili(params, 0.75, guess)
+    assert len(info.value.residuals) == 1
+
+
 def test_gaussian_vanishing_width_has_no_tail():
     # (L*pi/w)**2 overflows a Python float here; the tail is exactly 0
     with warnings.catch_warnings(), np.errstate(over="ignore"):

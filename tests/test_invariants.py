@@ -1,9 +1,11 @@
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from benj.errors import ParameterError
 from benj.initdata import InitialDataSpec, build_field
 from benj.invariants import c_pi, e_pi, i_pi, invariant_row, record_invariants, record_rows
 from benj.model import ModelParams, symbol_l
@@ -172,3 +174,18 @@ def test_record_keeps_rows_not_fields(benjamin_params):
 def test_record_of_no_rows_is_refused():
     with pytest.raises(ValueError, match="at least one snapshot"):
         record_rows([])
+
+
+def test_energy_of_an_overflowing_symbol_is_refused_before_a_grid(monkeypatch):
+    # kappa^(2m) at m = 200 leaves the floating-point range: ``symbol_l``
+    # refuses it, without a numpy warning, before u is put on a grid
+    import benj.invariants
+
+    grids = []
+    monkeypatch.setattr(benj.invariants, "half_values", lambda *args: grids.append(args))
+    p = ModelParams(m=200, r=0.5, gamma=1.0, delta=1.0, q=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="leaves the floating-point range"):
+            e_pi(rand_field(64, seed=0), p)
+    assert grids == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,25 @@ def test_params_validation(kwargs, fragment):
     base.update(kwargs)
     with pytest.raises(ParameterError, match=fragment):
         ModelParams(**base)
+
+
+@pytest.mark.parametrize("kappa", [np.arange(65.0), 64.0], ids=["array", "scalar"])
+def test_overflowing_symbol_is_refused_without_a_warning(kappa):
+    # kappa^(2m) at m = 200 overflows long before kappa = 64
+    p = ModelParams(m=200, r=0.5, gamma=1.0, delta=1.0, q=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="leaves the floating-point range"):
+            symbol_l(p, kappa)
+
+
+def test_finite_symbol_with_an_overflowing_multiplier_is_refused():
+    # delta*kappa^2 is about 4e307 at kappa = 64, and kappa times it is not finite
+    p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1e304, q=1)
+    kappa = np.arange(65.0)
+    assert np.isfinite(p.delta * kappa[-1] ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="leaves the floating-point range"):
+            symbol_l(p, kappa)
+        assert np.all(np.isfinite(kappa[:17] * symbol_l(p, kappa[:17])))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -207,12 +209,14 @@ def test_frozen_term_memo_matches_fresh_closure(q):
 
 
 def test_overflowing_symbol_is_a_parameter_error():
-    # kappa^(2m) at m = 200 overflows long before N = 64: one check for
-    # both integrators, ahead of any weight or exponential
+    # kappa^(2m) at m = 200 overflows long before N = 64: ``symbol_l``
+    # refuses it, for either integrator, ahead of any weight or exponential
+    # and without a numpy warning
     p = ModelParams(m=200, r=0.5, gamma=1.0, delta=1.0, q=1)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ParameterError, match="floating-point range"):
-        linear_multipliers(p, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="leaves the floating-point range"):
+            linear_multipliers(p, 64)
 
 
 def test_large_q_is_a_parameter_error():

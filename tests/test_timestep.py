@@ -76,6 +76,18 @@ def test_weights_out_of_range_are_a_parameter_error():
         etd_coefficients(fake_multipliers([1e300j]), dt=1.0)
 
 
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+def test_step_weights_out_of_range_are_refused_under_either_method(method):
+    # both methods take their weights from ``etd_coefficients``, which
+    # refuses them without a numpy warning; IFRK4 its exponentials too
+    from benj.timestep import _step_function
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="step weight .* floating-point range"):
+            _step_function(fake_multipliers([0.0, 1e300j])[None], method, zero_term, 1.0)
+
+
 @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])
 def test_weights_refuse_a_step_that_is_not_positive(dt):
     # NaN names the step, not a nonfinite weight, and numpy never sees it
