@@ -37,16 +37,18 @@ table, the three CSV files and the ``invariants`` table on stdout, has
 one format (``_table``): a header line, then one line of ``%.17g``
 values per row; ``convergence.csv`` ends with a ``rate`` line of the
 fitted rate and r2 in that format.
-A config that plans more than ``timestep.MAX_STEPS`` steps, or a padded
-grid of more than ``MAX_GRID`` points, is a validation error, and so is a
-set ``converge.n_ref`` that is not positive (an unset one is four times
-the finest of ``converge.n_values``).  Every value has one key: ``solve``,
-``converge`` and ``soliton`` run to ``integrator.t_end`` on the grid that
-``timestep.IntegratorPolicy.grid`` makes of ``integrator.method`` and the
-target ``integrator.dt`` (an unset one is derived at ``n_modes``, or by
-``converge``'s study at its finest bandwidth), ``soliton`` sends a wave
-of speed ``initial.speed``, and the top-level ``seed`` seeds
-``random_sobolev`` data.
+``parse_config`` requires, bounds and plans only what its command reads
+(every key given is still parsed to its type): ``invariants`` the
+``model`` section alone; ``solve`` and ``soliton`` a grid at ``n_modes``;
+``converge`` its step at the finest of ``converge.n_values`` and its grid
+bound at the reference bandwidth (``converge.n_ref``, positive, or four
+times that finest).  A plan of more than ``timestep.MAX_STEPS`` steps, a
+padded grid of more than ``MAX_GRID`` points or an empty ``outputs`` is a
+validation error there.  Every value has one key: a run steps the grid
+that ``timestep.IntegratorPolicy.grid`` plans of ``integrator.method``,
+``integrator.dt`` (unset: derived at that bandwidth) and
+``integrator.t_end``; ``soliton`` sends a wave of speed
+``initial.speed``, and ``seed`` seeds ``random_sobolev`` data.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-# Schema: key -> (parser, default).  REQUIRED marks keys with no default;
-# None defaults mean "derived later".
-_REQUIRED = object()
-
-
 def _parse_float(s: str) -> float:
     x = float(s)
     if not math.isfinite(x):
@@ -107,6 +104,8 @@ def _parse_int_list(s: str) -> list:
     return [int(p) for p in s.replace(" ", "").split(",") if p]
 
 
+# Schema: key -> (parser, default); a None default is unset: derived, or
+# required by the commands that read it.
 _SCHEMA = {
     "model.m": (int, 1),
     "model.r": (_parse_float, 0.5),
@@ -114,7 +113,7 @@ _SCHEMA = {
     "model.delta": (_parse_float, 1.0),
     "model.q": (int, 1),
     "model.domain_scale": (_parse_float, 1.0),
-    "n_modes": (int, _REQUIRED),
+    "n_modes": (int, None),
     "seed": (int, 0),
     "outputs": (str, "out"),
     "initial.kind": (str, "gaussian"),
@@ -138,11 +137,12 @@ _SCHEMA = {
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelParams
-    initial: InitialDataSpec
-    integrator: IntegratorConfig
-    n_modes: int
-    outputs: Path
     raw: dict  # resolved key -> value, echoed into the manifest
+    # None where the command does not read it (see parse_config)
+    initial: InitialDataSpec | None = None
+    integrator: IntegratorConfig | None = None  # the planned grid
+    n_modes: int | None = None
+    outputs: Path | None = None
 
 
 def _read_pairs(text: str) -> dict:
@@ -183,8 +183,6 @@ def _resolve(pairs: dict) -> dict:
                 resolved[key] = parser(pairs[key])
             except ValueError as exc:
                 raise ConfigError(f"key {key!r}: {exc}", key=key) from exc
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}", key=key)
         else:
             resolved[key] = default
     return resolved
@@ -197,49 +195,54 @@ def _section(resolved: dict, name: str) -> dict:
 
 
 def _reference_n(r: dict) -> int:
-    """``converge.n_ref``, or four times the finest measured bandwidth when unset."""
+    """``converge.n_ref`` (refused unless > 0), or four times the finest of n_values."""
     n_ref = r["converge.n_ref"]
-    return 4 * max(r["converge.n_values"] or [0]) if n_ref is None else n_ref
+    if n_ref is not None and n_ref < 1:
+        raise ConfigError(f"converge.n_ref must be > 0, got {n_ref}", key="converge.n_ref")
+    return 4 * max(r["converge.n_values"]) if n_ref is None else n_ref
 
 
-def _check_grid(model: ModelParams, r: dict):
-    """Reject a config whose widest grid, the energy's dealiased grid for
-    u^(q+2) at the largest bandwidth (n_modes, or converge's reference),
-    exceeds MAX_GRID points.  Its lower bound (q+3)n+1 is tested first, so
-    a huge n is rejected without a next_fast_len search or any array."""
-    n = max(r["n_modes"], _reference_n(r))
+def _check_grid(model: ModelParams, n: int):
+    """Reject a run whose widest grid, the energy's dealiased grid for u^(q+2)
+    at its largest bandwidth n, exceeds MAX_GRID points.  Its lower bound
+    (q+3)n+1 is tested first: a huge n needs no next_fast_len search."""
     p = model.q + 2
     if (p + 1) * n + 1 > MAX_GRID or dealiased_grid(n, p) > MAX_GRID:
         raise ConfigError(f"model.q={model.q} at bandwidth {n} needs a grid of "
                           f"more than {MAX_GRID} points")
 
 
-def parse_config(text: str, overrides=None) -> RunConfig:
-    """Parse and fully validate a configuration document."""
-    pairs = _apply_overrides(_read_pairs(text), overrides)
-    r = _resolve(pairs)
-
+def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig:
+    """Parse a configuration document, and validate and plan what ``command``
+    reads (see the module docstring): the model alone for ``invariants``;
+    else also the output directory, the bandwidths, the initial data and
+    the time grid, planned at the bandwidth the run steps at."""
+    r = _resolve(_apply_overrides(_read_pairs(text), overrides))
     model = ModelParams(**_section(r, "model"))
-    n_modes = r["n_modes"]
-    if n_modes < 1:
-        raise ConfigError(f"n_modes must satisfy N >= 1, got {n_modes}", key="n_modes")
-    if r["converge.n_ref"] is not None and r["converge.n_ref"] < 1:
-        raise ConfigError(f"converge.n_ref must be > 0, got {r['converge.n_ref']}",
-                          key="converge.n_ref")
-    _check_grid(model, r)
+    if command == "invariants":
+        return RunConfig(model, r)
+    if not r["outputs"]:
+        raise ConfigError("outputs must not be empty ('.' is this directory)", key="outputs")
+    if command == "converge":
+        key, n_values = "converge.n_values", r["converge.n_values"] or [None]
+    else:
+        key, n_values = "n_modes", [r["n_modes"]]
+    if None in n_values:
+        raise ConfigError(f"missing required key {key!r} for {command}", key=key)
+    if min(n_values) < 1:
+        raise ConfigError(f"{key} must satisfy N >= 1, got {r[key]}", key=key)
+    n = max(n_values)  # the bandwidth the run steps at
+    _check_grid(model, _reference_n(r) if command == "converge" else n)
 
-    # an unset integrator.dt stays None in ``raw``: each command derives its own
     integrator = _section(r, "integrator")
     grid = IntegratorPolicy(integrator["method"], integrator["dt"]).grid(
-        model, n_modes, integrator["t_end"])
-
+        model, n, integrator["t_end"])
     return RunConfig(
-        model=model,
+        model, r,
         initial=InitialDataSpec(**_section(r, "initial"), seed=r["seed"]),
         integrator=replace(grid, snapshot_stride=integrator["snapshot_stride"]),
-        n_modes=n_modes,
+        n_modes=None if command == "converge" else n,
         outputs=Path(r["outputs"]),
-        raw=r,
     )
 
 
@@ -310,18 +313,13 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
 
 
 def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
-    n_values = config.raw["converge.n_values"]
-    if not n_values:
-        raise ConfigError("converge.n_values is required for the converge command",
-                          key="converge.n_values")
-    n_ref = _reference_n(config.raw)
-    t_star = config.integrator.t_end
-    # an unset dt is derived by the study from the finest measured bandwidth
-    policy = IntegratorPolicy(method=config.integrator.method, dt=config.raw["integrator.dt"])
-    _progress(quiet, f"converge: N in {n_values}, reference N={n_ref}, t*={t_star:g}")
+    n_values, n_ref = config.raw["converge.n_values"], _reference_n(config.raw)
+    grid = config.integrator
+    _progress(quiet, f"converge: N in {n_values}, reference N={n_ref}, t*={grid.t_end:g}")
     # members that diverge are reported in ``failures``; a DivergenceError
     # raised here comes from the reference run
-    report = self_convergence(config.model, config.initial, n_values, n_ref, t_star, policy)
+    report = self_convergence(config.model, config.initial, n_values, n_ref, grid.t_end,
+                              IntegratorPolicy(grid.method, grid.dt))
 
     fit = [float("nan") if v is None else v for v in (report.fitted_rate, report.fit_r2)]
     table = _table("N,error", zip(report.n_values, report.errors)) + "rate," + _row(fit)
@@ -331,19 +329,19 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
         print(f"error: {len(report.failures)} member run(s) diverged", file=sys.stderr)
         return "divergence", EXIT_DIVERGED, {"failures": report.failures}
     _progress(quiet, f"converge: fitted rate {report.fitted_rate}")
-    return "ok", EXIT_OK, {"dt": report.dt, "fitted_rate": report.fitted_rate,
-                           "fit_r2": report.fit_r2}
+    return "ok", EXIT_OK, {"dt": grid.dt, "n_steps": grid.n_steps,
+                           "fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
 
 
 def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
-    model, speed, t_star = config.model, config.initial.speed, config.integrator.t_end
+    model, speed, grid = config.model, config.initial.speed, config.integrator
     closed_form = model.gamma == 0.0 and model.m == 1 and model.q == 1
     spec = replace(config.initial, kind="kdv_soliton" if closed_form else "petviashvili_wave",
                    center=0.0)
     profile = build_field(spec, model, config.n_modes)
-    _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={t_star:g}")
-    policy = IntegratorPolicy(config.integrator.method, config.raw["integrator.dt"])
-    report = soliton_propagation_test(speed, model, config.n_modes, t_star, profile, policy)
+    _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={grid.t_end:g}")
+    report = soliton_propagation_test(speed, model, config.n_modes, grid.t_end, profile,
+                                      IntegratorPolicy(grid.method, grid.dt))
 
     write_snapshot(config.outputs / "profile.txt", profile, 0.0)
     speed_est, drifts = report.speed_estimate, report.drifts
@@ -353,7 +351,7 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
     (config.outputs / "soliton_report.csv").write_text(_table(header, [row]), newline="\n")
     _progress(quiet, f"soliton: measured speed {speed_est:.6g} "
                      f"(target {speed:g}), shape error {report.shape_error_linf:.3g}")
-    return "ok", EXIT_OK, {"speed_estimate": speed_est,
+    return "ok", EXIT_OK, {"dt": grid.dt, "n_steps": grid.n_steps, "speed_estimate": speed_est,
                            "shape_error_linf": report.shape_error_linf}
 
 
@@ -429,7 +427,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     manifest, code = None, None
     try:
-        config = parse_config(Path(args.config).read_text(), args.override)
+        config = parse_config(Path(args.config).read_text(), args.override, args.command)
         if args.command == "invariants":  # writes no files, so no manifest
             return _cmd_invariants(config, args.files)
         _claim_outputs(args.command, config.outputs)  # no manifest: the directory is not ours

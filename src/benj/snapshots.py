@@ -90,7 +90,7 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
     head = rows[0]
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise SnapshotFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if not head[1].isdigit() or int(head[1]) != FORMAT_VERSION:
+    if not head[1].isdecimal() or int(head[1]) != FORMAT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {head[1]}")
 
     try:

@@ -213,7 +213,7 @@ def read_snapshot_per_line(path):
     head = lines[0].split()
     if len(head) != 2 or head[0] != "benj-snapshot":
         raise SnapshotFormatError(f"{path}: not a benj-snapshot file")
-    if not head[1].isdigit() or int(head[1]) != 1:
+    if not head[1].isdecimal() or int(head[1]) != 1:
         raise SnapshotFormatError(f"{path}: unsupported version {head[1]}")
     try:
         header = dict(ln.split(maxsplit=1) for ln in lines[1:4])

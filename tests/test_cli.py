@@ -144,18 +144,87 @@ def test_removed_keys_are_unknown(tmp_path, capsys, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    "n_modes = 8\nmodel.q = 1000000\n",
-    "n_modes = 1000000000\n",
-    "n_modes = 1000000000000000000000000\n",
-    "n_modes = 8\nconverge.n_values = 8, 1000000\n",
-    "n_modes = 8\nconverge.n_ref = 1000000\n",
+@pytest.mark.parametrize("text, command", [
+    ("n_modes = 8\nmodel.q = 1000000\n", "solve"),
+    ("n_modes = 1000000000\n", "solve"),
+    ("n_modes = 1000000000000000000000000\n", "solve"),
+    ("converge.n_values = 8, 1000000\n", "converge"),
+    ("converge.n_values = 4, 8\nconverge.n_ref = 1000000\n", "converge"),
 ], ids=["q", "n_modes", "n_modes-huge", "n_values", "n_ref"])
-def test_config_rejects_oversized_grids(text):
+def test_config_rejects_oversized_grids(text, command):
     # checked from the sizes alone: no grid of that size is ever built
     with pytest.raises(ConfigError, match="needs a grid of more than"):
-        parse_config(text)
-    parse_config("n_modes = 8\nmodel.q = 100\nconverge.n_ref = 4096\n")
+        parse_config(text, None, command)
+    parse_config("converge.n_values = 4, 8\nmodel.q = 100\nconverge.n_ref = 4096\n", None,
+                 "converge")
+
+
+def test_converge_keys_do_not_bound_a_solve_config():
+    # solve reads neither key: a reference grid past the bound, or a
+    # reference bandwidth no study could use, does not refuse it
+    for converge in ("converge.n_values = 8, 1000000\n", "converge.n_ref = 0\n"):
+        config = parse_config("n_modes = 8\n" + converge)
+        assert (config.n_modes, config.integrator.dt) == (8, 5e-3)
+
+
+# converge reads no n_modes: unset, or past the grid bound, it changes nothing
+@pytest.mark.parametrize("n_modes_line", ["", "n_modes = 900000\n"], ids=["unset", "huge"])
+def test_converge_ignores_n_modes(tmp_path, n_modes_line):
+    text = n_modes_line + "converge.n_values = 4, 8\nintegrator.t_end = 0.01\n"
+    code, manifest = run_command(tmp_path, "converge", text=text)
+    assert code == manifest["exit_code"] == EXIT_OK
+    assert manifest["status"] == "ok"
+    assert parse_config(text, None, "converge").n_modes is None
+
+
+def test_converge_step_is_planned_at_the_finest_measured_bandwidth():
+    # n_modes = 4096 would plan dt = 1.2e-4, 1.64e6 steps past the bound; the
+    # study steps 5e-3 at N = 8, 40,000 steps
+    text = "n_modes = 4096\nconverge.n_values = 4, 8\nintegrator.t_end = 200\n"
+    config = parse_config(text, None, "converge")
+    grid = config.integrator
+    assert (grid.dt, grid.n_steps) == (5e-3, 40_000)
+    assert grid == IntegratorPolicy().grid(config.model, 8, 200.0)
+
+
+def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path):
+    # the finest measured bandwidth N = 4096 plans 1.64e6 steps: exit 2 at
+    # once, with no manifest and no output directory
+    text = "n_modes = 8\nconverge.n_values = 4, 4096\nintegrator.t_end = 200\n"
+    start = time.perf_counter()
+    code, manifest = run_command(tmp_path, "converge", text=text)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    assert manifest is None
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["", "0", "-4, 8"], ids=["empty", "zero", "negative"])
+def test_converge_n_values_are_checked_at_parse_time(tmp_path, value):
+    code, manifest = run_command(tmp_path, "converge", [f"converge.n_values={value}"],
+                                 text="integrator.t_end = 0.01\n")
+    assert code == EXIT_CONFIG
+    assert manifest is None
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"converge.n_values = {value}\n", None, "converge")
+    assert info.value.key == "converge.n_values"
+
+
+@pytest.mark.parametrize("command", ["solve", "converge", "soliton"])
+def test_empty_outputs_is_refused(tmp_path, monkeypatch, command):
+    # an empty value would name the current directory, and the run would
+    # remove this command's earlier results there
+    monkeypatch.chdir(tmp_path)
+    foreign = tmp_path / "snap_9999.txt"
+    foreign.write_text("not ours\n")
+    cfg = write_config(tmp_path, BASE + "converge.n_values = 4, 8\noutputs =\n")
+    assert main([command, "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "snap_9999.txt"]
+    assert foreign.read_text() == "not ours\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg.read_text(), None, command)
+    assert info.value.key == "outputs"
+    assert parse_config("n_modes = 8\noutputs = .\n").outputs == Path(".")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -405,6 +474,20 @@ def test_invariants_of_an_overflowing_symbol_exit_code(tmp_path, capsys):
     assert "leaves the floating-point range" in captured.err
 
 
+@pytest.mark.parametrize("override", [None, "integrator.t_end=0", "initial.kind=bogus"],
+                         ids=["model-only", "zero-horizon", "unknown-kind"])
+def test_invariants_reads_the_model_section_alone(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    assert run_solve(tmp_path, out, extra=["model.q=2"]) == EXIT_OK
+    cfg = write_config(tmp_path, "model.q = 2\n", name="model.cfg")
+    args = ["invariants", "--config", str(cfg), "--quiet"]
+    if override is not None:
+        args += ["--override", override]
+    assert main(args + sorted(str(p) for p in out.glob("snap_*.txt"))) == EXIT_OK
+    assert capsys.readouterr().out == (out / "invariants.csv").read_text()
+    assert parse_config("model.q = 2\n", None, "invariants").integrator is None
+
+
 def test_invariants_requires_files(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["invariants", "--config", str(cfg), "--quiet"]) == EXIT_CONFIG
@@ -432,7 +515,7 @@ def test_converge_report_structure(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "fitted_rate" in manifest["results"]
     # the members' step: the 2e-3 target divides t_end = 0.02
-    assert manifest["results"]["dt"] == 0.02 / 10
+    assert (manifest["results"]["dt"], manifest["results"]["n_steps"]) == (0.02 / 10, 10)
 
 
 @pytest.mark.parametrize("n_values", ["8", "4,8"], ids=["one-bandwidth", "two-bandwidths"])
@@ -518,6 +601,25 @@ def test_soliton_command(tmp_path):
     values = dict(zip(header, lines[1].split(",")))
     assert float(values["speed_error"]) < 1e-3
     assert float(values["shape_error_linf"]) < 1e-4
+
+
+@pytest.mark.parametrize("dt_line", ["integrator.dt = 5e-3\n", ""], ids=["set", "unset"])
+def test_soliton_manifest_records_the_stepped_grid(tmp_path, monkeypatch, dt_line):
+    # an unset step is derived at N = 64, L = 16: the 5e-3 that is set
+    grids = []
+    real = benj.harness.evolve
+
+    def recording(u0, params, config, observer=None):
+        grids.append(config)
+        return real(u0, params, config, observer)
+
+    monkeypatch.setattr(benj.harness, "evolve", recording)
+    text = "model.gamma = 0\nmodel.domain_scale = 16\nn_modes = 64\nintegrator.t_end = 0.01\n"
+    code, manifest = run_command(tmp_path, "soliton", text=text + dt_line)
+    assert code == manifest["exit_code"] == EXIT_OK
+    (grid,) = grids
+    results = manifest["results"]
+    assert (results["dt"], results["n_steps"]) == (0.005, 2) == (grid.dt, grid.n_steps)
 
 
 def test_soliton_report_csv_bytes(tmp_path, monkeypatch):
@@ -835,9 +937,10 @@ def test_converge_step_policy(tmp_path, monkeypatch, dt_line, expected):
     monkeypatch.setattr(benj.cli, "self_convergence", recording)
     # n_modes = 8 alone would give dt = 5e-3, which snaps to 7 steps over t*
     text = "n_modes = 8\nconverge.n_values = 8, 16, 128\nintegrator.t_end = 0.03125\n"
-    code, _ = run_command(tmp_path, "converge", text=text + dt_line)
+    code, manifest = run_command(tmp_path, "converge", text=text + dt_line)
     assert code == EXIT_OK
-    assert reports[0].dt == expected
+    assert reports[0].dt == expected == manifest["results"]["dt"]
+    assert manifest["results"]["n_steps"] == round(0.03125 / expected)
 
 
 def test_soliton_builds_closed_form_once(tmp_path):
@@ -895,7 +998,7 @@ def test_fuzzed_overrides_end_in_documented_exit_code(command, overrides):
             code = main(args)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
         try:
-            parse_config(FUZZ_BASE, overrides)
+            parse_config(FUZZ_BASE, overrides, command)
         except ValueError:
             return  # rejected before any output
         manifest = json.loads((Path(tmp) / "out" / "manifest.json").read_text())
@@ -942,7 +1045,7 @@ def test_fuzzed_config_text_ends_in_documented_exit_code(command, data):
         out = Path(tmp) / "out"
         text = data.draw(_config_text(out))
         try:
-            parse_config(text)  # raises nothing but a ValueError
+            parse_config(text, None, command)  # raises nothing but a ValueError
             parses = True
         except ValueError:
             parses = False

@@ -129,6 +129,8 @@ def test_signed_zeros_survive_a_round_trip(tmp_path, n):
 
 @pytest.mark.parametrize("text, match", [
     ("benj-snapshot x\nN 1\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "version"),
+    # a digit that is not decimal, which int() refuses: the version check refuses it first
+    ("benj-snapshot \u00b2\nN 1\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "unsupported version \u00b2"),
     ("benj-snapshot 1\nN\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 0\n", "header"),
     ("benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 x 0\n1 0 0\n", "coefficient line"),
     ("benj-snapshot 1\nN 1\nL 1\nt 0\n-1 0 0\n0 0 0\n1 0 1j\n", "coefficient line"),
@@ -140,8 +142,8 @@ def test_signed_zeros_survive_a_round_trip(tmp_path, n):
     ("benj-snapshot 1\nN 1\nL inf\nt 0\n-1 0 0\n0 1 0\n1 0 0\n", "domain_scale"),
     ("benj-snapshot 1\nN 1\nL 1\nt nan\n-1 0 0\n0 1 0\n1 0 0\n", "header: time t nan"),
     ("benj-snapshot 1\nN 1\nL 1\nt inf\n-1 0 0\n0 1 0\n1 0 0\n", "header: time t inf"),
-], ids=["version", "header", "re", "im", "mode", "n-zero", "negative-scale",
-        "opposite-infinities", "nan-scale", "inf-scale", "nan-time", "inf-time"])
+], ids=["version", "superscript-version", "header", "re", "im", "mode", "n-zero",
+        "negative-scale", "opposite-infinities", "nan-scale", "inf-scale", "nan-time", "inf-time"])
 def test_rejects_malformed_tokens(tmp_path, text, match):
     # with the message of the per-line oracle, which names the same first bad line
     path = tmp_path / "bad.txt"
