@@ -40,14 +40,15 @@ fitted rate and r2 in that format.
 ``parse_config`` requires, bounds and plans only what its command reads
 (every key given is still parsed to its type): ``invariants`` the
 ``model`` section alone; ``solve`` and ``soliton`` a grid at ``n_modes``;
-``converge`` its step at the finest of ``converge.n_values`` and its grid
-bound at the reference bandwidth (``converge.n_ref``, positive, or four
-times that finest).  A plan of more than ``timestep.MAX_STEPS`` steps, a
-padded grid of more than ``MAX_GRID`` points or an empty ``outputs`` is a
-validation error there.  Every value has one key: a run steps the grid
-that ``timestep.IntegratorPolicy.grid`` plans of ``integrator.method``,
-``integrator.dt`` (unset: derived at that bandwidth) and
-``integrator.t_end``; ``soliton`` sends a wave of speed
+``converge`` the study's bandwidth rule (``harness._check_bandwidths``)
+on ``converge.n_values`` (comma-separated integers) and ``converge.n_ref``
+(unset: ``harness._REF_FACTOR`` times the finest), then a grid bound at
+that reference and a step at the finest.  A broken rule, more than
+``timestep.MAX_STEPS`` steps, a padded grid over ``MAX_GRID`` points or
+an empty ``outputs`` is a validation error there.  Every value has one
+key: a run steps the grid that ``timestep.IntegratorPolicy.grid`` plans
+of ``integrator.method``, ``integrator.dt`` (unset: derived at that
+bandwidth) and ``integrator.t_end``; ``soliton`` sends a wave of speed
 ``initial.speed``, and ``seed`` seeds ``random_sobolev`` data.
 """
 
@@ -63,7 +64,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DivergenceError, IterationError
-from .harness import self_convergence, soliton_propagation_test
+from .harness import _REF_FACTOR, _check_bandwidths, self_convergence, soliton_propagation_test
 from .initdata import InitialDataSpec, build_field
 from .invariants import invariant_row, record_invariants, record_rows
 from .model import ModelParams
@@ -101,7 +102,8 @@ def _parse_float(s: str) -> float:
 
 
 def _parse_int_list(s: str) -> list:
-    return [int(p) for p in s.replace(" ", "").split(",") if p]
+    """Comma-separated integers; an empty entry is skipped, one with a space inside refused."""
+    return [int(p) for p in map(str.strip, s.split(",")) if p]
 
 
 # Schema: key -> (parser, default); a None default is unset: derived, or
@@ -143,6 +145,8 @@ class RunConfig:
     integrator: IntegratorConfig | None = None  # the planned grid
     n_modes: int | None = None
     outputs: Path | None = None
+    n_values: list | None = None  # converge: the checked bandwidths, sorted
+    n_ref: int | None = None  # converge: the reference bandwidth
 
 
 def _read_pairs(text: str) -> dict:
@@ -194,14 +198,6 @@ def _section(resolved: dict, name: str) -> dict:
     return {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
 
 
-def _reference_n(r: dict) -> int:
-    """``converge.n_ref`` (refused unless > 0), or four times the finest of n_values."""
-    n_ref = r["converge.n_ref"]
-    if n_ref is not None and n_ref < 1:
-        raise ConfigError(f"converge.n_ref must be > 0, got {n_ref}", key="converge.n_ref")
-    return 4 * max(r["converge.n_values"]) if n_ref is None else n_ref
-
-
 def _check_grid(model: ModelParams, n: int):
     """Reject a run whose widest grid, the energy's dealiased grid for u^(q+2)
     at its largest bandwidth n, exceeds MAX_GRID points.  Its lower bound
@@ -232,7 +228,11 @@ def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig
     if min(n_values) < 1:
         raise ConfigError(f"{key} must satisfy N >= 1, got {r[key]}", key=key)
     n = max(n_values)  # the bandwidth the run steps at
-    _check_grid(model, _reference_n(r) if command == "converge" else n)
+    study = {}  # converge: its checked bandwidths and its reference bandwidth
+    if command == "converge":  # the rule refuses an n_ref < 1 before a grid is sized at it
+        n_ref = _REF_FACTOR * n if r["converge.n_ref"] is None else r["converge.n_ref"]
+        study = {"n_values": _check_bandwidths(n_values, n_ref), "n_ref": n_ref}
+    _check_grid(model, study.get("n_ref", n))
 
     integrator = _section(r, "integrator")
     grid = IntegratorPolicy(integrator["method"], integrator["dt"]).grid(
@@ -241,8 +241,9 @@ def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig
         model, r,
         initial=InitialDataSpec(**_section(r, "initial"), seed=r["seed"]),
         integrator=replace(grid, snapshot_stride=integrator["snapshot_stride"]),
-        n_modes=None if command == "converge" else n,
+        n_modes=None if study else n,
         outputs=Path(r["outputs"]),
+        **study,
     )
 
 
@@ -313,8 +314,7 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
 
 
 def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
-    n_values, n_ref = config.raw["converge.n_values"], _reference_n(config.raw)
-    grid = config.integrator
+    n_values, n_ref, grid = config.n_values, config.n_ref, config.integrator
     _progress(quiet, f"converge: N in {n_values}, reference N={n_ref}, t*={grid.t_end:g}")
     # members that diverge are reported in ``failures``; a DivergenceError
     # raised here comes from the reference run

@@ -2,18 +2,19 @@
 intermediate-problem diagnostic, and soliton propagation benchmarks.
 
 All studies measure against a self-computed reference run at a bandwidth
-at least four times the finest measured one (max(4, 1+q) times in the
-linearized study, which stores it at bandwidth (1+q)N) and a step four
-times smaller, which keeps the reference error well below every measured
-error.  The member runs follow the reference as one stack
+at least ``_REF_FACTOR`` = 4 times the finest of distinct measured ones
+(max(4, 1+q) times in the linearized study, which stores it at (1+q)N)
+and a step four times smaller, which keeps the reference error well below
+every measured error.  ``_check_bandwidths`` owns the rule; the CLI
+calls it too.  The member runs follow the reference as one stack
 (``timestep.evolve_rows``): row i is the bandwidth-n_i member posed at
 the finest member's bandwidth with its flux masked to |k| <= n_i, the
 same Galerkin system up to rounding.  A row that diverges becomes its
 member's ``failures`` entry; the other rows go on.  Both studies and the
 soliton test take their time grid to t_star from
 ``timestep.IntegratorPolicy.grid``, at the run's bandwidth (a study's
-finest measured one).  Bandwidths below 1 and horizons or steps that are
-not positive are ValueErrors, raised before anything is built or run.
+finest measured one).  A broken bandwidth rule, or a horizon or step that
+is not positive, is a ValueError raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -45,6 +46,7 @@ from .timestep import IntegratorConfig, IntegratorPolicy, evolve, evolve_rows, e
 
 _ERROR_FLOOR = 1e-300
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
+_REF_FACTOR = 4  # a reference bandwidth is at least this many times the finest measured one
 
 
 @dataclass
@@ -105,18 +107,21 @@ def _fit_tail(n_values, errors):
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
-def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy, ref_factor=4):
-    """Checked bandwidths (n_ref at least ``ref_factor`` times the finest),
-    the members' time grid, and the initial datum at n_ref.  Every check
-    runs before the datum is built."""
+def _check_bandwidths(n_values, n_ref, ref_factor=_REF_FACTOR) -> list:
+    """n_values sorted; a ValueError unless distinct, >= 1 and n_ref >= ref_factor x the finest."""
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1 or len(set(n_values)) != len(n_values):
         raise ValueError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
-    if n_ref < ref_factor * max(n_values):
-        raise ValueError(
-            f"reference bandwidth {n_ref} must be at least {ref_factor}x the finest "
-            f"measured bandwidth {max(n_values)}, i.e. >= {ref_factor * max(n_values)}"
-        )
+    if n_ref < ref_factor * n_values[-1]:
+        raise ValueError(f"reference bandwidth {n_ref} must be at least {ref_factor}x the finest "
+                         f"measured bandwidth {n_values[-1]}, i.e. >= {ref_factor * n_values[-1]}")
+    return n_values
+
+
+def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy,
+                   ref_factor=_REF_FACTOR):
+    """Checked bandwidths, the members' time grid, then the datum at n_ref."""
+    n_values = _check_bandwidths(n_values, n_ref, ref_factor)
     grid = integrator_policy.grid(params, max(n_values), t_star)
     return n_values, grid, build_field(data_spec, params, n_ref)
 
@@ -176,9 +181,8 @@ def self_convergence(
     the policy's grid at the finest measured bandwidth, and the reference
     a quarter of its step.
     """
-    n_values, grid, u0_ref = _prepare_study(
-        params, data_spec, n_values, n_ref, t_star, integrator_policy
-    )
+    n_values, grid, u0_ref = _prepare_study(params, data_spec, n_values, n_ref, t_star,
+                                            integrator_policy)
     ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 4 * grid.n_steps)
     ref_final = evolve(u0_ref, params, ref_config).final
     flux = folded_nonlinear_term(params, n_values)
@@ -241,9 +245,8 @@ def intermediate_problem_study(
     is a RuntimeError, and one that takes more an IndexError when the
     extra state arrives.
     """
-    n_values, grid, u0_ref = _prepare_study(
-        params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
-    )
+    n_values, grid, u0_ref = _prepare_study(params, data_spec, n_values, n_ref, t_star,
+                                            integrator_policy, max(_REF_FACTOR, 1 + params.q))
     ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)

@@ -67,12 +67,8 @@ def symbol_l(params: ModelParams, kappa):
     ak = np.abs(kappa)
     with np.errstate(over="ignore", invalid="ignore"):
         high = params.delta * ak ** (2 * params.m)
-        if params.r == 0.0:
-            low = params.gamma * np.ones_like(high)
-        else:
-            # 0.0**positive == 0.0, and positive bases take the real power branch.
-            low = params.gamma * ak ** (2.0 * params.r)
-        out = high - low
+        # 0.0**0.0 == 1.0 (r = 0), 0.0**positive == 0.0, real powers of positive bases
+        out = high - params.gamma * ak ** (2.0 * params.r)
         finite = np.isfinite(ak * out)
     if not np.all(finite):
         raise ParameterError(f"nonfinite kappa*symbol(kappa) at |kappa| = {np.min(ak[~finite]):g}"

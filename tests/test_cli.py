@@ -199,15 +199,63 @@ def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["", "0", "-4, 8"], ids=["empty", "zero", "negative"])
+# the entries are split on commas only: "4 8" is not the bandwidth 48
+@pytest.mark.parametrize("value", ["", "0", "-4, 8", "4 8", "1 6, 32"],
+                         ids=["empty", "zero", "negative", "space-inside", "space-inside-first"])
 def test_converge_n_values_are_checked_at_parse_time(tmp_path, value):
     code, manifest = run_command(tmp_path, "converge", [f"converge.n_values={value}"],
                                  text="integrator.t_end = 0.01\n")
     assert code == EXIT_CONFIG
     assert manifest is None
+    assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError) as info:
         parse_config(f"converge.n_values = {value}\n", None, "converge")
     assert info.value.key == "converge.n_values"
+
+
+@pytest.mark.parametrize("value", ["4, 8", "4,8", "4,,8", " 4 ,8 ", "8, 4"])
+def test_converge_n_values_are_comma_separated_and_sorted(value):
+    config = parse_config(f"converge.n_values = {value}\n", None, "converge")
+    assert config.raw["converge.n_values"] in ([4, 8], [8, 4])
+    assert (config.n_values, config.n_ref) == ([4, 8], 32)  # n_ref: 4x the finest
+
+
+# a study's bandwidth rule broken as no other check sees: not distinct, and
+# a reference below four times the finest
+STUDY_RULE_BROKEN = [(["converge.n_values=4,4"], [4, 4], 16),
+                     (["converge.n_values=4,8", "converge.n_ref=16"], [4, 8], 16)]
+
+
+@pytest.mark.parametrize("overrides, n_values, n_ref", STUDY_RULE_BROKEN,
+                         ids=["repeated", "coarse-reference"])
+def test_converge_bandwidth_rule_is_the_harness_rule(tmp_path, benjamin_params, overrides,
+                                                     n_values, n_ref):
+    # the parser refuses what the library refuses, with the same message,
+    # before the output directory or a manifest exists
+    spec = InitialDataSpec("gaussian")
+    with pytest.raises(ValueError) as library:
+        benj.harness.self_convergence(benjamin_params, spec, n_values, n_ref, 0.01)
+    with pytest.raises(ValueError) as parser:
+        parse_config("integrator.t_end = 0.01\n", overrides, "converge")
+    assert str(parser.value) == str(library.value)
+    code, manifest = run_command(tmp_path, "converge", overrides,
+                                 text="integrator.t_end = 0.01\n")
+    assert (code, manifest) == (EXIT_CONFIG, None)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_ref", ["-1", "0"])
+def test_non_positive_n_ref_is_refused_by_the_study_rule_at_once(tmp_path, n_ref):
+    # the rule runs before the grid bound, which would size a grid at n_ref
+    with pytest.raises(ValueError, match=f"reference bandwidth {n_ref} must be at least 4x"):
+        parse_config(f"converge.n_values = 4, 8\nconverge.n_ref = {n_ref}\n", None, "converge")
+    start = time.perf_counter()
+    code, manifest = run_command(tmp_path, "converge", ["converge.n_values=4,8",
+                                                        f"converge.n_ref={n_ref}"],
+                                 text="integrator.t_end = 0.01\n")
+    assert time.perf_counter() - start < 1.0
+    assert (code, manifest) == (EXIT_CONFIG, None)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "converge", "soliton"])
