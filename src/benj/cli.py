@@ -37,6 +37,9 @@ table, the three CSV files and the ``invariants`` table on stdout, has
 one format (``_table``): a header line, then one line of ``%.17g``
 values per row; ``convergence.csv`` ends with a ``rate`` line of the
 fitted rate and r2 in that format.
+Every integer key, and each ``converge.n_values`` entry, is ASCII digits
+after at most one leading '-' (``_parse_int``): no '+', '_' or other
+scripts' digits.
 ``parse_config`` requires, bounds and plans only what its command reads
 (every key given is still parsed to its type): ``invariants`` the
 ``model`` section alone; ``solve`` and ``soliton`` a grid at ``n_modes``;
@@ -101,22 +104,30 @@ def _parse_float(s: str) -> float:
     return x
 
 
+def _parse_int(s: str) -> int:
+    """ASCII digits after at most one leading '-': no '+', '_', space or other digits."""
+    digits = s.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected ASCII digits with at most a leading '-', got {s!r}")
+    return int(s)
+
+
 def _parse_int_list(s: str) -> list:
-    """Comma-separated integers; an empty entry is skipped, one with a space inside refused."""
-    return [int(p) for p in map(str.strip, s.split(",")) if p]
+    """Comma-separated ``_parse_int`` integers; an empty entry is skipped."""
+    return [_parse_int(p) for p in map(str.strip, s.split(",")) if p]
 
 
 # Schema: key -> (parser, default); a None default is unset: derived, or
 # required by the commands that read it.
 _SCHEMA = {
-    "model.m": (int, 1),
+    "model.m": (_parse_int, 1),
     "model.r": (_parse_float, 0.5),
     "model.gamma": (_parse_float, 1.0),
     "model.delta": (_parse_float, 1.0),
-    "model.q": (int, 1),
+    "model.q": (_parse_int, 1),
     "model.domain_scale": (_parse_float, 1.0),
-    "n_modes": (int, None),
-    "seed": (int, 0),
+    "n_modes": (_parse_int, None),
+    "seed": (_parse_int, 0),
     "outputs": (str, "out"),
     "initial.kind": (str, "gaussian"),
     "initial.amplitude": (_parse_float, 1.0),
@@ -126,13 +137,13 @@ _SCHEMA = {
     "initial.regularity": (_parse_float, 4.0),
     "initial.path": (str, None),
     "initial.tol": (_parse_float, 1e-10),
-    "initial.max_iter": (int, 500),
+    "initial.max_iter": (_parse_int, 500),
     "integrator.method": (str, "etdrk4"),
     "integrator.dt": (_parse_float, None),
     "integrator.t_end": (_parse_float, 1.0),
-    "integrator.snapshot_stride": (int, 10),
+    "integrator.snapshot_stride": (_parse_int, 10),
     "converge.n_values": (_parse_int_list, None),
-    "converge.n_ref": (int, None),
+    "converge.n_ref": (_parse_int, None),
 }
 
 

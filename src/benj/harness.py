@@ -25,7 +25,9 @@ a fixed window and advances the w-run (``timestep.evolve_steps``) as far
 as they reach, so the study's memory is O(N) whatever t_star/dt is.  The
 frozen term keeps every row's u^q for the last stage time it saw, the
 study's one cache.  Every trajectory starts at t = 0 from the stepping
-loop's observer.
+loop's observer.  A study's rate and the soliton's speed are slopes of
+one closed-form least-squares line (``_line_fit``), elementwise sums that
+call no linear-algebra library.
 """
 
 from __future__ import annotations
@@ -72,12 +74,34 @@ class SolitonReport:
     peak_positions: np.ndarray
 
 
+def _line_fit(x, y) -> tuple[float, float]:
+    """Slope and r2 of the least-squares line through the points (x, y),
+    in closed form: with dx and dy the deviations from the means, the slope
+    is sum(dx*dy) / sum(dx^2) and r2 = 1 - sum((dy - slope*dx)^2) / sum(dy^2),
+    1 when y is constant.  Only elementwise sums, so no linear-algebra
+    library is called.  An x with no spread is a ValueError."""
+    dx = np.asarray(x, dtype=float)
+    dy = np.asarray(y, dtype=float)
+    dx = dx - np.mean(dx)
+    dy = dy - np.mean(dy)
+    sxx = float(np.sum(dx * dx))
+    if not sxx > 0.0:
+        raise ValueError("x must have spread to fit a line")
+    slope = float(np.sum(dx * dy)) / sxx
+    syy = float(np.sum(dy * dy))
+    r2 = 1.0 if syy == 0.0 else 1.0 - float(np.sum((dy - slope * dx) ** 2)) / syy
+    return slope, r2
+
+
 def estimate_rate(n_values, errors) -> tuple[float, float]:
-    """Least-squares slope of log(error) against log(N), negated.
+    """Least-squares slope of log(error) against log(N), negated
+    (``_line_fit``).
 
     Returns (rate, r2).  A perfect algebraic decay error = C*N^(-p) gives
-    rate p exactly with r2 = 1; constant errors give rate 0 (and r2 = 1,
-    the fit being exact).  Requires at least two strictly positive errors.
+    rate p with r2 = 1 up to rounding; constant errors give rate +0.0 and
+    r2 = 1, the fit being exact.  Requires at least two pairs, distinct
+    positive finite N and positive finite errors; anything else is a
+    ValueError.
     """
     n_values = np.asarray(n_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -85,13 +109,12 @@ def estimate_rate(n_values, errors) -> tuple[float, float]:
         raise ValueError("need at least two (N, error) pairs of equal length")
     if np.any(errors <= 0.0) or not np.all(np.isfinite(errors)):
         raise ValueError("errors must be positive and finite to fit a rate")
-    x, y = np.log(n_values), np.log(errors)
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(-slope), r2
+    if not np.all((n_values > 0.0) & np.isfinite(n_values)):
+        raise ValueError("bandwidths N must be positive and finite to fit a rate")
+    if len(set(n_values.tolist())) != len(n_values):  # np.unique: ~1 MiB more peak RSS
+        raise ValueError("bandwidths N must be distinct to fit a rate")
+    slope, r2 = _line_fit(np.log(n_values), np.log(errors))
+    return 0.0 - slope, r2
 
 
 def _fit_tail(n_values, errors):
@@ -323,7 +346,7 @@ def soliton_propagation_test(
     for i in range(1, len(unwrapped)):
         jump = unwrapped[i] - unwrapped[i - 1]
         unwrapped[i] -= period * np.round(jump / period)
-    speed_estimate = float(np.polyfit(times, unwrapped, 1)[0])
+    speed_estimate = _line_fit(times, unwrapped)[0]
 
     shift = float(unwrapped[-1] - unwrapped[0])
     realigned = translate(result.final, -shift)

@@ -19,6 +19,7 @@ and no analysis transform or intermediate field is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,11 +47,21 @@ def e_pi(u: SpectralField, params: ModelParams) -> float:
     polynomial exactly.
     """
     two_pi_l = 2.0 * u.domain_scale * np.pi
-    quad = float(mode_sum(u.half, symbol_l(params, u.kappa)))
+    quad = float(mode_sum(u.half, _symbol(params, u.n_modes, u.domain_scale)))
     p = params.q + 2
     vals = half_values(u.half, dealiased_grid(u.n_modes, p))
     f_mean = float(np.mean(power_in_place(vals, p))) / ((params.q + 1) * (params.q + 2))
     return two_pi_l * (quad - 2.0 * f_mean)
+
+
+@lru_cache(maxsize=16)
+def _symbol(params: ModelParams, n: int, domain_scale: float) -> np.ndarray:
+    """Read-only ``symbol_l`` at kappa = k/L for k = 0..n, the bits it
+    takes at a field's ``kappa``: evaluated once per model, bandwidth and
+    scale, not once per snapshot."""
+    out = symbol_l(params, np.arange(n + 1) / domain_scale)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

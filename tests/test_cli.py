@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import benj.cli
 import benj.harness
+import benj.invariants
 from benj.cli import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
 from benj.errors import ConfigError, ParameterError
 from benj.initdata import KINDS, InitialDataSpec
@@ -220,6 +221,47 @@ def test_converge_n_values_are_comma_separated_and_sorted(value):
     assert (config.n_values, config.n_ref) == ([4, 8], 32)  # n_ref: 4x the finest
 
 
+# one integer grammar for every integer key and each converge.n_values
+# entry: ASCII digits after at most one leading '-'.  Python's int would
+# also read digit-group underscores, a '+' and other scripts' digits.
+INT_KEYS = ["model.m", "model.q", "n_modes", "seed", "integrator.snapshot_stride",
+            "initial.max_iter", "converge.n_ref"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("converge", "converge.n_values", "1_6, +3_2"),
+    ("solve", "n_modes", "1_28"),
+    ("solve", "seed", "+5"),
+    ("solve", "model.q", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+], ids=["n_values", "n_modes", "seed", "q"])
+def test_integer_grammar_refusal_exits_at_parse_time(tmp_path, command, key, value):
+    text = "n_modes = 8\nintegrator.t_end = 0.01\n"
+    with pytest.raises(ConfigError, match="expected ASCII digits") as info:
+        parse_config(text, [f"{key}={value}"], command)
+    assert info.value.key == key
+    code, manifest = run_command(tmp_path, command, [f"{key}={value}"], text=text)
+    assert (code, manifest) == (EXIT_CONFIG, None)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1_6", "+5", "\u0661", "\uff11", "\u00b2", "--1", "-+1",
+                                   "- 1", "1 6", "1.0", "-"])
+@pytest.mark.parametrize("key", INT_KEYS + ["converge.n_values"])
+def test_integer_grammar_refuses_all_but_ascii_digits(key, value):
+    with pytest.raises(ConfigError, match="expected ASCII digits") as info:
+        parse_config("", [f"{key}={value}"], "invariants")  # every given key is parsed
+    assert info.value.key == key
+
+
+def test_integer_grammar_keeps_a_leading_minus():
+    # a negative value parses, so the range checks and their messages see it
+    for key in INT_KEYS:
+        assert [_SCHEMA[key][0](v) for v in ("-1", "0", "007", "-12")] == [-1, 0, 7, -12]
+    assert _SCHEMA["converge.n_values"][0]("-4, 8") == [-4, 8]
+    with pytest.raises(ConfigError, match="n_modes must satisfy N >= 1, got -1"):
+        parse_config("n_modes = -1\n")
+
+
 # a study's bandwidth rule broken as no other check sees: not distinct, and
 # a reference below four times the finest
 STUDY_RULE_BROKEN = [(["converge.n_values=4,4"], [4, 4], 16),
@@ -334,6 +376,22 @@ def test_solve_takes_equal_steps_to_the_horizon(tmp_path):
     # the manifest records the step the run took, not the target step
     results = json.loads((out / "manifest.json").read_text())["results"]
     assert (results["dt"], results["n_steps"]) == (0.0025, 4)
+
+
+def test_solve_evaluates_the_energy_symbol_once(tmp_path, monkeypatch):
+    # six snapshots of one model at one bandwidth and scale: one evaluation
+    calls, real = [], benj.invariants.symbol_l
+
+    def counting(params, kappa):
+        calls.append(len(kappa))
+        return real(params, kappa)
+
+    monkeypatch.setattr(benj.invariants, "symbol_l", counting)
+    benj.invariants._symbol.cache_clear()
+    out = tmp_path / "out"
+    assert run_solve(tmp_path, out) == EXIT_OK
+    assert len(list(out.glob("snap_*.txt"))) == 6
+    assert calls == [33]
 
 
 def test_solve_validation_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from benj.errors import BandwidthError
 from benj.harness import (
     IntegratorPolicy,
     _interpolate,
+    _line_fit,
     estimate_rate,
     intermediate_problem_study,
     self_convergence,
@@ -59,6 +61,70 @@ def test_rate_rejects_bad_input():
         estimate_rate([16, 32], [0.1, 0.0])
     with pytest.raises(ValueError):
         estimate_rate([16, 32], [0.1, -0.2])
+
+def _polyfit_rate(n_values, errors):
+    """The rate and r2 of a degree-1 np.polyfit, the reference fit."""
+    x, y = np.log(np.asarray(n_values, dtype=float)), np.log(np.asarray(errors, dtype=float))
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((y - slope * x - intercept) ** 2)) / ss_tot
+    return -float(slope), r2
+
+# the plateau of a Gaussian study whose errors are the time-step floor
+# (n_values 16, 32, 64 at t_end = 0.1): a slope of about 2e-6
+PLATEAU = ([16, 32, 64], [5.7035409282558337e-05, 5.7035263761661233e-05,
+                          5.7035263761662859e-05])
+
+def test_rate_matches_polyfit():
+    rng = np.random.default_rng(20)
+    cases = [PLATEAU]
+    for _ in range(20):
+        size = int(rng.integers(2, 7))
+        n_values = np.sort(rng.choice(np.arange(2, 4097), size, replace=False))
+        errors = np.exp(rng.uniform(-30.0, 0.0)) * n_values ** -rng.uniform(0.0, 8.0) \
+            * np.exp(rng.normal(0.0, 0.3, size))
+        cases.append((n_values.tolist(), errors.tolist()))
+    for n_values, errors in cases:
+        rate, r2 = estimate_rate(n_values, errors)
+        ref_rate, ref_r2 = _polyfit_rate(n_values, errors)
+        assert abs(rate - ref_rate) <= 1e-12
+        assert abs(r2 - ref_r2) <= 1e-12
+
+def test_flat_fit_reads_positive_zero():
+    rate, r2 = estimate_rate([8, 16], [0.5, 0.5])
+    assert (rate, math.copysign(1.0, rate), r2) == (0.0, 1.0, 1.0)
+
+@pytest.mark.parametrize("n_values, message", [
+    ([16, 16], "must be distinct"),
+    ([8, 16, 16], "must be distinct"),
+    ([0, 16], "must be positive and finite"),
+    ([-1, 16], "must be positive and finite"),
+    ([np.inf, 16], "must be positive and finite"),
+    ([np.nan, 16], "must be positive and finite"),
+], ids=["repeated", "repeated-of-three", "zero", "negative", "inf", "nan"])
+def test_rate_refuses_bad_bandwidths(n_values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"bandwidths N {message} to fit a rate"):
+            estimate_rate(n_values, [0.1, 0.01, 0.001][: len(n_values)])
+
+def test_line_fit_refuses_x_without_spread():
+    with pytest.raises(ValueError, match="x must have spread"):
+        _line_fit([0.25, 0.25, 0.25], [1.0, 2.0, 3.0])
+
+def test_studies_and_soliton_fit_without_linear_algebra(monkeypatch, benjamin_params,
+                                                        kdv_params):
+    def never(*args, **kwargs):
+        raise AssertionError("a fit called into numpy's linear algebra")
+
+    monkeypatch.setattr(np, "polyfit", never)
+    monkeypatch.setattr(np.linalg, "lstsq", never)
+    policy = IntegratorPolicy(dt=2e-3)
+    for study in (self_convergence, intermediate_problem_study):
+        report = study(benjamin_params, GAUSS, [4, 8], 32, 0.01, policy)
+        assert np.isfinite(report.fitted_rate) and np.isfinite(report.fit_r2)
+    report = soliton_propagation_test(0.5, kdv_params, 64, 0.02, integrator_policy=policy)
+    assert report.speed_estimate == pytest.approx(0.5, abs=1e-2)
 
 # ---------------------------------------------------------- self-convergence
 

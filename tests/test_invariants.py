@@ -7,7 +7,15 @@ from hypothesis import given, strategies as st
 
 from benj.errors import ParameterError
 from benj.initdata import InitialDataSpec, build_field
-from benj.invariants import c_pi, e_pi, i_pi, invariant_row, record_invariants, record_rows
+from benj.invariants import (
+    _symbol,
+    c_pi,
+    e_pi,
+    i_pi,
+    invariant_row,
+    record_invariants,
+    record_rows,
+)
 from benj.model import ModelParams, symbol_l
 from benj.spectral import (
     SpectralField,
@@ -108,6 +116,19 @@ def test_energy_translation_invariant(seed, shift):
     p = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1)
     u = rand_field(16, seed=seed)
     assert e_pi(translate(u, shift), p) == pytest.approx(e_pi(u, p), rel=1e-12)
+
+
+def test_energy_symbol_is_cached_read_only(benjamin_params):
+    # the bits of the symbol at the field's kappa, shared by every snapshot
+    # of one model, bandwidth and scale, and by none of another
+    u = mode_field(8, {1: 0.5, -1: 0.5}, domain_scale=0.7)
+    sym = _symbol(benjamin_params, 8, 0.7)
+    assert not sym.flags.writeable
+    assert sym.tobytes() == symbol_l(benjamin_params, u.kappa).tobytes()
+    assert _symbol(benjamin_params, 8, 0.7) is sym
+    assert _symbol(benjamin_params, 8, 1.0) is not sym
+    other = ModelParams(m=1, r=0.5, gamma=2.0, delta=1.0, q=1)
+    assert _symbol(other, 8, 0.7).tobytes() == symbol_l(other, u.kappa).tobytes()
 
 
 def test_record_single_snapshot(benjamin_params):
