@@ -15,7 +15,8 @@ Configuration is a flat key-value document with dotted section keys::
 
 Lines starting with '#' are comments; unknown or duplicate keys are
 rejected.  Subcommands: solve, converge, soliton, invariants.  Values can
-be overridden on the command line with repeated ``--override key=value``.
+be overridden on the command line with repeated ``--override key=value``,
+in the grammar of a line (``_split_pair``); a later override wins.
 
 Exit codes: 0 success, 2 configuration or validation error (a non-finite
 number counts as one), 3 divergence of a time integration.  Each command
@@ -23,8 +24,9 @@ raises on failure, and ``main`` maps the exception to a status and an exit
 code through one table.  Diagnostics go to stderr; results go to files in
 the output directory (plus stdout for the ``invariants`` table).  Once the
 configuration parses, ``solve``, ``converge`` and ``soliton`` write a run
-manifest exactly once, last, even when the run fails; an exception outside
-the table is a bug, whose traceback propagates after a manifest with status
+manifest exactly once, last, even when the run fails, its results holding
+the planned ``dt`` and ``n_steps``; an exception outside the table is a
+bug, whose traceback propagates after a manifest with status
 ``incomplete`` is written.  Before anything is computed, ``main`` claims
 the output directory: one that holds another command's result files
 (``_COMMANDS``) or manifest is a validation error, so no manifest is
@@ -160,33 +162,27 @@ class RunConfig:
     n_ref: int | None = None  # converge: the reference bandwidth
 
 
+def _split_pair(text: str, where: str) -> tuple:
+    """Key and value of a config line or an override; '#' starts a comment."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, value = text.split("=", 1)
+    key, value = key.strip(), value.split("#", 1)[0].strip()
+    if key not in _SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}", key=key)
+    return key, value
+
+
 def _read_pairs(text: str) -> dict:
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, value = stripped.split("=", 1)
-        key, value = key.strip(), value.split("#", 1)[0].strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key)
+        key, value = _split_pair(stripped, f"line {lineno}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
         pairs[key] = value
-    return pairs
-
-
-def _apply_overrides(pairs: dict, overrides) -> dict:
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown override key {key!r}", key=key)
-        pairs[key] = value.strip()
     return pairs
 
 
@@ -224,7 +220,9 @@ def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig
     reads (see the module docstring): the model alone for ``invariants``;
     else also the output directory, the bandwidths, the initial data and
     the time grid, planned at the bandwidth the run steps at."""
-    r = _resolve(_apply_overrides(_read_pairs(text), overrides))
+    pairs = _read_pairs(text)
+    pairs.update(_split_pair(item, f"override {item!r}") for item in overrides or [])
+    r = _resolve(pairs)
     model = ModelParams(**_section(r, "model"))
     if command == "invariants":
         return RunConfig(model, r)
@@ -314,14 +312,8 @@ def _cmd_solve(config: RunConfig, quiet: bool) -> tuple:
             record = record_rows(rows)
             (outdir / "invariants.csv").write_text(_invariants_table(record), newline="\n")
     _progress(quiet, f"solve: wrote {len(rows)} snapshots to {outdir}")
-    return "ok", EXIT_OK, {
-        "dt": config.integrator.dt,
-        "n_steps": config.integrator.n_steps,
-        "snapshots": len(rows),
-        "rel_drift_C": record.rel_drift_C,
-        "rel_drift_I": record.rel_drift_I,
-        "rel_drift_E": record.rel_drift_E,
-    }
+    return "ok", EXIT_OK, {"snapshots": len(rows), "rel_drift_C": record.rel_drift_C,
+                           "rel_drift_I": record.rel_drift_I, "rel_drift_E": record.rel_drift_E}
 
 
 def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
@@ -340,8 +332,7 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
         print(f"error: {len(report.failures)} member run(s) diverged", file=sys.stderr)
         return "divergence", EXIT_DIVERGED, {"failures": report.failures}
     _progress(quiet, f"converge: fitted rate {report.fitted_rate}")
-    return "ok", EXIT_OK, {"dt": grid.dt, "n_steps": grid.n_steps,
-                           "fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
+    return "ok", EXIT_OK, {"fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
 
 
 def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
@@ -362,8 +353,7 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
     (config.outputs / "soliton_report.csv").write_text(_table(header, [row]), newline="\n")
     _progress(quiet, f"soliton: measured speed {speed_est:.6g} "
                      f"(target {speed:g}), shape error {report.shape_error_linf:.3g}")
-    return "ok", EXIT_OK, {"dt": grid.dt, "n_steps": grid.n_steps, "speed_estimate": speed_est,
-                           "shape_error_linf": report.shape_error_linf}
+    return "ok", EXIT_OK, {"speed_estimate": speed_est, "shape_error_linf": report.shape_error_linf}
 
 
 # command -> (runner, glob patterns of the result files it writes)
@@ -442,18 +432,20 @@ def main(argv=None) -> int:
         if args.command == "invariants":  # writes no files, so no manifest
             return _cmd_invariants(config, args.files)
         _claim_outputs(args.command, config.outputs)  # no manifest: the directory is not ours
+        results = {"dt": config.integrator.dt, "n_steps": config.integrator.n_steps}
         manifest = {"tool": "benj", "version": __version__, "command": args.command,
                     "config": dict(config.raw), "started_utc": _utc_now(),
                     "finished_utc": None, "status": "incomplete", "exit_code": None,
-                    "results": {}}
-        status, code, results = _COMMANDS[args.command][0](config, args.quiet)
-        manifest.update(status=status, exit_code=code, results=results)
+                    "results": results}
+        status, code, outcome = _COMMANDS[args.command][0](config, args.quiet)
+        results.update(outcome)
+        manifest.update(status=status, exit_code=code)
     except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
         if manifest is not None:
-            failed_at = {"failed_at": exc.time} if code == EXIT_DIVERGED else {}
-            manifest.update(status=status, exit_code=code, results=failed_at)
+            results.update({"failed_at": exc.time} if code == EXIT_DIVERGED else {})
+            manifest.update(status=status, exit_code=code)
     finally:
         if manifest is not None:  # written once, last; a bug leaves it "incomplete"
             code = _write_manifest(config.outputs, manifest)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BandwidthError
 from .initdata import InitialDataSpec, build_field, kdv_soliton
 from .invariants import InvariantRecord, record_invariants
-from .model import ModelParams
+from .model import ModelParams, check_domain_scale
 from .semidiscrete import _row_mask, folded_nonlinear_term, frozen_nonlinear_term
 from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
 from .timestep import IntegratorConfig, IntegratorPolicy, evolve, evolve_rows, evolve_steps
@@ -78,15 +78,17 @@ def _line_fit(x, y) -> tuple[float, float]:
     """Slope and r2 of the least-squares line through the points (x, y),
     in closed form: with dx and dy the deviations from the means, the slope
     is sum(dx*dy) / sum(dx^2) and r2 = 1 - sum((dy - slope*dx)^2) / sum(dy^2),
-    1 when y is constant.  Only elementwise sums, so no linear-algebra
-    library is called.  An x with no spread is a ValueError."""
+    exactly +0.0 and 1 when y is constant.  Only elementwise sums, so no
+    linear-algebra library is called.  An x with no spread is a ValueError."""
     dx = np.asarray(x, dtype=float)
     dy = np.asarray(y, dtype=float)
     dx = dx - np.mean(dx)
-    dy = dy - np.mean(dy)
     sxx = float(np.sum(dx * dx))
     if not sxx > 0.0:
         raise ValueError("x must have spread to fit a line")
+    if np.all(dy == dy[0]):  # before centring, whose mean need not be exact
+        return 0.0, 1.0
+    dy = dy - np.mean(dy)
     slope = float(np.sum(dx * dy)) / sxx
     syy = float(np.sum(dy * dy))
     r2 = 1.0 if syy == 0.0 else 1.0 - float(np.sum((dy - slope * dx) ** 2)) / syy
@@ -323,16 +325,17 @@ def soliton_propagation_test(
     trajectory; the shape error is the sup-norm mismatch after translating
     the final state back by the measured displacement.  The run steps the
     grid of ``integrator_policy`` at ``n_modes``.  An ``n_modes`` below 1,
-    or a passed profile of another bandwidth, is a BandwidthError, and a
-    horizon t_star that is not positive a ValueError, raised before the
-    profile is built or anything is stepped.
+    or a passed profile of another bandwidth, is a BandwidthError, one off
+    the model's L a ShapeError, and a horizon t_star that is not positive
+    a ValueError, raised before the profile is built or anything is stepped.
     """
     if n_modes < 1:
         raise BandwidthError(f"n_modes must be >= 1, got {n_modes}")
-    if profile is not None and profile.n_modes != n_modes:
-        raise BandwidthError(
-            f"the profile has bandwidth {profile.n_modes}, not n_modes = {n_modes}"
-        )
+    if profile is not None:
+        check_domain_scale(params, profile.domain_scale, "profile")
+        if profile.n_modes != n_modes:
+            raise BandwidthError(f"the profile has bandwidth {profile.n_modes}, "
+                                 f"not n_modes = {n_modes}")
     period = 2.0 * params.domain_scale * np.pi
     grid = integrator_policy.grid(params, n_modes, t_star)
     config = replace(grid, snapshot_stride=max(1, grid.n_steps // 200))

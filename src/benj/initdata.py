@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IterationError, ParameterError, ShapeError, SpectrumError
-from .model import ModelParams, symbol_l
+from .model import ModelParams, check_domain_scale, symbol_l
 from .snapshots import read_snapshot
 from .spectral import (
     SpectralField,
@@ -180,11 +180,7 @@ def petviashvili(
     ||(c+L)phi - f(phi)||/||phi|| falls below tol; the converged profile is
     recentered so its peak sits at x = 0.
     """
-    if guess.domain_scale != params.domain_scale:
-        raise ShapeError(
-            f"guess domain scale {guess.domain_scale} does not match model "
-            f"domain scale {params.domain_scale}"
-        )
+    check_domain_scale(params, guess.domain_scale, "guess")
     denom = speed + symbol_l(params, guess.kappa)
     if np.min(denom) <= 0.0:
         k_bad = int(np.argmin(denom))
@@ -253,11 +249,7 @@ def build_field(spec: InitialDataSpec, params: ModelParams, n_modes: int) -> Spe
     if spec.path is None:
         raise ParameterError("file kind requires a path")
     loaded, _ = read_snapshot(spec.path)
-    if loaded.domain_scale != L:
-        raise ShapeError(
-            f"snapshot domain scale {loaded.domain_scale} does not match "
-            f"model domain scale {L}"
-        )
+    check_domain_scale(params, loaded.domain_scale, "snapshot")
     if loaded.n_modes < n_modes:
         raise ShapeError(
             f"snapshot bandwidth {loaded.n_modes} is below the requested {n_modes}"

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, symbol_l
+from .model import ModelParams, check_domain_scale, symbol_l
 from .spectral import SpectralField, dealiased_grid, half_values, mode_sum, power_in_place
 
 DRIFT_FLOOR = 1e-30  # C and E can legitimately be zero for symmetric data
@@ -44,10 +44,11 @@ def e_pi(u: SpectralField, params: ModelParams) -> float:
 
     The mean of F is the grid mean of u^(q+2) on its ``dealiased_grid``,
     whose M > (q+3)N points integrate that bandwidth-(q+2)N trigonometric
-    polynomial exactly.
+    polynomial exactly.  A u off the model's domain scale is a ShapeError.
     """
+    check_domain_scale(params, u.domain_scale, "field")
     two_pi_l = 2.0 * u.domain_scale * np.pi
-    quad = float(mode_sum(u.half, _symbol(params, u.n_modes, u.domain_scale)))
+    quad = float(mode_sum(u.half, _symbol(params, u.n_modes)))
     p = params.q + 2
     vals = half_values(u.half, dealiased_grid(u.n_modes, p))
     f_mean = float(np.mean(power_in_place(vals, p))) / ((params.q + 1) * (params.q + 2))
@@ -55,11 +56,11 @@ def e_pi(u: SpectralField, params: ModelParams) -> float:
 
 
 @lru_cache(maxsize=16)
-def _symbol(params: ModelParams, n: int, domain_scale: float) -> np.ndarray:
+def _symbol(params: ModelParams, n: int) -> np.ndarray:
     """Read-only ``symbol_l`` at kappa = k/L for k = 0..n, the bits it
-    takes at a field's ``kappa``: evaluated once per model, bandwidth and
-    scale, not once per snapshot."""
-    out = symbol_l(params, np.arange(n + 1) / domain_scale)
+    takes at a field's ``kappa``: evaluated once per model and bandwidth,
+    not once per snapshot."""
+    out = symbol_l(params, np.arange(n + 1) / params.domain_scale)
     out.flags.writeable = False
     return out
 

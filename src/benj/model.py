@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class ModelParams:
 
     ``domain_scale`` stretches the spatial interval to [-L*pi, L*pi]; the
     physical wavenumber of integer mode k is then k/L.  L = 1 recovers the
-    standard interval [-pi, pi].  Each range check is written so that NaN
+    standard interval [-pi, pi], and a field a model meets must have this L
+    (``check_domain_scale``).  Each range check is written so that NaN
     fails it; gamma, delta and L must also be finite.
     """
 
@@ -74,3 +75,10 @@ def symbol_l(params: ModelParams, kappa):
         raise ParameterError(f"nonfinite kappa*symbol(kappa) at |kappa| = {np.min(ak[~finite]):g}"
                              ": the dispersion leaves the floating-point range")
     return float(out) if np.isscalar(kappa) else out
+
+
+def check_domain_scale(params: ModelParams, scale: float, what: str) -> None:
+    """A ShapeError unless ``scale``, the domain scale of ``what``, is the model's."""
+    if scale != params.domain_scale:
+        raise ShapeError(f"{what} domain scale {scale} does not match model domain scale "
+                         f"{params.domain_scale}")

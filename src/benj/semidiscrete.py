@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .model import ModelParams, symbol_l
+from .model import ModelParams, check_domain_scale, symbol_l
 from .spectral import (
     SpectralField,
     dealiased_grid,
@@ -116,8 +116,10 @@ def rhs(params: ModelParams, u: SpectralField) -> SpectralField:
     from the multipliers and flux kernel that ``evolve`` steps with.
 
     The k = 0 component vanishes identically (factor i*kappa at kappa = 0),
-    which is the discrete mechanism behind mass conservation.
+    which is the discrete mechanism behind mass conservation.  A u off the
+    model's domain scale is a ShapeError.
     """
+    check_domain_scale(params, u.domain_scale, "field")
     flux = folded_nonlinear_term(params, [u.n_modes])(u.half[None])[0]
     return u.with_half(linear_multipliers(params, u.n_modes) * u.half + flux)
 

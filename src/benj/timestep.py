@@ -61,7 +61,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, check_domain_scale
 from .semidiscrete import folded_nonlinear_term, linear_multipliers
 from .spectral import SpectralField, mode_sum
 
@@ -333,8 +333,10 @@ def evolve(
     bit-deterministic for identical inputs.
 
     Raises DivergenceError, tagged with the failure time, if coefficients
-    go nonfinite or the norm grows by more than a factor of 1e6.
+    go nonfinite or the norm grows by more than a factor of 1e6, and first
+    a ShapeError if u0's domain scale is not the model's.
     """
+    check_domain_scale(params, u0.domain_scale, "field")
     term = folded_nonlinear_term(params, [u0.n_modes])
     snapshots = []
 

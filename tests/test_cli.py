@@ -99,8 +99,41 @@ def test_config_comments_and_overrides():
     assert config.n_modes == 16
     assert config.integrator.dt == 1e-3
     assert config.initial.seed == 7  # the top-level seed
-    with pytest.raises(ConfigError, match="unknown override"):
+    with pytest.raises(ConfigError, match="override 'nope=1': unknown key 'nope'"):
         parse_config(text, overrides=["nope=1"])
+
+
+@pytest.mark.parametrize("text", [
+    "n_modes = 16 # bandwidth", "outputs = a#b", "integrator.t_end = 0.02 # horizon",
+    "  seed=7#", "initial.kind = cosine  # one mode", "outputs = #",
+])
+def test_a_line_and_an_override_share_one_grammar(text):
+    # an override's trailing comment was part of its value: 16 # bandwidth
+    # was refused, and a#b kept its '#'
+    base = "" if text.startswith("n_modes") else "n_modes = 8\n"
+    try:
+        as_line = parse_config(base + text + "\n")
+    except ConfigError as exc:
+        as_line = str(exc)
+    try:
+        as_override = parse_config(base, [text])
+    except ConfigError as exc:
+        as_override = str(exc)
+    assert as_line == as_override
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n_modes 16", "expected 'key = value', got 'n_modes 16'"),
+    ("nope = 1 # note", "unknown key 'nope'"),
+    ("= 1", "unknown key ''"),
+])
+def test_a_line_and_an_override_share_one_refusal(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# first\n{text}\n")
+    assert str(info.value) == f"line 2: {message}"
+    with pytest.raises(ConfigError) as info:
+        parse_config("n_modes = 8\n", ["seed=1", text])
+    assert str(info.value) == f"override {text!r}: {message}"
 
 
 def test_config_bad_value_type():
@@ -141,7 +174,7 @@ def test_removed_keys_are_unknown(tmp_path, capsys, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
     cfg = write_config(tmp_path, f"n_modes = 16\noutputs = {out}\n")
     assert main(["solve", "--config", str(cfg), "--quiet", "--override", f"{key}=1"]) == EXIT_CONFIG
-    assert f"unknown override key {key!r}" in capsys.readouterr().err
+    assert f"override '{key}=1': unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,7 +358,7 @@ def test_config_rejects_non_finite_numbers(key, value):
     with pytest.raises(ConfigError) as info:
         parse_config("n_modes = 16\n", overrides=[f"{key}={value}"])
     assert info.value.key == key
-    assert ("unknown override key" in str(info.value)) == (key in REMOVED_KEYS)
+    assert (f"unknown key {key!r}" in str(info.value)) == (key in REMOVED_KEYS)
 
 
 # ------------------------------------------------------------------- solve
@@ -553,8 +586,8 @@ def test_solve_diverging_on_its_first_step_keeps_the_initial_snapshot(tmp_path, 
         code, manifest = run_command(tmp_path, "solve")
     assert code == manifest["exit_code"] == EXIT_DIVERGED
     assert manifest["status"] == "divergence"
-    first_step = parse_config(BASE).integrator.dt
-    assert manifest["results"] == {"failed_at": first_step}
+    grid = parse_config(BASE).integrator
+    assert manifest["results"] == {"dt": grid.dt, "n_steps": grid.n_steps, "failed_at": grid.dt}
     out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == [
         "invariants.csv", "manifest.json", "snap_0000.txt"]
@@ -991,6 +1024,52 @@ def test_converge_member_divergence_exit_code(tmp_path, monkeypatch):
     assert manifest["status"] == "divergence"
     assert list(manifest["results"]["failures"]) == ["8"]
     assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+GRID_TEXT = ("n_modes = 16\nintegrator.dt = 0.01\nintegrator.t_end = 0.05\n"
+             "converge.n_values = 4, 8\n")
+
+
+@pytest.mark.parametrize("command, overrides, status, outcome", [
+    ("solve", ["initial.amplitude=1e8", "initial.width=0.3"], "divergence",
+     {"failed_at": 0.01}),
+    ("converge", [], "divergence", {"failures": {"8": "diverged: norm grew beyond 1e6x "
+                                                      "initial at t=0.01"}}),
+    ("solve", ["model.m=200"], "validation-error", {}),
+], ids=["diverged-run", "diverged-member", "refused-operator"])
+def test_every_outcome_records_the_planned_grid(tmp_path, monkeypatch, command, overrides,
+                                                status, outcome):
+    # five steps of 0.01: a diverged run's failure time reads as its step,
+    # and a failed study or a refused operator still names its grid
+    real = benj.harness.evolve_rows
+
+    def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
+        def blow_up(c, t):
+            flux = nonlinear(c, t)
+            flux[1] += 1e9 * c[1]
+            return flux
+
+        return real(rows, params, config, blow_up, observer)
+
+    monkeypatch.setattr(benj.harness, "evolve_rows", evolve_rows_with_a_bad_row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, manifest = run_command(tmp_path, command, overrides, text=GRID_TEXT)
+    assert manifest["status"] == status
+    assert manifest["results"] == {"dt": 0.01, "n_steps": 5, **outcome}
+
+
+def test_invariants_refuses_snapshots_of_another_domain_scale(tmp_path, capsys):
+    # the energy read each snapshot's L, so an L = 1 model printed a table
+    # of L = 2 snapshots and exited 0
+    out = tmp_path / "out"
+    assert run_solve(tmp_path, out, extra=["model.domain_scale=2"]) == EXIT_OK
+    capsys.readouterr()
+    cfg = write_config(tmp_path, "model.domain_scale = 1\n", name="model.cfg")
+    snaps = sorted(str(p) for p in out.glob("snap_*.txt"))
+    assert main(["invariants", "--config", str(cfg), "--quiet", *snaps]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "field domain scale 2.0 does not match model domain scale 1.0" in captured.err
 
 
 def _listing(path):

@@ -2,13 +2,15 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import benj.harness
 import benj.spectral
-from benj.errors import BandwidthError
+import benj.timestep
+from benj.errors import BandwidthError, ShapeError
 from benj.harness import (
     IntegratorPolicy,
     _interpolate,
@@ -93,6 +95,16 @@ def test_rate_matches_polyfit():
 def test_flat_fit_reads_positive_zero():
     rate, r2 = estimate_rate([8, 16], [0.5, 0.5])
     assert (rate, math.copysign(1.0, rate), r2) == (0.0, 1.0, 1.0)
+
+def test_equal_errors_fit_exactly():
+    # np.mean of equal values need not be one of them: fitted after
+    # centring, this triple read a rate of 1.03e-31 and r2 = 0
+    assert estimate_rate([16, 32, 64], [0.1652763562687633] * 3) == (0.0, 1.0)
+    rng = np.random.default_rng(0)
+    for size in (3, 4):
+        for error in rng.uniform(1e-9, 10.0, 2000):
+            rate, r2 = estimate_rate([16, 32, 64, 128][:size], [error] * size)
+            assert (rate, math.copysign(1.0, rate), r2) == (0.0, 1.0, 1.0), error
 
 @pytest.mark.parametrize("n_values, message", [
     ([16, 16], "must be distinct"),
@@ -610,6 +622,19 @@ def test_soliton_profile_of_another_bandwidth_is_refused_before_any_run(monkeypa
         with pytest.raises(BandwidthError, match=f"bandwidth 128, not n_modes = {n_modes}"):
             soliton_propagation_test(0.5, kdv_params, n_modes, 0.01, profile,
                                      integrator_policy=IntegratorPolicy(dt=dt))
+
+def test_soliton_profile_of_another_domain_scale_is_refused_before_any_run(monkeypatch,
+                                                                           kdv_params):
+    # stepped, an L = 8 wave under an L = 16 model read a speed of 0.62 for c = 0.5
+    profile = kdv_soliton(0.5, 0.0, kdv_params, 64)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the soliton test stepped something")
+
+    monkeypatch.setattr(benj.timestep, "evolve_rows", never)
+    with pytest.raises(ShapeError,
+                       match="profile domain scale 8.0 does not match model domain scale 16.0"):
+        soliton_propagation_test(0.5, replace(kdv_params, domain_scale=16.0), 64, 0.5, profile)
 
 def test_soliton_short_propagation(kdv_params):
     report = soliton_propagation_test(0.5, kdv_params, 128, 1.0,

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from benj.errors import IterationError, ParameterError, SpectrumError
+from benj.errors import IterationError, ParameterError, ShapeError, SpectrumError
 from benj.initdata import (
     InitialDataSpec,
     build_field,
@@ -16,6 +16,7 @@ from benj.initdata import (
 from benj.invariants import c_pi
 from benj.model import ModelParams
 from benj.semidiscrete import rhs
+from benj.snapshots import write_snapshot
 from benj.spectral import (
     SpectralField,
     derivative,
@@ -221,3 +222,19 @@ def test_build_field_dispatch(kdv_params):
     assert sobolev_norm(g, 3.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterError):
         InitialDataSpec(kind="nope")
+
+
+def test_guess_of_another_domain_scale_is_refused(kdv_params):
+    guess = gaussian(1.0, 0.3, 0.0, 64, 1.0)
+    with pytest.raises(ShapeError,
+                       match="guess domain scale 1.0 does not match model domain scale 8.0"):
+        petviashvili(kdv_params, 0.5, guess)
+
+
+def test_snapshot_of_another_domain_scale_is_refused(tmp_path, benjamin_params):
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, gaussian(1.0, 0.5, 0.0, 16, 2.0), 0.0)
+    spec = InitialDataSpec(kind="file", path=str(path))
+    with pytest.raises(ShapeError,
+                       match="snapshot domain scale 2.0 does not match model domain scale 1.0"):
+        build_field(spec, benjamin_params, 16)

@@ -1,11 +1,12 @@
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from benj.errors import ParameterError
+from benj.errors import ParameterError, ShapeError
 from benj.initdata import InitialDataSpec, build_field
 from benj.invariants import (
     _symbol,
@@ -120,15 +121,16 @@ def test_energy_translation_invariant(seed, shift):
 
 def test_energy_symbol_is_cached_read_only(benjamin_params):
     # the bits of the symbol at the field's kappa, shared by every snapshot
-    # of one model, bandwidth and scale, and by none of another
+    # of one model and bandwidth, and by none of another; the model holds L
+    params = replace(benjamin_params, domain_scale=0.7)
     u = mode_field(8, {1: 0.5, -1: 0.5}, domain_scale=0.7)
-    sym = _symbol(benjamin_params, 8, 0.7)
+    sym = _symbol(params, 8)
     assert not sym.flags.writeable
-    assert sym.tobytes() == symbol_l(benjamin_params, u.kappa).tobytes()
-    assert _symbol(benjamin_params, 8, 0.7) is sym
-    assert _symbol(benjamin_params, 8, 1.0) is not sym
-    other = ModelParams(m=1, r=0.5, gamma=2.0, delta=1.0, q=1)
-    assert _symbol(other, 8, 0.7).tobytes() == symbol_l(other, u.kappa).tobytes()
+    assert sym.tobytes() == symbol_l(params, u.kappa).tobytes()
+    assert _symbol(params, 8) is sym
+    assert _symbol(benjamin_params, 8) is not sym
+    other = replace(params, gamma=2.0)
+    assert _symbol(other, 8).tobytes() == symbol_l(other, u.kappa).tobytes()
 
 
 def test_record_single_snapshot(benjamin_params):
@@ -210,3 +212,15 @@ def test_energy_of_an_overflowing_symbol_is_refused_before_a_grid(monkeypatch):
         with pytest.raises(ParameterError, match="leaves the floating-point range"):
             e_pi(rand_field(64, seed=0), p)
     assert grids == []
+
+
+def test_energy_refuses_another_domain_scale(benjamin_params):
+    # the energy read the field's L, so an L = 1 and an L = 2 model gave
+    # one E for the same snapshot
+    u = rand_field(16, seed=4, domain_scale=2.0)
+    message = "field domain scale 2.0 does not match model domain scale 1.0"
+    with pytest.raises(ShapeError, match=message):
+        e_pi(u, benjamin_params)
+    with pytest.raises(ShapeError, match=message):
+        record_invariants([(0.0, u), (1.0, u)], benjamin_params)
+    assert np.isfinite(c_pi(u)) and i_pi(u) > 0.0  # C and I take no model

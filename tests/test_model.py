@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from benj.errors import ParameterError
-from benj.model import ModelParams, symbol_l
+from benj.errors import ParameterError, ShapeError
+from benj.model import ModelParams, check_domain_scale, symbol_l
 
 
 def test_symbol_values():
@@ -79,3 +79,13 @@ def test_finite_symbol_with_an_overflowing_multiplier_is_refused():
         with pytest.raises(ParameterError, match="leaves the floating-point range"):
             symbol_l(p, kappa)
         assert np.all(np.isfinite(kappa[:17] * symbol_l(p, kappa[:17])))
+
+
+def test_check_domain_scale_names_both_scales():
+    params = ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1, domain_scale=2.0)
+    check_domain_scale(params, 2.0, "field")  # the model's own scale passes
+    for scale in (1.0, 2.0 + 2**-51, np.nan):
+        with pytest.raises(ShapeError) as info:
+            check_domain_scale(params, scale, "field")
+        assert str(info.value) == (f"field domain scale {scale} does not match "
+                                   "model domain scale 2.0")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from benj.errors import ParameterError
+from benj.errors import ParameterError, ShapeError
 from benj.model import ModelParams, symbol_l
 from benj.semidiscrete import (
     folded_nonlinear_term,
@@ -228,3 +228,12 @@ def test_large_q_is_a_parameter_error():
         frozen_nonlinear_term(p, [8], [8], None)
     # q = 100 (864^99 at N = 8) still fits
     folded_nonlinear_term(ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=100), [8])
+
+
+def test_rhs_refuses_another_domain_scale(benjamin_params):
+    # the multipliers and the flux read the model's L; before, an L = 2
+    # field under an L = 1 model got a derivative several times too large
+    u = rand_field(32, seed=5, domain_scale=2.0)
+    with pytest.raises(ShapeError,
+                       match="field domain scale 2.0 does not match model domain scale 1.0"):
+        rhs(benjamin_params, u)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benj.errors import DivergenceError, ParameterError
+import benj.timestep
+from benj.errors import DivergenceError, ParameterError, ShapeError
 from benj.initdata import gaussian
 from benj.model import ModelParams
 from benj.spectral import SpectralField, fold_half, l2_norm, unfold_half
@@ -573,3 +574,18 @@ def test_default_dt_scales(benjamin_params):
     assert default_dt(benjamin_params, 16) == pytest.approx(5e-3)
     long_domain = ModelParams(m=1, r=0.5, gamma=0.0, delta=1.0, q=1, domain_scale=8.0)
     assert default_dt(long_domain, 256) == pytest.approx(5e-3)  # 1e-2 cap binds
+
+
+def test_evolve_refuses_another_domain_scale_before_anything_is_built(monkeypatch,
+                                                                       benjamin_params):
+    # stepped, an L = 2 Gaussian under an L = 1 model came back labelled
+    # L = 2 and 72% (relative L2) away from the matched run at t = 0.01
+    def never(*args, **kwargs):
+        raise AssertionError("evolve built or stepped something")
+
+    monkeypatch.setattr(benj.timestep, "folded_nonlinear_term", never)
+    monkeypatch.setattr(benj.timestep, "evolve_rows", never)
+    u0 = gaussian(1.0, 0.5, 0.0, 32, 2.0)
+    with pytest.raises(ShapeError,
+                       match="field domain scale 2.0 does not match model domain scale 1.0"):
+        evolve(u0, benjamin_params, IntegratorConfig("etdrk4", 1e-3, 0.01))
