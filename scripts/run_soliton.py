@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from benj.harness import IntegratorPolicy, soliton_propagation_test
-from benj.initdata import gaussian, petviashvili
+from benj.initdata import gaussian, kdv_soliton, petviashvili
 from benj.model import ModelParams
 
 
@@ -34,7 +34,6 @@ def main() -> int:
         m=1, r=0.5, gamma=args.gamma, delta=args.delta, q=1,
         domain_scale=args.domain_scale,
     )
-    profile = None
     if args.gamma != 0.0:
         guess = gaussian(1.0, 1.0, 0.0, args.n_modes, args.domain_scale)
         profile, rep = petviashvili(params, args.c, guess, tol=args.tol, max_iter=500)
@@ -45,9 +44,10 @@ def main() -> int:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
+        if args.gamma == 0.0:
+            profile = kdv_soliton(args.c, 0.0, params, args.n_modes)
         report = soliton_propagation_test(
-            args.c, params, args.n_modes, args.t_star, profile=profile,
-            integrator_policy=IntegratorPolicy(dt=args.dt),
+            args.c, params, profile, args.t_star, IntegratorPolicy(dt=args.dt),
         )
 
     print("quantity,value")

@@ -72,7 +72,7 @@ from .errors import ConfigError, DivergenceError, IterationError
 from .harness import _REF_FACTOR, _check_bandwidths, self_convergence, soliton_propagation_test
 from .initdata import InitialDataSpec, build_field
 from .invariants import invariant_row, record_invariants, record_rows
-from .model import ModelParams
+from .model import ModelParams, check_domain_scale
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import dealiased_grid
 from .timestep import IntegratorConfig, IntegratorPolicy, evolve
@@ -342,7 +342,7 @@ def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
                    center=0.0)
     profile = build_field(spec, model, config.n_modes)
     _progress(quiet, f"soliton: c={speed:g}, N={config.n_modes}, t*={grid.t_end:g}")
-    report = soliton_propagation_test(speed, model, config.n_modes, grid.t_end, profile,
+    report = soliton_propagation_test(speed, model, profile, grid.t_end,
                                       IntegratorPolicy(grid.method, grid.dt))
 
     write_snapshot(config.outputs / "profile.txt", profile, 0.0)
@@ -395,9 +395,13 @@ def _claim_outputs(command: str, outdir: Path) -> None:
 def _cmd_invariants(config: RunConfig, files) -> int:
     if not files:
         raise ConfigError("invariants command needs at least one snapshot file")
-    # one file's field at a time; the record sorts the rows by t
-    snapshots = ((t, field) for field, t in map(read_snapshot, files))
-    print(_invariants_table(record_invariants(snapshots, config.model)), end="")
+
+    def read(path):  # one file's field at a time, refused by name; the record sorts by t
+        field, t = read_snapshot(path)
+        check_domain_scale(config.model, field.domain_scale, f"snapshot {path}")
+        return t, field
+
+    print(_invariants_table(record_invariants(map(read, files), config.model)), end="")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ class SpectrumError(ParameterError):
 
 
 class BandwidthError(ValueError):
-    """A grid is too coarse, or a truncation target exceeds the stored bandwidth."""
+    """A bandwidth below 1, a grid too coarse for a bandwidth, or a truncation above it."""
 
 
 class ShapeError(ValueError):

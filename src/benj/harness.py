@@ -13,8 +13,9 @@ same Galerkin system up to rounding.  A row that diverges becomes its
 member's ``failures`` entry; the other rows go on.  Both studies and the
 soliton test take their time grid to t_star from
 ``timestep.IntegratorPolicy.grid``, at the run's bandwidth (a study's
-finest measured one).  A broken bandwidth rule, or a horizon or step that
-is not positive, is a ValueError raised before anything is built or run.
+finest measured one; the soliton's wave's own, which its caller builds).
+A broken bandwidth rule, or a horizon or step that is not positive, is a
+ValueError raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -38,8 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BandwidthError
-from .initdata import InitialDataSpec, build_field, kdv_soliton
+from .initdata import InitialDataSpec, build_field
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams, check_domain_scale
 from .semidiscrete import _row_mask, folded_nonlinear_term, frozen_nonlinear_term
@@ -312,35 +312,27 @@ def intermediate_problem_study(
 def soliton_propagation_test(
     speed: float,
     params: ModelParams,
-    n_modes: int,
+    profile: SpectralField,
     t_star: float,
-    profile: Optional[SpectralField] = None,
     integrator_policy: IntegratorPolicy = IntegratorPolicy(),
 ) -> SolitonReport:
-    """Propagate a traveling wave and measure its speed and shape fidelity.
+    """Propagate the traveling wave ``profile`` and measure its speed and
+    shape fidelity against the target ``speed``.
 
-    The profile defaults to the closed-form solitary wave of the gamma = 0,
-    m = 1, q = 1 reduction; a converged fixed-point profile may be passed
-    instead.  Speed is the slope of a linear fit through the unwrapped peak
-    trajectory; the shape error is the sup-norm mismatch after translating
-    the final state back by the measured displacement.  The run steps the
-    grid of ``integrator_policy`` at ``n_modes``.  An ``n_modes`` below 1,
-    or a passed profile of another bandwidth, is a BandwidthError, one off
-    the model's L a ShapeError, and a horizon t_star that is not positive
-    a ValueError, raised before the profile is built or anything is stepped.
+    The caller builds the wave (``initdata.kdv_soliton``, a converged
+    fixed-point profile, or a perturbed one).  Speed is the slope of a
+    linear fit through the unwrapped peak trajectory; the shape error is
+    the sup-norm mismatch after translating the final state back by the
+    measured displacement.  The run steps the grid of ``integrator_policy``
+    at the profile's bandwidth.  A profile off the model's L is a
+    ShapeError, and a horizon t_star that is not positive a ValueError,
+    raised before anything is stepped.
     """
-    if n_modes < 1:
-        raise BandwidthError(f"n_modes must be >= 1, got {n_modes}")
-    if profile is not None:
-        check_domain_scale(params, profile.domain_scale, "profile")
-        if profile.n_modes != n_modes:
-            raise BandwidthError(f"the profile has bandwidth {profile.n_modes}, "
-                                 f"not n_modes = {n_modes}")
+    check_domain_scale(params, profile.domain_scale, "profile")
     period = 2.0 * params.domain_scale * np.pi
-    grid = integrator_policy.grid(params, n_modes, t_star)
+    grid = integrator_policy.grid(params, profile.n_modes, t_star)
     config = replace(grid, snapshot_stride=max(1, grid.n_steps // 200))
-    u0 = profile if profile is not None else kdv_soliton(speed, 0.0, params, n_modes)
-    result = evolve(u0, params, config)
+    result = evolve(profile, params, config)
 
     snapshots = result.snapshots  # from t = 0
     times = np.array([t for t, _ in snapshots])
@@ -353,7 +345,7 @@ def soliton_propagation_test(
 
     shift = float(unwrapped[-1] - unwrapped[0])
     realigned = translate(result.final, -shift)
-    mismatch = realigned.with_half(realigned.half - u0.half)
+    mismatch = realigned.with_half(realigned.half - profile.half)
     return SolitonReport(
         speed_target=speed,
         speed_estimate=speed_estimate,

@@ -3,7 +3,8 @@
 Profiles are sampled on a 4N-point grid together with their nearest
 periodic images and then truncated to bandwidth N, so for well-localized
 data the result is the projection of the periodized profile to rounding
-accuracy.
+accuracy.  Every maker refuses a bandwidth N < 1 or an L outside (0, inf)
+with spectral's one size check before it samples, allocates or divides.
 """
 
 from __future__ import annotations
@@ -17,15 +18,8 @@ import numpy as np
 from .errors import IterationError, ParameterError, ShapeError, SpectrumError
 from .model import ModelParams, check_domain_scale, symbol_l
 from .snapshots import read_snapshot
-from .spectral import (
-    SpectralField,
-    dealiased_power,
-    mode_sum,
-    peak_position,
-    project,
-    sobolev_norm,
-    translate,
-)
+from .spectral import (SpectralField, _check_sizes, dealiased_power, mode_sum, peak_position,
+                       project, sobolev_norm, translate)
 
 _IMAGES = 2  # periodic images summed on each side of a profile
 KINDS = ("gaussian", "cosine", "kdv_soliton", "random_sobolev", "petviashvili_wave", "file")
@@ -76,7 +70,8 @@ def gaussian(
     amplitude: float, width: float, center: float, n_modes: int, domain_scale: float
 ) -> SpectralField:
     """Projection of the periodized bump a*exp(-((x-x0)/w)^2)."""
-    if width <= 0:
+    _check_sizes(n_modes, domain_scale)
+    if not width > 0:
         raise ParameterError(f"width must be > 0, got {width}")
     z = domain_scale * np.pi / width
     tail = abs(amplitude) * np.exp(-(z * z))  # z * z saturates at inf where z**2 raises
@@ -95,6 +90,7 @@ def gaussian(
 
 def cosine(amplitude: float, center: float, n_modes: int, domain_scale: float) -> SpectralField:
     """Single fundamental mode a*cos((x - x0)/L)."""
+    _check_sizes(n_modes, domain_scale)
     half = np.zeros(n_modes + 1, dtype=np.complex128)
     half[1] = -0.5 * amplitude * np.exp(-1j * center / domain_scale)  # folded: (-1)^1 u_hat_1
     return SpectralField.from_half(half, domain_scale)
@@ -108,12 +104,13 @@ def kdv_soliton(
     Exact for the gamma = 0, m = 1, q = 1 reduction; validated against the
     equation itself by the residual check in the test suite.
     """
+    _check_sizes(n_modes, params.domain_scale)
     if params.gamma != 0.0 or params.m != 1 or params.q != 1:
         raise ParameterError(
             "closed-form soliton requires gamma = 0, m = 1, q = 1; got "
             f"gamma={params.gamma}, m={params.m}, q={params.q}"
         )
-    if speed <= 0:
+    if not speed > 0:
         raise ParameterError(f"speed must be > 0, got {speed}")
     L = params.domain_scale
     b = 0.5 * np.sqrt(speed / params.delta)
@@ -138,7 +135,8 @@ def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> S
     that exponent, not mu itself, is the convergence rate the data allow.
     The mean is zeroed.
     """
-    if mu < 0:
+    _check_sizes(n_modes, domain_scale)
+    if not mu >= 0:
         raise ParameterError(f"mu must be >= 0, got {mu}")
     rng = np.random.default_rng(seed)
     k = np.arange(1, n_modes + 1)

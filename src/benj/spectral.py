@@ -197,7 +197,8 @@ def analyze_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def project(field: SpectralField, n_modes: int) -> SpectralField:
-    """L2-orthogonal projection: truncate coefficients to |k| <= N'."""
+    """L2-orthogonal projection: truncate coefficients to |k| <= N' (1 <= N' <= N)."""
+    _check_sizes(n_modes, field.domain_scale)
     if n_modes > field.n_modes:
         raise BandwidthError(
             f"cannot project bandwidth {field.n_modes} up to {n_modes}"
@@ -247,7 +248,7 @@ def l2_norm(field: SpectralField) -> float:
 
 def sobolev_norm(field: SpectralField, mu: float) -> float:
     """Norm of order mu, (2*L*pi * sum (1+kappa^2)^mu |u_hat|^2)^(1/2)."""
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     s = mode_sum(field.half, (1.0 + field.kappa**2) ** mu)
     return float(np.sqrt(2.0 * field.domain_scale * np.pi * s))

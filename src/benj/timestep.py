@@ -63,7 +63,7 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .model import ModelParams, check_domain_scale
 from .semidiscrete import folded_nonlinear_term, linear_multipliers
-from .spectral import SpectralField, mode_sum
+from .spectral import SpectralField, _check_sizes, mode_sum
 
 # Re-exported: perfbench's tracer patches these names on this module.
 from .semidiscrete import nonlinear_term  # noqa: F401
@@ -359,7 +359,8 @@ def default_dt(params: ModelParams, n_modes: int) -> float:
     The exponential integrators treat the linear dispersion exactly, so dt
     only needs to track the nonlinear dynamics; this caps dt at the
     advective CFL of the highest retained wavenumber, and at 5e-3 overall.
-    Callers with accuracy targets should override it.
+    Callers with accuracy targets should override it.  N < 1 is a BandwidthError.
     """
+    _check_sizes(n_modes, params.domain_scale)
     kappa_max = n_modes / params.domain_scale
     return 0.5 * min(1e-2, 1.0 / kappa_max)

@@ -103,7 +103,7 @@ def test_criterion_4_soliton_propagation():
     flow = rhs(params, profile)
     dx = derivative(profile)
     residual = l2_norm(SpectralField(256, 8.0, flow.coeffs + c * dx.coeffs)) / l2_norm(dx)
-    report = soliton_propagation_test(c, params, 256, 10.0)
+    report = soliton_propagation_test(c, params, profile, 10.0)
     speed_err = abs(report.speed_estimate - c)
     ok = speed_err <= 1e-4 and report.shape_error_linf <= 1e-6 and residual <= 1e-8
     assert verdict(
@@ -162,7 +162,7 @@ def test_criterion_7_petviashvili_validation():
     gap_floor = 1e-12
     gap_text = f"< {gap_floor:.0e}" if stab_gap < gap_floor else f"{stab_gap:.1e}"
 
-    prop = soliton_propagation_test(0.75, benj, 256, 5.0, profile=wave)
+    prop = soliton_propagation_test(0.75, benj, wave, 5.0)
     ok = (
         mismatch <= 1e-8
         and report.final_residual <= 1e-10

@@ -814,6 +814,33 @@ def test_unwritable_output_directory(tmp_path):
         blocked.chmod(0o755)
 
 
+def test_progress_lines_without_quiet(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_config(tmp_path)),
+                 "--override", f"outputs={out}"]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "solve: N=32, dt=0.002, t_end=0.05", f"solve: wrote 6 snapshots to {out}"]
+
+
+def test_unwritable_manifest_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert run_solve(tmp_path, out) == EXIT_CONFIG
+    assert "error: cannot write the manifest" in capsys.readouterr().err
+    assert (out / "manifest.json").is_dir()
+
+
+@pytest.mark.parametrize("text", ["not json\n", "[\"solve\"]\n"], ids=["not-json", "json-list"])
+def test_unreadable_manifest_is_another_runs(tmp_path, capsys, text):
+    # no command can be read from it, so it is not this command's
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    assert run_solve(tmp_path, out) == EXIT_CONFIG
+    assert "holds another command's results (manifest.json)" in capsys.readouterr().err
+    assert _listing(out) == {"manifest.json": text.encode()}
+
+
 # ------------------------------------------------------------ failure paths
 
 
@@ -1069,7 +1096,24 @@ def test_invariants_refuses_snapshots_of_another_domain_scale(tmp_path, capsys):
     assert main(["invariants", "--config", str(cfg), "--quiet", *snaps]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "field domain scale 2.0 does not match model domain scale 1.0" in captured.err
+    assert f"snapshot {snaps[0]} domain scale 2.0 does not match model domain scale 1.0" \
+        in captured.err
+
+
+def test_invariants_names_the_snapshot_of_another_domain_scale(tmp_path, capsys):
+    # the refusal named a "field", not which of the files it was
+    assert run_solve(tmp_path, tmp_path / "one") == EXIT_OK
+    assert run_solve(tmp_path, tmp_path / "two", extra=["model.domain_scale=2"]) == EXIT_OK
+    capsys.readouterr()
+    odd = str(tmp_path / "two" / "snap_0003.txt")
+    snaps = sorted(str(p) for p in (tmp_path / "one").glob("snap_*.txt"))
+    snaps.insert(2, odd)
+    cfg = write_config(tmp_path, "model.q = 1\n", name="model.cfg")
+    assert main(["invariants", "--config", str(cfg), "--quiet", *snaps]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: snapshot {odd} domain scale 2.0 does not match "
+                            "model domain scale 1.0\n")
 
 
 def _listing(path):

@@ -135,7 +135,7 @@ def test_studies_and_soliton_fit_without_linear_algebra(monkeypatch, benjamin_pa
     for study in (self_convergence, intermediate_problem_study):
         report = study(benjamin_params, GAUSS, [4, 8], 32, 0.01, policy)
         assert np.isfinite(report.fitted_rate) and np.isfinite(report.fit_r2)
-    report = soliton_propagation_test(0.5, kdv_params, 64, 0.02, integrator_policy=policy)
+    report = soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), 0.02, policy)
     assert report.speed_estimate == pytest.approx(0.5, abs=1e-2)
 
 # ---------------------------------------------------------- self-convergence
@@ -587,41 +587,43 @@ def test_linearized_report_matches_fresh_frozen_closure(monkeypatch):
 
 # ----------------------------------------------------------------- solitons
 
+def kdv_wave(params, n_modes):
+    """The closed-form solitary wave of speed 0.5, centred at 0."""
+    return kdv_soliton(0.5, 0.0, params, n_modes)
+
 def test_soliton_zero_horizon(kdv_params):
     # a wave that is not propagated has no speed to measure
     for t_star in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="t_end must be > 0"):
-            soliton_propagation_test(0.5, kdv_params, 64, t_star)
+            soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), t_star)
 
 @pytest.mark.parametrize("dt", [None, 5e-3], ids=["unset", "set"])
 @pytest.mark.parametrize("n_modes", [0, -4])
 def test_soliton_bandwidth_below_one_is_refused_before_any_run(monkeypatch, kdv_params,
                                                                 n_modes, dt):
+    # the wave's maker owns the rule N >= 1: no such wave is built, so none is stepped
     def never(*args, **kwargs):
-        raise AssertionError("the soliton test built or ran something")
+        raise AssertionError("the soliton test ran something")
 
-    monkeypatch.setattr(benj.harness, "kdv_soliton", never)
     monkeypatch.setattr(benj.harness, "evolve", never)
     with pytest.raises(BandwidthError, match=f"n_modes must be >= 1, got {n_modes}"):
-        soliton_propagation_test(0.5, kdv_params, n_modes, 0.01,
-                                 integrator_policy=IntegratorPolicy(dt=dt))
+        soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, n_modes), 0.01,
+                                 IntegratorPolicy(dt=dt))
 
 @pytest.mark.parametrize("dt", [None, 5e-3], ids=["unset", "set"])
-def test_soliton_profile_of_another_bandwidth_is_refused_before_any_run(monkeypatch, kdv_params,
-                                                                        dt):
-    # the run would step the profile's bandwidth while an unset step is
-    # derived at n_modes
-    profile = kdv_soliton(0.5, 0.0, kdv_params, 128)
-
-    def never(*args, **kwargs):
-        raise AssertionError("the soliton test built or ran something")
-
-    monkeypatch.setattr(benj.harness, "kdv_soliton", never)
-    monkeypatch.setattr(benj.harness, "evolve", never)
+def test_soliton_profile_of_another_bandwidth_is_refused_before_any_run(kdv_params, dt):
+    # the run steps the grid planned at the profile's own bandwidth, the one
+    # place a bandwidth is read from; on an L = 1 domain (a narrow wave, delta
+    # = 1e-3) an unset step is 5e-3 at N = 4 and 64 but 1/512 at N = 256
+    params, t_star = replace(kdv_params, domain_scale=1.0, delta=1e-3), 0.01
+    policy = IntegratorPolicy(dt=dt)
+    n_steps = set()
     for n_modes in (4, 64, 256):
-        with pytest.raises(BandwidthError, match=f"bandwidth 128, not n_modes = {n_modes}"):
-            soliton_propagation_test(0.5, kdv_params, n_modes, 0.01, profile,
-                                     integrator_policy=IntegratorPolicy(dt=dt))
+        report = soliton_propagation_test(0.5, params, kdv_wave(params, n_modes), t_star, policy)
+        grid = policy.grid(params, n_modes, t_star)
+        assert report.times.tolist() == [s * grid.dt for s in range(grid.n_steps)] + [t_star]
+        n_steps.add(grid.n_steps)
+    assert n_steps == ({2, 6} if dt is None else {2})
 
 def test_soliton_profile_of_another_domain_scale_is_refused_before_any_run(monkeypatch,
                                                                            kdv_params):
@@ -634,11 +636,11 @@ def test_soliton_profile_of_another_domain_scale_is_refused_before_any_run(monke
     monkeypatch.setattr(benj.timestep, "evolve_rows", never)
     with pytest.raises(ShapeError,
                        match="profile domain scale 8.0 does not match model domain scale 16.0"):
-        soliton_propagation_test(0.5, replace(kdv_params, domain_scale=16.0), 64, 0.5, profile)
+        soliton_propagation_test(0.5, replace(kdv_params, domain_scale=16.0), profile, 0.5)
 
 def test_soliton_short_propagation(kdv_params):
-    report = soliton_propagation_test(0.5, kdv_params, 128, 1.0,
-                                      integrator_policy=IntegratorPolicy(dt=5e-3))
+    report = soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 128), 1.0,
+                                      IntegratorPolicy(dt=5e-3))
     assert report.speed_estimate == pytest.approx(0.5, abs=1e-3)
     assert report.shape_error_linf < 1e-4
     assert report.drifts.rel_drift_I < 1e-10
@@ -646,44 +648,42 @@ def test_soliton_short_propagation(kdv_params):
 @pytest.mark.parametrize("dt", [1e-300, 5e-324])
 def test_soliton_step_over_the_bound_is_a_value_error(kdv_params, dt):
     with pytest.raises(ValueError, match="exceed the bound"):
-        soliton_propagation_test(0.5, kdv_params, 64, 1.0,
-                                 integrator_policy=IntegratorPolicy(dt=dt))
+        soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), 1.0,
+                                 IntegratorPolicy(dt=dt))
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])
 def test_soliton_step_not_positive_is_a_value_error(kdv_params, dt):
     with pytest.raises(ValueError, match="dt must be > 0"):
-        soliton_propagation_test(0.5, kdv_params, 64, 1.0,
-                                 integrator_policy=IntegratorPolicy(dt=dt))
+        soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), 1.0,
+                                 IntegratorPolicy(dt=dt))
 
 def test_non_soliton_contrast(kdv_params):
     # Doubling the amplitude breaks the traveling-wave balance: the shape
     # error must be far larger than the true soliton's.
-    clean = soliton_propagation_test(0.5, kdv_params, 128, 1.0,
-                                     integrator_policy=IntegratorPolicy(dt=5e-3))
-    fat = kdv_soliton(0.5, 0.0, kdv_params, 128)
-    fat = SpectralField(fat.n_modes, fat.domain_scale, 2.0 * fat.coeffs)
-    messy = soliton_propagation_test(0.5, kdv_params, 128, 1.0,
-                                     integrator_policy=IntegratorPolicy(dt=5e-3), profile=fat)
+    wave = kdv_wave(kdv_params, 128)
+    clean = soliton_propagation_test(0.5, kdv_params, wave, 1.0, IntegratorPolicy(dt=5e-3))
+    fat = SpectralField(wave.n_modes, wave.domain_scale, 2.0 * wave.coeffs)
+    messy = soliton_propagation_test(0.5, kdv_params, fat, 1.0, IntegratorPolicy(dt=5e-3))
     assert messy.shape_error_linf > 1e3 * clean.shape_error_linf
 
 def test_soliton_default_policy_steps_default_dt_to_the_horizon(kdv_params):
     # default_dt at N = 64 is 5e-3, which leaves a short step over 0.012:
     # the run takes 3 equal steps of 0.004 instead
     t_star = 0.012
-    report = soliton_propagation_test(0.5, kdv_params, 64, t_star,
-                                      integrator_policy=IntegratorPolicy())
+    report = soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), t_star,
+                                      IntegratorPolicy())
     n = math.ceil(t_star / default_dt(kdv_params, 64))
     assert n == 3
     assert report.times.tolist() == [s * (t_star / n) for s in range(n)] + [t_star]
 
 def test_soliton_target_past_the_horizon_is_one_step(kdv_params):
-    report = soliton_propagation_test(0.5, kdv_params, 64, 0.01,
-                                      integrator_policy=IntegratorPolicy(dt=1.0))
+    report = soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), 0.01,
+                                      IntegratorPolicy(dt=1.0))
     assert report.times.tolist() == [0.0, 0.01]
 
 def test_soliton_policy_method_is_the_run_method(kdv_params):
-    etd, ifrk = (soliton_propagation_test(0.5, kdv_params, 64, 0.05,
-                                          integrator_policy=IntegratorPolicy(method, 5e-3))
+    etd, ifrk = (soliton_propagation_test(0.5, kdv_params, kdv_wave(kdv_params, 64), 0.05,
+                                          IntegratorPolicy(method, 5e-3))
                  for method in ("etdrk4", "ifrk4"))
     assert ifrk.times.tolist() == etd.times.tolist()
     assert ifrk.shape_error_linf != etd.shape_error_linf

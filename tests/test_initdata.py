@@ -3,7 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from benj.errors import IterationError, ParameterError, ShapeError, SpectrumError
+import benj.initdata
+import benj.spectral
+import benj.timestep
+from benj.errors import BandwidthError, IterationError, ParameterError, ShapeError, SpectrumError
 from benj.initdata import (
     InitialDataSpec,
     build_field,
@@ -23,10 +26,12 @@ from benj.spectral import (
     l2_norm,
     linf_norm,
     peak_position,
+    project,
     sobolev_norm,
     synth_values,
     translate,
 )
+from benj.timestep import default_dt
 
 from oracles import grid
 
@@ -238,3 +243,53 @@ def test_snapshot_of_another_domain_scale_is_refused(tmp_path, benjamin_params):
     with pytest.raises(ShapeError,
                        match="snapshot domain scale 2.0 does not match model domain scale 1.0"):
         build_field(spec, benjamin_params, 16)
+
+
+def test_file_kind_requires_a_path(benjamin_params):
+    with pytest.raises(ParameterError, match="file kind requires a path"):
+        build_field(InitialDataSpec(kind="file"), benjamin_params, 16)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: gaussian(1.0, np.nan, 0.0, 8, 8.0), "width must be > 0, got nan"),
+    (lambda p: kdv_soliton(np.nan, 0.0, p, 64), "speed must be > 0, got nan"),
+    (lambda p: random_sobolev(np.nan, 0, 8, 8.0), "mu must be >= 0, got nan"),
+], ids=["gaussian", "kdv_soliton", "random_sobolev"])
+def test_nan_parameter_fails_the_range_check(kdv_params, make, message):
+    # each maker returned an all-NaN field
+    with pytest.raises(ParameterError, match=message):
+        make(kdv_params)
+
+
+class _NoNumpy:
+    """Stands in for numpy: any use of it is an AssertionError."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was reached before the bandwidth check")
+
+
+def _makers(kdv_params):
+    u16 = gaussian(1.0, 0.5, 0.0, 16, 8.0)
+    return {
+        "gaussian": lambda n: gaussian(1.0, 0.5, 0.0, n, 8.0),
+        "cosine": lambda n: cosine(1.0, 0.0, n, 8.0),
+        "kdv_soliton": lambda n: kdv_soliton(0.5, 0.0, kdv_params, n),
+        "random_sobolev": lambda n: random_sobolev(4.0, 0, n, 8.0),
+        "project": lambda n: project(u16, n),
+        "default_dt": lambda n: default_dt(kdv_params, n),
+    }
+
+
+@pytest.mark.parametrize("n_modes", [0, -4])
+@pytest.mark.parametrize("maker", ["gaussian", "cosine", "kdv_soliton", "random_sobolev",
+                                   "project", "default_dt"])
+def test_bandwidth_below_one_is_refused_where_fields_are_made(monkeypatch, kdv_params, maker,
+                                                              n_modes):
+    # spectral's one size check, before any numpy call: numpy's own errors
+    # were raised at N = 0, default_dt divided by zero, and project(u16, -4)
+    # returned a field of bandwidth 13
+    make = _makers(kdv_params)[maker]
+    for module in (benj.initdata, benj.spectral, benj.timestep):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    with pytest.raises(BandwidthError, match=f"^n_modes must be >= 1, got {n_modes}$"):
+        make(n_modes)

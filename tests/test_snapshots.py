@@ -224,6 +224,13 @@ def test_only_a_body_the_writer_never_writes_is_projected(monkeypatch, tmp_path)
         assert calls == [1], name
 
 
+def test_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n \n")
+    with pytest.raises(SnapshotFormatError, match="empty file"):
+        read_snapshot(path)
+
+
 def test_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("something else entirely\n")

@@ -192,6 +192,18 @@ def test_power_in_place_matches_numpy_power():
     assert power_in_place(rows.copy(), 3).tobytes() == (rows * rows * rows).tobytes()
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_dealiased_power_below_one_is_refused(p):
+    with pytest.raises(ValueError, match=f"power must be >= 1, got {p}"):
+        dealiased_power(SpectralField(2, 1.0, np.zeros(5)), p)
+
+
+def test_coefficient_vector_of_another_length_is_refused():
+    for length in (4, 6, 9):
+        with pytest.raises(ShapeError, match=f"length 2N\\+1=5, got shape \\({length},\\)"):
+            SpectralField(2, 1.0, np.zeros(length))
+
+
 def test_dealiased_power_identity():
     f = rand_field(10, seed=2)
     assert np.array_equal(dealiased_power(f, 1).coeffs, f.coeffs)
@@ -240,6 +252,12 @@ def test_next_fast_len():
 def test_l2_norm_of_sine():
     f = mode_field(3, {1: -0.5j, -1: 0.5j})  # sin x
     assert l2_norm(f) == pytest.approx(np.sqrt(np.pi), rel=1e-14)
+
+
+def test_sobolev_norm_of_nan_order_is_refused():
+    # a NaN order returned a NaN norm
+    with pytest.raises(ValueError, match="mu must be >= 0, got nan"):
+        sobolev_norm(SpectralField(1, 1.0, [0.0, 1.0, 0.0]), np.nan)
 
 
 def test_sobolev_norm_of_mean_mode():
