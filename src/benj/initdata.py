@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IterationError, ParameterError, ShapeError, SpectrumError
+from .errors import IterationError, ParameterError, SpectrumError
 from .model import ModelParams, check_domain_scale, symbol_l
 from .snapshots import read_snapshot
 from .spectral import (SpectralField, _check_sizes, dealiased_power, mode_sum, peak_position,
@@ -23,6 +23,12 @@ from .spectral import (SpectralField, _check_sizes, dealiased_power, mode_sum, p
 
 _IMAGES = 2  # periodic images summed on each side of a profile
 KINDS = ("gaussian", "cosine", "kdv_soliton", "random_sobolev", "petviashvili_wave", "file")
+
+# numpy's SeedSequence (a pool of 4 words, shift 16) and PCG64 constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,52 @@ def kdv_soliton(
     )
 
 
+def _uniforms(seed: int, n: int) -> list:
+    """numpy's ``default_rng(seed).random(n)``, bit for bit, as a list, for
+    an int seed >= 0.
+
+    SeedSequence hashes the seed's 32-bit words into a pool of 4 and draws
+    four 64-bit words from it; PCG64 takes its state from the first two and
+    its increment from the last two, and each output is the XSL-RR 128/64
+    permutation of the stepped state; a double is its top 53 bits * 2^-53.
+    """
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = (value ^ hash_const) * (hash_const := hash_const * _MULT_A & _M32) & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    hash_const, half_words = _INIT_B, []
+    for i in range(8):
+        v = (pool[i % 4] ^ hash_const) * (hash_const := hash_const * _MULT_B & _M32) & _M32
+        half_words.append(v ^ v >> 16)
+    w0, w1, w2, w3 = (half_words[j] | half_words[j + 1] << 32 for j in range(0, 8, 2))
+    inc = (w2 << 65 | w3 << 1 | 1) & _M128
+    state = ((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _M128
+    out = []
+    for _ in range(n):
+        state = state * _PCG_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << 64 - rot) & _M64
+        out.append((x >> 11) * 2.0**-53)
+    return out
+
+
 def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> SpectralField:
     """Seeded random field normalized to unit norm of order mu.
 
@@ -133,16 +185,18 @@ def random_sobolev(mu: float, seed: int, n_modes: int, domain_scale: float) -> S
     As N grows the field lies in H^s for every s < mu + 1/2 and in none
     above, and the L2 tail beyond bandwidth N decays like N^(-(mu+1/2)):
     that exponent, not mu itself, is the convergence rate the data allow.
-    The mean is zeroed.
+    The mean is zeroed.  The phases are benj's own draw of numpy's
+    ``default_rng(seed).random(N)``, the same on every numpy version.
     """
     _check_sizes(n_modes, domain_scale)
     if not mu >= 0:
         raise ParameterError(f"mu must be >= 0, got {mu}")
-    rng = np.random.default_rng(seed)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     k = np.arange(1, n_modes + 1)
     kappa = k / domain_scale
     mags = (1.0 + kappa**2) ** (-(mu + 1.0) / 2.0)
-    phases = np.exp(2j * np.pi * rng.random(n_modes))
+    phases = np.exp(2j * np.pi * np.array(_uniforms(int(seed), n_modes)))
     half = np.zeros(n_modes + 1, dtype=np.complex128)
     half[1:] = mags * phases
     half[1::2] = -half[1::2]  # folded: (-1)^k u_hat_k
@@ -248,8 +302,4 @@ def build_field(spec: InitialDataSpec, params: ModelParams, n_modes: int) -> Spe
         raise ParameterError("file kind requires a path")
     loaded, _ = read_snapshot(spec.path)
     check_domain_scale(params, loaded.domain_scale, "snapshot")
-    if loaded.n_modes < n_modes:
-        raise ShapeError(
-            f"snapshot bandwidth {loaded.n_modes} is below the requested {n_modes}"
-        )
-    return project(loaded, n_modes)
+    return project(loaded, n_modes)  # a BandwidthError above the snapshot's bandwidth

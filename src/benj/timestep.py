@@ -284,8 +284,9 @@ def evolve_steps(
         t = t_next
         # twice the stack's squared sum bounds every row's squared norm, and
         # is nonfinite when an entry is; only past the tightest limit are
-        # the rows checked one by one
-        if not 2.0 * np.vdot(c, c).real <= tightest:
+        # the rows checked one by one.  An elementwise sum: no BLAS call
+        parts = c.view(np.float64)
+        if not 2.0 * (parts * parts).sum() <= tightest:
             for i, square in enumerate(mode_sum(c)):
                 if square <= limit[i]:  # false for a nonfinite norm
                     continue

@@ -523,6 +523,19 @@ def test_solve_malformed_file_datum_exit_code(tmp_path, capsys, text, message):
     assert not (out / "snap_0000.txt").exists()
 
 
+def test_solve_file_datum_above_its_bandwidth_exit_code(tmp_path, capsys):
+    # the projection refuses a snapshot asked for at a higher bandwidth
+    src = tmp_path / "src"
+    assert run_solve(tmp_path, src, extra=["n_modes=16"]) == EXIT_OK
+    out = tmp_path / "out"
+    code = run_solve(tmp_path, out, extra=["initial.kind=file",
+                                           f"initial.path={src / 'snap_0000.txt'}"])
+    assert code == EXIT_CONFIG
+    assert "error: cannot project bandwidth 16 up to 32" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "validation-error"
+    assert not (out / "snap_0000.txt").exists()
+
+
 # --------------------------------------------------------------- invariants
 
 
@@ -928,11 +941,13 @@ def test_solve_vanishing_width(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "converge"])
-def test_negative_random_seed_exit_code(tmp_path, command):
+def test_negative_random_seed_exit_code(tmp_path, capsys, command):
+    # refused by benj's own generator before it draws
     extra = ["initial.kind=random_sobolev", "seed=-1", "converge.n_values=4,8"]
     code, manifest = run_command(tmp_path, command, extra)
     assert code == manifest["exit_code"] == EXIT_CONFIG
     assert manifest["status"] == "validation-error"
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "converge"])

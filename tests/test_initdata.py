@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,68 @@ def test_random_sobolev_deterministic():
     assert a.coeffs.tobytes() == b.coeffs.tobytes()
     c = random_sobolev(4.0, 124, 128, 1.0)
     assert not np.array_equal(a.coeffs, c.coeffs)
+
+
+SEEDS = {"0": 0, "1": 1, "14": 14, "4001": 4001, "2^32-1": 2**32 - 1, "2^32": 2**32,
+         "2^64-1": 2**64 - 1, "2^128+1": 2**128 + 1, "2^200+7": 2**200 + 7}
+
+
+@pytest.mark.parametrize("n", [0, 1, 513])
+@pytest.mark.parametrize("seed", SEEDS.values(), ids=SEEDS.keys())
+def test_uniform_stream_is_numpys_default_rng_bit_for_bit(seed, n):
+    want = np.random.default_rng(seed).random(n)
+    assert np.array(benj.initdata._uniforms(seed, n), dtype=float).tobytes() == want.tobytes()
+
+
+def test_uniform_stream_of_seed_zero_is_pinned():
+    # benj's own stream: these bits hold whichever numpy is installed
+    assert [x.hex() for x in benj.initdata._uniforms(0, 3)] == [
+        "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"]
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.5, "3", None],
+                         ids=["-1", "-2^70", "1.5", "str", "None"])
+def test_random_sobolev_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # a negative int never reaches 0 under >> 32: refused before any word is split
+    message = f"^seed must be a non-negative integer, got {seed!r}$"
+    with pytest.raises(ParameterError, match=message):
+        random_sobolev(4.0, seed, 8, 1.0)
+
+
+def test_random_sobolev_takes_a_numpy_integer_seed():
+    a = random_sobolev(4.0, np.int64(5), 16, 1.0)
+    assert a.coeffs.tobytes() == random_sobolev(4.0, 5, 16, 1.0).coeffs.tobytes()
+
+
+NO_RANDOM_RUN = """
+import sys
+import numpy
+
+def random_modules():
+    return {m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random.")}
+
+preloaded = random_modules()  # numpy 1.x imports numpy.random with numpy itself
+if preloaded:
+    numpy.random = None  # so there any use of it fails instead
+from benj.harness import self_convergence
+from benj.initdata import InitialDataSpec, random_sobolev
+from benj.model import ModelParams
+
+random_sobolev(4.0, 14, 64, 1.0)
+self_convergence(ModelParams(m=1, r=0.5, gamma=1.0, delta=1.0, q=1),
+                 InitialDataSpec(kind="random_sobolev", seed=14), [8, 16], 64, 0.01)
+print(sorted(random_modules() - preloaded))
+"""
+
+
+def test_a_rough_datum_and_its_study_import_no_numpy_random():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_RANDOM_RUN], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_random_sobolev_unit_norm_and_zero_mean():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from benj import spectral
-from benj.errors import ShapeError
+from benj.errors import BandwidthError
 from benj.initdata import InitialDataSpec, build_field
 from benj.snapshots import SnapshotFormatError, read_snapshot, write_snapshot
 from benj.spectral import SpectralField, fold_half
@@ -261,5 +261,5 @@ def test_file_initial_data_kind(tmp_path, kdv_params):
     assert np.array_equal(loaded.coeffs, f.coeffs)
     projected = build_field(spec, kdv_params, 32)
     assert projected.n_modes == 32
-    with pytest.raises(ShapeError):
+    with pytest.raises(BandwidthError, match="cannot project bandwidth 64 up to 128"):
         build_field(spec, kdv_params, 128)

@@ -475,6 +475,34 @@ def test_a_diverging_row_is_zeroed_and_the_others_go_on(benjamin_params, kind):
     assert bad.final[[0, 2]].tobytes() == clean.final[[0, 2]].tobytes()
 
 
+@pytest.mark.parametrize("method", ["etdrk4", "ifrk4"])
+@pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)], ids=["real", "imag"])
+def test_one_nan_float_fails_its_row_at_the_step_it_appears(benjamin_params, method, nan):
+    # the divergence check sums every float of the stack: one NaN part of one
+    # coefficient, in the flux past t = 2 dt, fails that row at the third step
+    from benj.semidiscrete import folded_nonlinear_term
+
+    n, dt = 16, 1e-3
+    rows = _rows(n, (27, 28))
+    term = folded_nonlinear_term(benjamin_params, [n, n])
+
+    def nan_in_row_0(c, t):
+        flux = term(c)
+        if t > 2 * dt and np.any(c[0] != 0):
+            flux[0, n] += nan
+        return flux
+
+    config = IntegratorConfig(method, dt, 5 * dt, 1)
+    with np.errstate(invalid="ignore"):
+        bad = evolve_rows(rows, benjamin_params, config, nan_in_row_0)
+    clean = evolve_rows(rows, benjamin_params, config, lambda c, t: term(c))
+    assert list(bad.failures) == [0]
+    assert bad.failures[0].time == 3 * dt
+    assert str(bad.failures[0]) == f"nonfinite coefficients at t={3 * dt}"
+    assert np.all(bad.final[0] == 0)
+    assert bad.final[1].tobytes() == clean.final[1].tobytes()
+
+
 def test_rows_stop_once_every_row_has_failed(benjamin_params):
     rows = _rows(8, (23, 24))
     grow = lambda c, t: 1e6 * c
