@@ -48,13 +48,15 @@ scripts' digits.
 ``converge`` the study's bandwidth rule (``harness._check_bandwidths``)
 on ``converge.n_values`` (comma-separated integers) and ``converge.n_ref``
 (unset: ``harness._REF_FACTOR`` times the finest), then a grid bound at
-that reference and a step at the finest.  A broken rule, more than
-``timestep.MAX_STEPS`` steps, a padded grid over ``MAX_GRID`` points or
-an empty ``outputs`` is a validation error there.  Every value has one
-key: a run steps the grid that ``timestep.IntegratorPolicy.grid`` plans
-of ``integrator.method``, ``integrator.dt`` (unset: derived at that
-bandwidth) and ``integrator.t_end``; ``soliton`` sends a wave of speed
-``initial.speed``, and ``seed`` seeds ``random_sobolev`` data.
+that reference, a step at the finest, and the reference's time grid
+(``harness._reference_grid``, four times the members' steps).  A broken
+rule, more than ``timestep.MAX_STEPS`` steps in a time grid, a padded
+grid over ``MAX_GRID`` points or an empty ``outputs`` is a validation
+error there.  Every value has one key: a run steps the grid that
+``timestep.IntegratorPolicy.grid`` plans of ``integrator.method``,
+``integrator.dt`` (unset: derived at that bandwidth) and
+``integrator.t_end``; ``soliton`` sends a wave of speed ``initial.speed``,
+and ``seed`` seeds ``random_sobolev`` data.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DivergenceError, IterationError
-from .harness import _REF_FACTOR, _check_bandwidths, self_convergence, soliton_propagation_test
+from .harness import (_REF_FACTOR, _check_bandwidths, _reference_grid, self_convergence,
+                      soliton_propagation_test)
 from .initdata import InitialDataSpec, build_field
 from .invariants import invariant_row, record_invariants, record_rows
 from .model import ModelParams, check_domain_scale
@@ -246,6 +249,8 @@ def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig
     integrator = _section(r, "integrator")
     grid = IntegratorPolicy(integrator["method"], integrator["dt"]).grid(
         model, n, integrator["t_end"])
+    if study:  # the reference of a self-convergence study steps its own, finer grid
+        _reference_grid(grid)
     return RunConfig(
         model, r,
         initial=InitialDataSpec(**_section(r, "initial"), seed=r["seed"]),

@@ -14,8 +14,10 @@ member's ``failures`` entry; the other rows go on.  Both studies and the
 soliton test take their time grid to t_star from
 ``timestep.IntegratorPolicy.grid``, at the run's bandwidth (a study's
 finest measured one; the soliton's wave's own, which its caller builds).
-A broken bandwidth rule, or a horizon or step that is not positive, is a
-ValueError raised before anything is built or run.
+A broken bandwidth rule, a horizon or step that is not positive, or more
+than ``timestep.MAX_STEPS`` steps on the members' or the reference's grid
+(``self_convergence``'s is ``_reference_grid``, which the CLI plans too)
+is a ValueError raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -143,12 +145,15 @@ def _check_bandwidths(n_values, n_ref, ref_factor=_REF_FACTOR) -> list:
     return n_values
 
 
-def _prepare_study(params, data_spec, n_values, n_ref, t_star, integrator_policy,
-                   ref_factor=_REF_FACTOR):
-    """Checked bandwidths, the members' time grid, then the datum at n_ref."""
+def _prepare_study(params, n_values, n_ref, t_star, integrator_policy, ref_factor=_REF_FACTOR):
+    """Checked bandwidths and the members' time grid, at the finest measured bandwidth."""
     n_values = _check_bandwidths(n_values, n_ref, ref_factor)
-    grid = integrator_policy.grid(params, max(n_values), t_star)
-    return n_values, grid, build_field(data_spec, params, n_ref)
+    return n_values, integrator_policy.grid(params, max(n_values), t_star)
+
+
+def _reference_grid(grid: IntegratorConfig) -> IntegratorConfig:
+    """``self_convergence``'s reference grid: a quarter of the members' step, seen at 0 and t*."""
+    return IntegratorConfig(grid.method, grid.dt / 4.0, grid.t_end, 4 * grid.n_steps)
 
 
 def _stack(u0_ref: SpectralField, n_values) -> np.ndarray:
@@ -206,9 +211,9 @@ def self_convergence(
     the policy's grid at the finest measured bandwidth, and the reference
     a quarter of its step.
     """
-    n_values, grid, u0_ref = _prepare_study(params, data_spec, n_values, n_ref, t_star,
-                                            integrator_policy)
-    ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 4 * grid.n_steps)
+    n_values, grid = _prepare_study(params, n_values, n_ref, t_star, integrator_policy)
+    ref_config = _reference_grid(grid)
+    u0_ref = build_field(data_spec, params, n_ref)
     ref_final = evolve(u0_ref, params, ref_config).final
     flux = folded_nonlinear_term(params, n_values)
     result = evolve_rows(_stack(u0_ref, n_values), params, grid, lambda c, t: flux(c))
@@ -270,9 +275,10 @@ def intermediate_problem_study(
     is a RuntimeError, and one that takes more an IndexError when the
     extra state arrives.
     """
-    n_values, grid, u0_ref = _prepare_study(params, data_spec, n_values, n_ref, t_star,
-                                            integrator_policy, max(_REF_FACTOR, 1 + params.q))
+    n_values, grid = _prepare_study(params, n_values, n_ref, t_star, integrator_policy,
+                                    max(_REF_FACTOR, 1 + params.q))
     ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
+    u0_ref = build_field(data_spec, params, n_ref)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
     window = np.empty((8, n_keep + 1), dtype=np.complex128)

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IterationError, ParameterError, SpectrumError
-from .model import ModelParams, check_domain_scale, symbol_l
+from .model import ModelParams, check_domain_scale
+from .semidiscrete import _mode_operator
 from .snapshots import read_snapshot
 from .spectral import (SpectralField, _check_sizes, dealiased_power, mode_sum, peak_position,
                        project, sobolev_norm, translate)
@@ -233,7 +234,7 @@ def petviashvili(
     recentered so its peak sits at x = 0.
     """
     check_domain_scale(params, guess.domain_scale, "guess")
-    denom = speed + symbol_l(params, guess.kappa)
+    denom = speed + _mode_operator(params, guess.n_modes).symbol
     if np.min(denom) <= 0.0:
         k_bad = int(np.argmin(denom))
         raise SpectrumError(

@@ -13,17 +13,18 @@ nonlinear part of E is the zero mode of the power u^(q+2), read as its
 mean on the ``dealiased_grid``, where the integral of that trigonometric
 polynomial is exact, so the evaluation itself adds no aliasing error.  The
 power is formed by repeated multiplication (``spectral.power_in_place``),
-and no analysis transform or intermediate field is built.
+and no analysis transform or intermediate field is built.  The symbol on
+the modes comes from its one owner, ``semidiscrete._mode_operator``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, check_domain_scale, symbol_l
+from .model import ModelParams, check_domain_scale
+from .semidiscrete import _mode_operator
 from .spectral import SpectralField, dealiased_grid, half_values, mode_sum, power_in_place
 
 DRIFT_FLOOR = 1e-30  # C and E can legitimately be zero for symmetric data
@@ -48,21 +49,11 @@ def e_pi(u: SpectralField, params: ModelParams) -> float:
     """
     check_domain_scale(params, u.domain_scale, "field")
     two_pi_l = 2.0 * u.domain_scale * np.pi
-    quad = float(mode_sum(u.half, _symbol(params, u.n_modes)))
+    quad = float(mode_sum(u.half, _mode_operator(params, u.n_modes).symbol))
     p = params.q + 2
     vals = half_values(u.half, dealiased_grid(u.n_modes, p))
     f_mean = float(np.mean(power_in_place(vals, p))) / ((params.q + 1) * (params.q + 2))
     return two_pi_l * (quad - 2.0 * f_mean)
-
-
-@lru_cache(maxsize=16)
-def _symbol(params: ModelParams, n: int) -> np.ndarray:
-    """Read-only ``symbol_l`` at kappa = k/L for k = 0..n, the bits it
-    takes at a field's ``kappa``: evaluated once per model and bandwidth,
-    not once per snapshot."""
-    out = symbol_l(params, np.arange(n + 1) / params.domain_scale)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ reference solution u:
 
     d/dt w_hat_k = Lambda_k w_hat_k - P_N[f'(u) w_x]_hat_k.
 
+``_mode_operator`` owns kappa_k, symbol(kappa_k) and Lambda_k on a model's
+stored modes; every reader of the operator (here, the energy, the
+Petviashvili iteration) takes them from it.
 Multipliers and flux closures use the folded half layout k = 0..N that
 ``SpectralField`` stores; only the full-range ``nonlinear_term`` converts.
 The flux closures take and return (B, N+1) stacks of rows, as the stepper
@@ -26,6 +29,8 @@ system as a run at its own bandwidth, up to rounding.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,15 +50,27 @@ from .spectral import (
 from .spectral import analyze_coeffs, synth_values  # noqa: F401
 
 
+_Modes = namedtuple("_Modes", "kappa symbol lam")
+
+
+@lru_cache(maxsize=16)
+def _mode_operator(params: ModelParams, n_modes: int) -> _Modes:
+    """Read-only kappa_k = k/L, symbol(kappa_k) and Lambda_k for the stored
+    modes k = 0..N of a model, evaluated once per model and bandwidth."""
+    kappa = np.arange(n_modes + 1) / params.domain_scale
+    symbol = symbol_l(params, kappa)
+    modes = _Modes(kappa, symbol, 1j * kappa * symbol)
+    for arr in modes:
+        arr.setflags(write=False)
+    return modes
+
+
 def linear_multipliers(params: ModelParams, n_modes: int) -> np.ndarray:
     """Read-only Lambda_k = i*kappa_k*symbol(kappa_k) for k = 0..N, purely
     imaginary with Lambda_0 = 0.  They commute with the sign fold, so they
     act on the folded half layout as they stand.  ``symbol_l`` refuses a
     Lambda_k outside the floating-point range, so every one here is finite."""
-    kappa = np.arange(n_modes + 1) / params.domain_scale
-    lam = 1j * kappa * symbol_l(params, kappa)
-    lam.setflags(write=False)
-    return lam
+    return _mode_operator(params, n_modes).lam
 
 
 def _transform_scale(m: int, power: int) -> float:
@@ -93,7 +110,7 @@ def folded_nonlinear_term(
     n_modes = max(bandwidths)
     m = dealiased_grid(n_modes, p)
     scale = _transform_scale(m, p - 1) / p
-    factor = -1j * np.arange(n_modes + 1) / params.domain_scale * scale
+    factor = -1j * _mode_operator(params, n_modes).kappa * scale
     factor = np.where(_row_mask(bandwidths, n_modes), factor, 0)
 
     def term(half: np.ndarray) -> np.ndarray:
@@ -151,7 +168,7 @@ def frozen_nonlinear_term(
     q = params.q
     w_top, u_top = max(n_w), max(n_u)
     m = next_fast_len(max(q * u_top + 2 * w_top, 2 * u_top, 2 * w_top) + 1)
-    w_factor = -1j * np.arange(w_top + 1) / params.domain_scale * _transform_scale(m, q)
+    w_factor = -1j * _mode_operator(params, w_top).kappa * _transform_scale(m, q)
     w_mask, u_mask = _row_mask(n_w, w_top), _row_mask(n_u, u_top)
     last_t, power = None, None  # the time of the last call and u^q on the grid there
 

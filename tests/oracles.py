@@ -291,14 +291,16 @@ def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, in
     from dataclasses import replace
 
     from benj.harness import _error, _prepare_study, _report, _stack
+    from benj.initdata import build_field
     from benj.semidiscrete import frozen_nonlinear_term
     from benj.spectral import linf_norm
     from benj.timestep import IntegratorConfig, evolve, evolve_rows
 
-    n_values, grid, u0_ref = _prepare_study(
-        params, data_spec, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
+    n_values, grid = _prepare_study(
+        params, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
     )
     ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
+    u0_ref = build_field(data_spec, params, n_ref)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
     stored = np.empty((n_steps + 1, n_keep + 1), dtype=np.complex128)

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 import benj.cli
 import benj.harness
+import benj.initdata
 import benj.invariants
+import benj.model
+import benj.semidiscrete
 from benj.cli import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
 from benj.errors import ConfigError, ParameterError
 from benj.initdata import KINDS, InitialDataSpec
@@ -221,16 +224,27 @@ def test_converge_step_is_planned_at_the_finest_measured_bandwidth():
     assert grid == IntegratorPolicy().grid(config.model, 8, 200.0)
 
 
-def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path):
-    # the finest measured bandwidth N = 4096 plans 1.64e6 steps: exit 2 at
-    # once, with no manifest and no output directory
-    text = "n_modes = 8\nconverge.n_values = 4, 4096\nintegrator.t_end = 200\n"
-    start = time.perf_counter()
-    code, manifest = run_command(tmp_path, "converge", text=text)
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_CONFIG
-    assert manifest is None
-    assert not (tmp_path / "out").exists()
+def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path, benjamin_params):
+    # the finest measured bandwidth N = 4096 plans 1.64e6 steps, and a step
+    # of 1e-6 to 0.5 plans 500,000 member steps and 2e6 reference steps:
+    # exit 2 at once, with no manifest and no output directory
+    texts = ["n_modes = 8\nconverge.n_values = 4, 4096\nintegrator.t_end = 200\n",
+             "converge.n_values = 4, 8\nintegrator.dt = 1e-6\nintegrator.t_end = 0.5\n"]
+    for text in texts:
+        start = time.perf_counter()
+        code, manifest = run_command(tmp_path, "converge", text=text)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG
+        assert manifest is None
+        assert not (tmp_path / "out").exists()
+    # the parser refuses the reference grid with the study's own message
+    with pytest.raises(ValueError) as library:
+        benj.harness.self_convergence(benjamin_params, InitialDataSpec("gaussian"), [4, 8], 32,
+                                      0.5, IntegratorPolicy(dt=1e-6))
+    with pytest.raises(ValueError) as parser:
+        parse_config(texts[1], None, "converge")
+    assert str(parser.value) == str(library.value)
+    assert str(parser.value) == "2e+06 time steps exceed the bound of 1000000"
 
 
 # the entries are split on commas only: "4 8" is not the bandwidth 48
@@ -412,17 +426,20 @@ def test_solve_takes_equal_steps_to_the_horizon(tmp_path):
 
 
 def test_solve_evaluates_the_energy_symbol_once(tmp_path, monkeypatch):
-    # six snapshots of one model at one bandwidth and scale: one evaluation
-    calls, real = [], benj.invariants.symbol_l
+    # a Petviashvili wave, its run and six snapshots' energies, all of one
+    # model at one bandwidth and scale: one evaluation of the symbol on the
+    # 33 stored modes, whichever of these modules would call it
+    calls, real = [], benj.model.symbol_l
 
     def counting(params, kappa):
         calls.append(len(kappa))
         return real(params, kappa)
 
-    monkeypatch.setattr(benj.invariants, "symbol_l", counting)
-    benj.invariants._symbol.cache_clear()
+    for module in (benj.semidiscrete, benj.invariants, benj.initdata):
+        monkeypatch.setattr(module, "symbol_l", counting, raising=False)
+    benj.semidiscrete._mode_operator.cache_clear()
     out = tmp_path / "out"
-    assert run_solve(tmp_path, out) == EXIT_OK
+    assert run_solve(tmp_path, out, ["initial.kind=petviashvili_wave"]) == EXIT_OK
     assert len(list(out.glob("snap_*.txt"))) == 6
     assert calls == [33]
 

@@ -375,10 +375,17 @@ def test_unknown_method_is_refused_before_the_datum(monkeypatch, benjamin_params
 
 
 @pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
-def test_study_step_over_the_bound_is_a_value_error(benjamin_params, study):
-    # t*/dt is inf here; it must not reach math.ceil
-    with pytest.raises(ValueError, match="exceed the bound"):
-        study(benjamin_params, GAUSS, [4, 8], 32, 0.01, IntegratorPolicy(dt=5e-324))
+def test_study_step_over_the_bound_is_a_value_error(monkeypatch, benjamin_params, study):
+    def never(*args, **kwargs):
+        raise AssertionError("the study built the datum")
+
+    monkeypatch.setattr(benj.harness, "build_field", never)
+    # t*/dt is inf at 5e-324; it must not reach math.ceil.  At 1e-6 the
+    # members' 500,000 steps are within the bound, and the reference's
+    # 2,000,000 at a quarter of the step are not
+    for dt, t_star in [(5e-324, 0.01), (1e-6, 0.5)]:
+        with pytest.raises(ValueError, match="exceed the bound"):
+            study(benjamin_params, GAUSS, [4, 8], 32, t_star, IntegratorPolicy(dt=dt))
 
 
 @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan])

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from benj.errors import ParameterError, ShapeError
 from benj.initdata import InitialDataSpec, build_field
 from benj.invariants import (
-    _symbol,
     c_pi,
     e_pi,
     i_pi,
@@ -18,6 +17,7 @@ from benj.invariants import (
     record_rows,
 )
 from benj.model import ModelParams, symbol_l
+from benj.semidiscrete import _mode_operator
 from benj.spectral import (
     SpectralField,
     dealiased_grid,
@@ -120,17 +120,20 @@ def test_energy_translation_invariant(seed, shift):
 
 
 def test_energy_symbol_is_cached_read_only(benjamin_params):
-    # the bits of the symbol at the field's kappa, shared by every snapshot
-    # of one model and bandwidth, and by none of another; the model holds L
+    # the operator's one owner, which the energy reads: the bits of kappa,
+    # the symbol and Lambda at the field's kappa, shared by every snapshot of
+    # one model and bandwidth, and by none of another; the model holds L
     params = replace(benjamin_params, domain_scale=0.7)
     u = mode_field(8, {1: 0.5, -1: 0.5}, domain_scale=0.7)
-    sym = _symbol(params, 8)
-    assert not sym.flags.writeable
-    assert sym.tobytes() == symbol_l(params, u.kappa).tobytes()
-    assert _symbol(params, 8) is sym
-    assert _symbol(benjamin_params, 8) is not sym
+    modes = _mode_operator(params, 8)
+    assert not any(arr.flags.writeable for arr in modes)
+    assert modes.kappa.tobytes() == u.kappa.tobytes()
+    assert modes.symbol.tobytes() == symbol_l(params, u.kappa).tobytes()
+    assert modes.lam.tobytes() == (1j * u.kappa * symbol_l(params, u.kappa)).tobytes()
+    assert _mode_operator(params, 8) is modes
+    assert _mode_operator(benjamin_params, 8) is not modes
     other = replace(params, gamma=2.0)
-    assert _symbol(other, 8).tobytes() == symbol_l(other, u.kappa).tobytes()
+    assert _mode_operator(other, 8).symbol.tobytes() == symbol_l(other, u.kappa).tobytes()
 
 
 def test_record_single_snapshot(benjamin_params):
