@@ -25,8 +25,9 @@ code through one table.  Diagnostics go to stderr; results go to files in
 the output directory (plus stdout for the ``invariants`` table).  Once the
 configuration parses, ``solve``, ``converge`` and ``soliton`` write a run
 manifest exactly once, last, even when the run fails, its results holding
-the planned ``dt`` and ``n_steps``; an exception outside the table is a
-bug, whose traceback propagates after a manifest with status
+the planned ``dt`` and ``n_steps`` (``converge``'s also its reference's
+``reference_dt`` and ``reference_n_steps``); an exception outside the
+table is a bug, whose traceback propagates after a manifest with status
 ``incomplete`` is written.  Before anything is computed, ``main`` claims
 the output directory: one that holds another command's result files
 (``_COMMANDS``) or manifest is a validation error, so no manifest is
@@ -44,19 +45,19 @@ after at most one leading '-' (``_parse_int``): no '+', '_' or other
 scripts' digits.
 ``parse_config`` requires, bounds and plans only what its command reads
 (every key given is still parsed to its type): ``invariants`` the
-``model`` section alone; ``solve`` and ``soliton`` a grid at ``n_modes``;
-``converge`` the study's bandwidth rule (``harness._check_bandwidths``)
-on ``converge.n_values`` (comma-separated integers) and ``converge.n_ref``
-(unset: ``harness._REF_FACTOR`` times the finest), then a grid bound at
-that reference, a step at the finest, and the reference's time grid
-(``harness._reference_grid``, four times the members' steps).  A broken
-rule, more than ``timestep.MAX_STEPS`` steps in a time grid, a padded
-grid over ``MAX_GRID`` points or an empty ``outputs`` is a validation
-error there.  Every value has one key: a run steps the grid that
-``timestep.IntegratorPolicy.grid`` plans of ``integrator.method``,
-``integrator.dt`` (unset: derived at that bandwidth) and
-``integrator.t_end``; ``soliton`` sends a wave of speed ``initial.speed``,
-and ``seed`` seeds ``random_sobolev`` data.
+``model`` section alone; ``solve`` and ``soliton`` ``n_modes``
+(``spectral._check_sizes``) and a grid at it; ``converge`` the study's
+plan (``harness._prepare_study``) of ``converge.n_values``
+(comma-separated integers) and ``converge.n_ref`` (unset:
+``harness._REF_FACTOR`` times the finest), its bandwidth rule and both
+grids, then a grid bound at that reference.  A bandwidth its owner
+refuses (a ConfigError keyed by its key), a time grid of more than
+``timestep.MAX_STEPS`` steps, a padded grid over ``MAX_GRID`` points or
+an empty ``outputs`` is a validation error there.  Every value has one
+key: a run steps the grid that ``timestep.IntegratorPolicy.grid`` plans
+of ``integrator.method``, ``integrator.dt`` (unset: derived at that
+bandwidth) and ``integrator.t_end``; ``soliton`` sends a wave of speed
+``initial.speed``, and ``seed`` seeds ``random_sobolev`` data.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, DivergenceError, IterationError
-from .harness import (_REF_FACTOR, _check_bandwidths, _reference_grid, self_convergence,
-                      soliton_propagation_test)
+from .errors import BandwidthError, ConfigError, DivergenceError, IterationError
+from .harness import _REF_FACTOR, _prepare_study, self_convergence, soliton_propagation_test
 from .initdata import InitialDataSpec, build_field
 from .invariants import invariant_row, record_invariants, record_rows
 from .model import ModelParams, check_domain_scale
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import dealiased_grid
+from .spectral import _check_sizes, dealiased_grid
 from .timestep import IntegratorConfig, IntegratorPolicy, evolve
 
 # Re-exported: perfbench's tracer patches this name on this module.
@@ -163,6 +163,7 @@ class RunConfig:
     outputs: Path | None = None
     n_values: list | None = None  # converge: the checked bandwidths, sorted
     n_ref: int | None = None  # converge: the reference bandwidth
+    reference: IntegratorConfig | None = None  # converge: the reference's planned grid
 
 
 def _split_pair(text: str, where: str) -> tuple:
@@ -237,20 +238,22 @@ def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig
         key, n_values = "n_modes", [r["n_modes"]]
     if None in n_values:
         raise ConfigError(f"missing required key {key!r} for {command}", key=key)
-    if min(n_values) < 1:
-        raise ConfigError(f"{key} must satisfy N >= 1, got {r[key]}", key=key)
     n = max(n_values)  # the bandwidth the run steps at
-    study = {}  # converge: its checked bandwidths and its reference bandwidth
-    if command == "converge":  # the rule refuses an n_ref < 1 before a grid is sized at it
-        n_ref = _REF_FACTOR * n if r["converge.n_ref"] is None else r["converge.n_ref"]
-        study = {"n_values": _check_bandwidths(n_values, n_ref), "n_ref": n_ref}
-    _check_grid(model, study.get("n_ref", n))
-
     integrator = _section(r, "integrator")
-    grid = IntegratorPolicy(integrator["method"], integrator["dt"]).grid(
-        model, n, integrator["t_end"])
-    if study:  # the reference of a self-convergence study steps its own, finer grid
-        _reference_grid(grid)
+    t_end, policy = integrator["t_end"], IntegratorPolicy(integrator["method"], integrator["dt"])
+    study = {}  # converge: its checked bandwidths, its reference bandwidth and grid
+    try:  # a bandwidth below 1 is refused by its owner, keyed
+        _check_grid(model, n)  # before a step is planned at n
+        if command == "converge":
+            n_ref = _REF_FACTOR * n if r["converge.n_ref"] is None else r["converge.n_ref"]
+            n_values, grid, ref = _prepare_study(model, n_values, n_ref, t_end, policy)
+            _check_grid(model, n_ref)  # after the study rule, which refuses an n_ref below 4n
+            study = {"n_values": n_values, "n_ref": n_ref, "reference": ref}
+        else:
+            _check_sizes(n, model.domain_scale)
+            grid = policy.grid(model, n, t_end)
+    except BandwidthError as exc:
+        raise ConfigError(str(exc), key=key) from exc
     return RunConfig(
         model, r,
         initial=InitialDataSpec(**_section(r, "initial"), seed=r["seed"]),
@@ -442,6 +445,9 @@ def main(argv=None) -> int:
             return _cmd_invariants(config, args.files)
         _claim_outputs(args.command, config.outputs)  # no manifest: the directory is not ours
         results = {"dt": config.integrator.dt, "n_steps": config.integrator.n_steps}
+        if config.reference is not None:
+            results.update(reference_dt=config.reference.dt,
+                           reference_n_steps=config.reference.n_steps)
         manifest = {"tool": "benj", "version": __version__, "command": args.command,
                     "config": dict(config.raw), "started_utc": _utc_now(),
                     "finished_utc": None, "status": "incomplete", "exit_code": None,

@@ -14,7 +14,7 @@ class SpectrumError(ParameterError):
 
 
 class BandwidthError(ValueError):
-    """A bandwidth below 1, a grid too coarse for a bandwidth, or a truncation above it."""
+    """A bandwidth below 1 or against a study's rule, a grid too coarse or a truncation above it."""
 
 
 class ShapeError(ValueError):

@@ -5,8 +5,9 @@ All studies measure against a self-computed reference run at a bandwidth
 at least ``_REF_FACTOR`` = 4 times the finest of distinct measured ones
 (max(4, 1+q) times in the linearized study, which stores it at (1+q)N)
 and a step four times smaller, which keeps the reference error well below
-every measured error.  ``_check_bandwidths`` owns the rule; the CLI
-calls it too.  The member runs follow the reference as one stack
+every measured error.  A study's one planner, ``_prepare_study``, checks
+that rule and plans both grids; the CLI plans ``converge`` with it too.
+The member runs follow the reference as one stack
 (``timestep.evolve_rows``): row i is the bandwidth-n_i member posed at
 the finest member's bandwidth with its flux masked to |k| <= n_i, the
 same Galerkin system up to rounding.  A row that diverges becomes its
@@ -14,9 +15,8 @@ member's ``failures`` entry; the other rows go on.  Both studies and the
 soliton test take their time grid to t_star from
 ``timestep.IntegratorPolicy.grid``, at the run's bandwidth (a study's
 finest measured one; the soliton's wave's own, which its caller builds).
-A broken bandwidth rule, a horizon or step that is not positive, or more
-than ``timestep.MAX_STEPS`` steps on the members' or the reference's grid
-(``self_convergence``'s is ``_reference_grid``, which the CLI plans too)
+A broken bandwidth rule (a BandwidthError), a horizon or step that is
+not positive, or more than ``timestep.MAX_STEPS`` steps on either grid
 is a ValueError raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
@@ -41,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import BandwidthError
 from .initdata import InitialDataSpec, build_field
 from .invariants import InvariantRecord, record_invariants
 from .model import ModelParams, check_domain_scale
@@ -134,26 +135,20 @@ def _fit_tail(n_values, errors):
     return estimate_rate([n for n, _ in tail], [e for _, e in tail])
 
 
-def _check_bandwidths(n_values, n_ref, ref_factor=_REF_FACTOR) -> list:
-    """n_values sorted; a ValueError unless distinct, >= 1 and n_ref >= ref_factor x the finest."""
+def _prepare_study(params, n_values, n_ref, t_star, integrator_policy, ref_factor=_REF_FACTOR):
+    """A study's plan: its bandwidths, sorted; the members' grid, the policy's
+    at the finest; and the reference's, a quarter of that step four times as
+    often, observed at 0 and t* only.  A BandwidthError unless the bandwidths
+    are distinct and >= 1 and n_ref is at least ref_factor x the finest."""
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1 or len(set(n_values)) != len(n_values):
-        raise ValueError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
+        raise BandwidthError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
     if n_ref < ref_factor * n_values[-1]:
-        raise ValueError(f"reference bandwidth {n_ref} must be at least {ref_factor}x the finest "
-                         f"measured bandwidth {n_values[-1]}, i.e. >= {ref_factor * n_values[-1]}")
-    return n_values
-
-
-def _prepare_study(params, n_values, n_ref, t_star, integrator_policy, ref_factor=_REF_FACTOR):
-    """Checked bandwidths and the members' time grid, at the finest measured bandwidth."""
-    n_values = _check_bandwidths(n_values, n_ref, ref_factor)
-    return n_values, integrator_policy.grid(params, max(n_values), t_star)
-
-
-def _reference_grid(grid: IntegratorConfig) -> IntegratorConfig:
-    """``self_convergence``'s reference grid: a quarter of the members' step, seen at 0 and t*."""
-    return IntegratorConfig(grid.method, grid.dt / 4.0, grid.t_end, 4 * grid.n_steps)
+        raise BandwidthError(f"reference bandwidth {n_ref} must be at least {ref_factor}x the "
+                             f"finest measured bandwidth {n_values[-1]}, i.e. >= "
+                             f"{ref_factor * n_values[-1]}")
+    grid = integrator_policy.grid(params, n_values[-1], t_star)
+    return n_values, grid, IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 4 * grid.n_steps)
 
 
 def _stack(u0_ref: SpectralField, n_values) -> np.ndarray:
@@ -207,12 +202,10 @@ def self_convergence(
     projected down for each member run, and fields are compared at the
     reference bandwidth (the coarser one zero-extended), so the reported
     error includes the projection tail.  The error is the final-time
-    value, a lower bound for the max over [0, t_star].  The members step
-    the policy's grid at the finest measured bandwidth, and the reference
-    a quarter of its step.
+    value, a lower bound for the max over [0, t_star].  The members and
+    the reference step the grids that ``_prepare_study`` plans.
     """
-    n_values, grid = _prepare_study(params, n_values, n_ref, t_star, integrator_policy)
-    ref_config = _reference_grid(grid)
+    n_values, grid, ref_config = _prepare_study(params, n_values, n_ref, t_star, integrator_policy)
     u0_ref = build_field(data_spec, params, n_ref)
     ref_final = evolve(u0_ref, params, ref_config).final
     flux = folded_nonlinear_term(params, n_values)
@@ -261,9 +254,8 @@ def intermediate_problem_study(
     freezing the advection coefficient at the reference solution projected
     to bandwidth (1+q)N and interpolated cubically at stage midpoints.
     The sup norm of each w-run is monitored and reported alongside the
-    error decay.  The reference steps a quarter of the step of the
-    policy's grid at the finest measured bandwidth, so the measured w-runs
-    take that quarter step too.
+    error decay.  The reference and the w-runs step the reference grid
+    that ``_prepare_study`` plans.
 
     The two runs go in lockstep, so memory does not grow with t_star/dt:
     the reference's observer writes its state j into a window of the last
@@ -275,9 +267,8 @@ def intermediate_problem_study(
     is a RuntimeError, and one that takes more an IndexError when the
     extra state arrives.
     """
-    n_values, grid = _prepare_study(params, n_values, n_ref, t_star, integrator_policy,
-                                    max(_REF_FACTOR, 1 + params.q))
-    ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
+    n_values, _, ref_config = _prepare_study(params, n_values, n_ref, t_star, integrator_policy,
+                                             max(_REF_FACTOR, 1 + params.q))
     u0_ref = build_field(data_spec, params, n_ref)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
@@ -308,7 +299,8 @@ def intermediate_problem_study(
             result = next(w_run, result)  # a w-run that stopped early keeps its result
             w_steps += 1
 
-    u_ref_final = evolve(u0_ref, params, ref_config, observer=advance).final
+    u_ref_final = evolve(u0_ref, params, replace(ref_config, snapshot_stride=1),
+                         observer=advance).final
     if state != n_steps:
         raise RuntimeError(f"the reference run took {state} steps, not {n_steps}")
     errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]

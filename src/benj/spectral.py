@@ -133,6 +133,7 @@ def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (keeps FFT sizes cheap); memoised,
     since every padded grid asks for one of a few lengths."""
+    n = max(n, 1)  # 1 is 5-smooth; a search from n <= 0 would never end
     while True:
         m = n
         for p in (2, 3, 5):

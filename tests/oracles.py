@@ -294,12 +294,11 @@ def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, in
     from benj.initdata import build_field
     from benj.semidiscrete import frozen_nonlinear_term
     from benj.spectral import linf_norm
-    from benj.timestep import IntegratorConfig, evolve, evolve_rows
+    from benj.timestep import evolve, evolve_rows
 
-    n_values, grid = _prepare_study(
+    n_values, _, ref_config = _prepare_study(
         params, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
     )
-    ref_config = IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 1)
     u0_ref = build_field(data_spec, params, n_ref)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
@@ -311,7 +310,8 @@ def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, in
         filled += 1
         stored[filled] = f.half[: n_keep + 1]
 
-    u_ref_final = evolve(u0_ref, params, ref_config, observer=keep).final
+    u_ref_final = evolve(u0_ref, params, replace(ref_config, snapshot_stride=1),
+                         observer=keep).final
     assert filled == n_steps
 
     n_u = [(1 + params.q) * n for n in n_values]

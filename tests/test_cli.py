@@ -248,8 +248,9 @@ def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path, benjamin_pa
 
 
 # the entries are split on commas only: "4 8" is not the bandwidth 48
-@pytest.mark.parametrize("value", ["", "0", "-4, 8", "4 8", "1 6, 32"],
-                         ids=["empty", "zero", "negative", "space-inside", "space-inside-first"])
+@pytest.mark.parametrize("value", ["", "0", "-4, 8", "4 8", "1 6, 32", "-8, -4"],
+                         ids=["empty", "zero", "negative", "space-inside", "space-inside-first",
+                              "all-negative"])
 def test_converge_n_values_are_checked_at_parse_time(tmp_path, value):
     code, manifest = run_command(tmp_path, "converge", [f"converge.n_values={value}"],
                                  text="integrator.t_end = 0.01\n")
@@ -305,18 +306,23 @@ def test_integer_grammar_keeps_a_leading_minus():
     for key in INT_KEYS:
         assert [_SCHEMA[key][0](v) for v in ("-1", "0", "007", "-12")] == [-1, 0, 7, -12]
     assert _SCHEMA["converge.n_values"][0]("-4, 8") == [-4, 8]
-    with pytest.raises(ConfigError, match="n_modes must satisfy N >= 1, got -1"):
+    # refused by the owner of N >= 1, spectral._check_sizes, keyed
+    with pytest.raises(ConfigError, match="^n_modes must be >= 1, got -1$") as info:
         parse_config("n_modes = -1\n")
+    assert info.value.key == "n_modes"
 
 
-# a study's bandwidth rule broken as no other check sees: not distinct, and
-# a reference below four times the finest
+# a study's bandwidth rule broken: not distinct, a reference below four
+# times the finest, and a bandwidth below 1 (the rule owns N >= 1 for
+# converge.n_values)
 STUDY_RULE_BROKEN = [(["converge.n_values=4,4"], [4, 4], 16),
-                     (["converge.n_values=4,8", "converge.n_ref=16"], [4, 8], 16)]
+                     (["converge.n_values=4,8", "converge.n_ref=16"], [4, 8], 16),
+                     (["converge.n_values=0"], [0], 0),
+                     (["converge.n_values=-8,-4"], [-8, -4], -16)]
 
 
 @pytest.mark.parametrize("overrides, n_values, n_ref", STUDY_RULE_BROKEN,
-                         ids=["repeated", "coarse-reference"])
+                         ids=["repeated", "coarse-reference", "zero", "all-negative"])
 def test_converge_bandwidth_rule_is_the_harness_rule(tmp_path, benjamin_params, overrides,
                                                      n_values, n_ref):
     # the parser refuses what the library refuses, with the same message,
@@ -1093,13 +1099,15 @@ GRID_TEXT = ("n_modes = 16\nintegrator.dt = 0.01\nintegrator.t_end = 0.05\n"
     ("solve", ["initial.amplitude=1e8", "initial.width=0.3"], "divergence",
      {"failed_at": 0.01}),
     ("converge", [], "divergence", {"failures": {"8": "diverged: norm grew beyond 1e6x "
-                                                      "initial at t=0.01"}}),
+                                                      "initial at t=0.01"},
+                                    "reference_dt": 0.0025, "reference_n_steps": 20}),
     ("solve", ["model.m=200"], "validation-error", {}),
 ], ids=["diverged-run", "diverged-member", "refused-operator"])
 def test_every_outcome_records_the_planned_grid(tmp_path, monkeypatch, command, overrides,
                                                 status, outcome):
     # five steps of 0.01: a diverged run's failure time reads as its step,
-    # and a failed study or a refused operator still names its grid
+    # and a failed study or a refused operator still names its grid (a
+    # study also its reference's, twenty steps of 0.0025)
     real = benj.harness.evolve_rows
 
     def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
@@ -1115,6 +1123,34 @@ def test_every_outcome_records_the_planned_grid(tmp_path, monkeypatch, command, 
         code, manifest = run_command(tmp_path, command, overrides, text=GRID_TEXT)
     assert manifest["status"] == status
     assert manifest["results"] == {"dt": 0.01, "n_steps": 5, **outcome}
+
+
+@pytest.mark.parametrize("extra, status", [
+    ([], "ok"),
+    (["initial.amplitude=1e8", "initial.width=0.3"], "divergence"),
+    (["initial.kind=file", "initial.path=missing.txt"], "validation-error"),
+], ids=["ok", "diverged-reference", "refused-datum"])
+def test_converge_manifest_records_the_planned_reference(tmp_path, monkeypatch, extra, status):
+    # CI's tiny study: members take 4 steps of 0.005 and the reference 16
+    # of 0.00125.  The manifest records the grid the parser planned for the
+    # reference, which is the grid the reference steps, whatever the outcome
+    text = "n_modes = 16\nintegrator.t_end = 0.02\nconverge.n_values = 8, 16\n"
+    stepped, real = [], benj.harness.evolve
+
+    def recording(u0, params, config, **kwargs):
+        stepped.append((config.dt, config.n_steps))
+        return real(u0, params, config, **kwargs)
+
+    monkeypatch.setattr(benj.harness, "evolve", recording)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, manifest = run_command(tmp_path, "converge", extra, text=text)
+    assert manifest["status"] == status
+    results = manifest["results"]
+    assert (results["dt"], results["n_steps"]) == (0.005, 4)
+    assert (results["reference_dt"], results["reference_n_steps"]) == (0.00125, 16)
+    planned = parse_config(text, extra, "converge").reference
+    assert (planned.dt, planned.n_steps) == (0.00125, 16)
+    assert stepped == ([] if status == "validation-error" else [(0.00125, 16)])
 
 
 def test_invariants_refuses_snapshots_of_another_domain_scale(tmp_path, capsys):

@@ -351,6 +351,28 @@ def test_intermediate_study_reference_reaches_the_frozen_bandwidth(monkeypatch):
     assert all(np.isfinite(report.errors)) and not report.failures
 
 
+@pytest.mark.parametrize("dt", [None, 3e-3], ids=["derived", "snapped"])
+@pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
+def test_reference_steps_the_planners_reference(monkeypatch, benjamin_params, study, dt):
+    # both studies step their reference on the planner's reference grid: a
+    # quarter of the members' step, four times their steps
+    policy, ref_factor = IntegratorPolicy(dt=dt), max(4, 1 + benjamin_params.q)
+    n_values, grid, reference = benj.harness._prepare_study(benjamin_params, [8, 4], 32, 0.01,
+                                                            policy, ref_factor)
+    assert n_values == [4, 8]
+    assert grid == policy.grid(benjamin_params, 8, 0.01)
+    assert (reference.dt, reference.n_steps) == (grid.dt / 4, 4 * grid.n_steps)
+    stepped, real = [], benj.harness.evolve
+
+    def recording(u0, params, config, **kwargs):
+        stepped.append((u0.n_modes, config.dt, config.n_steps))
+        return real(u0, params, config, **kwargs)
+
+    monkeypatch.setattr(benj.harness, "evolve", recording)
+    study(benjamin_params, GAUSS, [4, 8], 32, 0.01, policy)
+    assert stepped == [(32, reference.dt, reference.n_steps)]
+
+
 @pytest.mark.parametrize("study", [self_convergence, intermediate_problem_study])
 def test_bandwidth_below_one_is_refused_before_any_run(monkeypatch, benjamin_params, study):
     def never(*args, **kwargs):

@@ -244,6 +244,8 @@ def test_next_fast_len():
     assert next_fast_len(7) == 8
     assert next_fast_len(3073) == 3125
     assert next_fast_len(120) == 120
+    # 1 is the smallest 5-smooth integer: a grid bound may size any N
+    assert next_fast_len(0) == next_fast_len(-15) == 1
 
 
 # ------------------------------------------------------------------- norms
