@@ -25,7 +25,7 @@ def main() -> int:
     ap.add_argument("--n-ref", type=int, default=1024)
     ap.add_argument("--t-star", type=float, default=0.5)
     ap.add_argument("--dt", type=float, default=1e-4,
-                    help="policy step of the members; the reference uses a quarter of it")
+                    help="policy step of the members, which the reference steps too")
     ap.add_argument("--method", default="ifrk4", choices=["etdrk4", "ifrk4"])
     ap.add_argument("--gamma", type=float, default=1.0)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")

@@ -21,12 +21,13 @@ in the grammar of a line (``_split_pair``); a later override wins.
 Exit codes: 0 success, 2 configuration or validation error (a non-finite
 number counts as one), 3 divergence of a time integration.  Each command
 raises on failure, and ``main`` maps the exception to a status and an exit
-code through one table.  Diagnostics go to stderr; results go to files in
-the output directory (plus stdout for the ``invariants`` table).  Once the
-configuration parses, ``solve``, ``converge`` and ``soliton`` write a run
-manifest exactly once, last, even when the run fails, its results holding
-the planned ``dt`` and ``n_steps`` (``converge``'s also its reference's
-``reference_dt`` and ``reference_n_steps``); an exception outside the
+code through one table (``_FAILURES``); a study that fits no rate is not a
+failure (status ``no-rate``, exit 0).  Diagnostics go to stderr; results
+go to files in the output directory (plus stdout for the ``invariants``
+table).  Once the configuration parses, ``solve``, ``converge`` and
+``soliton`` write a run manifest exactly once, last, even when the run
+fails, its results holding the planned ``dt`` and ``n_steps``, the one
+grid of ``converge``'s members and reference; an exception outside the
 table is a bug, whose traceback propagates after a manifest with status
 ``incomplete`` is written.  Before anything is computed, ``main`` claims
 the output directory: one that holds another command's result files
@@ -49,8 +50,8 @@ scripts' digits.
 (``spectral._check_sizes``) and a grid at it; ``converge`` the study's
 plan (``harness._prepare_study``) of ``converge.n_values``
 (comma-separated integers) and ``converge.n_ref`` (unset:
-``harness._REF_FACTOR`` times the finest), its bandwidth rule and both
-grids, then a grid bound at that reference.  A bandwidth its owner
+``harness._REF_FACTOR`` times the finest), its bandwidth rule and its one
+grid, then a grid bound at that reference.  A bandwidth its owner
 refuses (a ConfigError keyed by its key), a time grid of more than
 ``timestep.MAX_STEPS`` steps, a padded grid over ``MAX_GRID`` points or
 an empty ``outputs`` is a validation error there.  Every value has one
@@ -89,7 +90,8 @@ EXIT_DIVERGED = 3
 MAX_GRID = 2**21  # points of the widest padded grid a config may ask for
 
 # A failed run's exception types -> (manifest status, exit code).  Any other
-# exception is a bug: its traceback propagates.
+# exception is a bug: its traceback propagates.  Outcomes: "ok" and, for a
+# study with fewer than two errors to fit, "no-rate", both EXIT_OK.
 _FAILURES = {
     DivergenceError: ("divergence", EXIT_DIVERGED),
     ValueError: ("validation-error", EXIT_CONFIG),
@@ -163,7 +165,6 @@ class RunConfig:
     outputs: Path | None = None
     n_values: list | None = None  # converge: the checked bandwidths, sorted
     n_ref: int | None = None  # converge: the reference bandwidth
-    reference: IntegratorConfig | None = None  # converge: the reference's planned grid
 
 
 def _split_pair(text: str, where: str) -> tuple:
@@ -241,14 +242,14 @@ def parse_config(text: str, overrides=None, command: str = "solve") -> RunConfig
     n = max(n_values)  # the bandwidth the run steps at
     integrator = _section(r, "integrator")
     t_end, policy = integrator["t_end"], IntegratorPolicy(integrator["method"], integrator["dt"])
-    study = {}  # converge: its checked bandwidths, its reference bandwidth and grid
+    study = {}  # converge: its checked bandwidths and its reference bandwidth
     try:  # a bandwidth below 1 is refused by its owner, keyed
         _check_grid(model, n)  # before a step is planned at n
         if command == "converge":
             n_ref = _REF_FACTOR * n if r["converge.n_ref"] is None else r["converge.n_ref"]
-            n_values, grid, ref = _prepare_study(model, n_values, n_ref, t_end, policy)
+            n_values, grid = _prepare_study(model, n_values, n_ref, t_end, policy)
             _check_grid(model, n_ref)  # after the study rule, which refuses an n_ref below 4n
-            study = {"n_values": n_values, "n_ref": n_ref, "reference": ref}
+            study = {"n_values": n_values, "n_ref": n_ref}
         else:
             _check_sizes(n, model.domain_scale)
             grid = policy.grid(model, n, t_end)
@@ -339,8 +340,9 @@ def _cmd_converge(config: RunConfig, quiet: bool) -> tuple:
     if report.failures:
         print(f"error: {len(report.failures)} member run(s) diverged", file=sys.stderr)
         return "divergence", EXIT_DIVERGED, {"failures": report.failures}
-    _progress(quiet, f"converge: fitted rate {report.fitted_rate}")
-    return "ok", EXIT_OK, {"fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
+    status = "ok" if report.fitted_rate is not None else "no-rate"
+    _progress(quiet, f"converge: fitted rate {report.fitted_rate} ({status})")
+    return status, EXIT_OK, {"fitted_rate": report.fitted_rate, "fit_r2": report.fit_r2}
 
 
 def _cmd_soliton(config: RunConfig, quiet: bool) -> tuple:
@@ -445,9 +447,6 @@ def main(argv=None) -> int:
             return _cmd_invariants(config, args.files)
         _claim_outputs(args.command, config.outputs)  # no manifest: the directory is not ours
         results = {"dt": config.integrator.dt, "n_steps": config.integrator.n_steps}
-        if config.reference is not None:
-            results.update(reference_dt=config.reference.dt,
-                           reference_n_steps=config.reference.n_steps)
         manifest = {"tool": "benj", "version": __version__, "command": args.command,
                     "config": dict(config.raw), "started_utc": _utc_now(),
                     "finished_utc": None, "status": "incomplete", "exit_code": None,

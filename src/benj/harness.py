@@ -3,10 +3,14 @@ intermediate-problem diagnostic, and soliton propagation benchmarks.
 
 All studies measure against a self-computed reference run at a bandwidth
 at least ``_REF_FACTOR`` = 4 times the finest of distinct measured ones
-(max(4, 1+q) times in the linearized study, which stores it at (1+q)N)
-and a step four times smaller, which keeps the reference error well below
-every measured error.  A study's one planner, ``_prepare_study``, checks
-that rule and plans both grids; the CLI plans ``converge`` with it too.
+(max(4, 1+q) times in the linearized study, which stores it at (1+q)N).
+``self_convergence`` steps its reference on the members' grid, so the
+time error both share cancels and what it measures, P_N u_ref - u^N plus
+the reference's tail above N, is the scheme's spatial (semidiscrete)
+error at that step.  The linearized study steps its reference and w-runs
+at a quarter of the members' step.  A study's one planner,
+``_prepare_study``, checks the bandwidth rule and plans the members'
+grid; the CLI plans ``converge`` with it too.
 The member runs follow the reference as one stack
 (``timestep.evolve_rows``): row i is the bandwidth-n_i member posed at
 the finest member's bandwidth with its flux masked to |k| <= n_i, the
@@ -16,8 +20,8 @@ soliton test take their time grid to t_star from
 ``timestep.IntegratorPolicy.grid``, at the run's bandwidth (a study's
 finest measured one; the soliton's wave's own, which its caller builds).
 A broken bandwidth rule (a BandwidthError), a horizon or step that is
-not positive, or more than ``timestep.MAX_STEPS`` steps on either grid
-is a ValueError raised before anything is built or run.
+not positive, or more than ``timestep.MAX_STEPS`` steps on any grid a
+study steps is a ValueError raised before anything is built or run.
 
 Fields, member rows and stored reference states share the one layout a
 ``SpectralField`` stores (the folded half of ``spectral``), so nothing
@@ -49,7 +53,7 @@ from .semidiscrete import _row_mask, folded_nonlinear_term, frozen_nonlinear_ter
 from .spectral import SpectralField, l2_norm, linf_norm, peak_position, translate
 from .timestep import IntegratorConfig, IntegratorPolicy, evolve, evolve_rows, evolve_steps
 
-_ERROR_FLOOR = 1e-300
+_ROUNDING = 1e-13  # an error below this times ||u_ref(t*)|| is rounding (see _fit_tail)
 _FIT_WINDOW = 4  # the rate is fitted over the finest bandwidths with usable errors
 _REF_FACTOR = 4  # a reference bandwidth is at least this many times the finest measured one
 
@@ -122,13 +126,15 @@ def estimate_rate(n_values, errors) -> tuple[float, float]:
     return 0.0 - slope, r2
 
 
-def _fit_tail(n_values, errors):
-    """Fit the rate over the largest ``_FIT_WINDOW`` bandwidths with usable errors."""
-    pairs = [
-        (n, e)
-        for n, e in zip(n_values, errors)
-        if np.isfinite(e) and e > _ERROR_FLOOR
-    ]
+def _fit_tail(n_values, errors, ref_norm):
+    """Fit the rate over the largest ``_FIT_WINDOW`` bandwidths with usable
+    errors: finite and above ``_ROUNDING`` x ref_norm, ||u_ref(t*)||.  On one
+    grid, a member whose spatial error has reached rounding reads at most
+    1.1e-15 x ref_norm (Gaussian data, 10,000 IFRK4 steps); the smallest
+    error the rough-data studies fit reads 2.7e-11 x ref_norm.  Fewer than
+    two usable errors fit no rate: (None, None)."""
+    floor = _ROUNDING * ref_norm
+    pairs = [(n, e) for n, e in zip(n_values, errors) if np.isfinite(e) and e > floor]
     if len(pairs) < 2:
         return None, None
     tail = pairs[-_FIT_WINDOW:]
@@ -136,10 +142,9 @@ def _fit_tail(n_values, errors):
 
 
 def _prepare_study(params, n_values, n_ref, t_star, integrator_policy, ref_factor=_REF_FACTOR):
-    """A study's plan: its bandwidths, sorted; the members' grid, the policy's
-    at the finest; and the reference's, a quarter of that step four times as
-    often, observed at 0 and t* only.  A BandwidthError unless the bandwidths
-    are distinct and >= 1 and n_ref is at least ref_factor x the finest."""
+    """A study's plan: its bandwidths, sorted, and the members' grid, the
+    policy's at the finest.  A BandwidthError unless the bandwidths are
+    distinct and >= 1 and n_ref is at least ref_factor x the finest."""
     n_values = sorted(int(n) for n in n_values)
     if not n_values or n_values[0] < 1 or len(set(n_values)) != len(n_values):
         raise BandwidthError(f"n_values must be distinct bandwidths >= 1, got {n_values}")
@@ -147,8 +152,7 @@ def _prepare_study(params, n_values, n_ref, t_star, integrator_policy, ref_facto
         raise BandwidthError(f"reference bandwidth {n_ref} must be at least {ref_factor}x the "
                              f"finest measured bandwidth {n_values[-1]}, i.e. >= "
                              f"{ref_factor * n_values[-1]}")
-    grid = integrator_policy.grid(params, n_values[-1], t_star)
-    return n_values, grid, IntegratorConfig(grid.method, grid.dt / 4.0, t_star, 4 * grid.n_steps)
+    return n_values, integrator_policy.grid(params, n_values[-1], t_star)
 
 
 def _stack(u0_ref: SpectralField, n_values) -> np.ndarray:
@@ -164,23 +168,24 @@ def _error(ref: SpectralField, row: np.ndarray, n: int) -> float:
     return l2_norm(ref.with_half(ref.half - np.pad(row[: n + 1], (0, ref.n_modes - n))))
 
 
-def _report(n_values, errors, failures, n_ref, t_star, dt, linf_max=None):
-    """Assemble the report from the members' per-row results.
+def _report(n_values, errors, failures, ref, t_star, dt, linf_max=None):
+    """Assemble the report from the members' per-row results against the
+    reference's final field ``ref``.
 
     A row in ``failures`` (row index -> DivergenceError) reads NaN for its
     error and sup norm and gets a ``failures`` entry under its bandwidth;
-    the rate is fitted on the rest.
+    the rate is fitted on the rest (``_fit_tail``).
     """
     errors = [np.nan if i in failures else e for i, e in enumerate(errors)]
     if linf_max is not None:
         linf_max = [np.nan if i in failures else w for i, w in enumerate(linf_max)]
-    rate, r2 = _fit_tail(n_values, errors)
+    rate, r2 = _fit_tail(n_values, errors, l2_norm(ref))
     return ConvergenceReport(
         n_values=n_values,
         errors=errors,
         fitted_rate=rate,
         fit_r2=r2,
-        reference_n=n_ref,
+        reference_n=ref.n_modes,
         t_star=t_star,
         dt=dt,
         failures={n_values[i]: f"diverged: {exc}" for i, exc in failures.items()},
@@ -203,15 +208,18 @@ def self_convergence(
     reference bandwidth (the coarser one zero-extended), so the reported
     error includes the projection tail.  The error is the final-time
     value, a lower bound for the max over [0, t_star].  The members and
-    the reference step the grids that ``_prepare_study`` plans.
+    the reference step one grid, the members' that ``_prepare_study``
+    plans (the reference observed at 0 and t_star only), so the error is
+    the scheme's spatial error at that step: their common time error
+    cancels.
     """
-    n_values, grid, ref_config = _prepare_study(params, n_values, n_ref, t_star, integrator_policy)
+    n_values, grid = _prepare_study(params, n_values, n_ref, t_star, integrator_policy)
     u0_ref = build_field(data_spec, params, n_ref)
-    ref_final = evolve(u0_ref, params, ref_config).final
+    ref_final = evolve(u0_ref, params, replace(grid, snapshot_stride=grid.n_steps)).final
     flux = folded_nonlinear_term(params, n_values)
     result = evolve_rows(_stack(u0_ref, n_values), params, grid, lambda c, t: flux(c))
     errors = [_error(ref_final, row, n) for row, n in zip(result.final, n_values)]
-    return _report(n_values, errors, result.failures, n_ref, t_star, grid.dt)
+    return _report(n_values, errors, result.failures, ref_final, t_star, grid.dt)
 
 
 def _interpolate(window: np.ndarray, dt: float, t: float, last: int) -> np.ndarray:
@@ -254,8 +262,8 @@ def intermediate_problem_study(
     freezing the advection coefficient at the reference solution projected
     to bandwidth (1+q)N and interpolated cubically at stage midpoints.
     The sup norm of each w-run is monitored and reported alongside the
-    error decay.  The reference and the w-runs step the reference grid
-    that ``_prepare_study`` plans.
+    error decay.  The reference and the w-runs step a quarter of the step
+    of the members' grid that ``_prepare_study`` plans, four times as often.
 
     The two runs go in lockstep, so memory does not grow with t_star/dt:
     the reference's observer writes its state j into a window of the last
@@ -267,8 +275,9 @@ def intermediate_problem_study(
     is a RuntimeError, and one that takes more an IndexError when the
     extra state arrives.
     """
-    n_values, _, ref_config = _prepare_study(params, n_values, n_ref, t_star, integrator_policy,
-                                             max(_REF_FACTOR, 1 + params.q))
+    n_values, grid = _prepare_study(params, n_values, n_ref, t_star, integrator_policy,
+                                    max(_REF_FACTOR, 1 + params.q))
+    ref_config = IntegratorConfig(grid.method, grid.dt / 4, t_star, 4 * grid.n_steps)
     u0_ref = build_field(data_spec, params, n_ref)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
@@ -304,7 +313,7 @@ def intermediate_problem_study(
     if state != n_steps:
         raise RuntimeError(f"the reference run took {state} steps, not {n_steps}")
     errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]
-    return _report(n_values, errors, result.failures, n_ref, t_star, dt, linf_max)
+    return _report(n_values, errors, result.failures, u_ref_final, t_star, dt, linf_max)
 
 
 def soliton_propagation_test(

@@ -294,11 +294,12 @@ def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, in
     from benj.initdata import build_field
     from benj.semidiscrete import frozen_nonlinear_term
     from benj.spectral import linf_norm
-    from benj.timestep import evolve, evolve_rows
+    from benj.timestep import IntegratorConfig, evolve, evolve_rows
 
-    n_values, _, ref_config = _prepare_study(
+    n_values, grid = _prepare_study(
         params, n_values, n_ref, t_star, integrator_policy, max(4, 1 + params.q)
     )
+    ref_config = IntegratorConfig(grid.method, grid.dt / 4, t_star, 4 * grid.n_steps)
     u0_ref = build_field(data_spec, params, n_ref)
     dt, n_steps = ref_config.dt, ref_config.n_steps
     n_keep = (1 + params.q) * max(n_values)
@@ -328,4 +329,4 @@ def intermediate_study_full_store(params, data_spec, n_values, n_ref, t_star, in
     config = replace(ref_config, snapshot_stride=max(1, n_steps // 128))
     result = evolve_rows(w0, params, config, term, watch)
     errors = [_error(u_ref_final, row, n) for row, n in zip(result.final, n_values)]
-    return _report(n_values, errors, result.failures, n_ref, t_star, dt, linf_max)
+    return _report(n_values, errors, result.failures, u_ref_final, t_star, dt, linf_max)

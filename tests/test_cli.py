@@ -18,9 +18,10 @@ import benj.model
 import benj.semidiscrete
 from benj.cli import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main, parse_config
 from benj.errors import ConfigError, ParameterError
-from benj.initdata import KINDS, InitialDataSpec
+from benj.initdata import KINDS, InitialDataSpec, build_field
 from benj.model import ModelParams
 from benj.snapshots import read_snapshot
+from benj.spectral import l2_norm
 from benj.timestep import IntegratorConfig, IntegratorPolicy
 
 BASE = """
@@ -226,10 +227,10 @@ def test_converge_step_is_planned_at_the_finest_measured_bandwidth():
 
 def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path, benjamin_params):
     # the finest measured bandwidth N = 4096 plans 1.64e6 steps, and a step
-    # of 1e-6 to 0.5 plans 500,000 member steps and 2e6 reference steps:
+    # of 4e-7 to 0.5 plans 1.25e6 steps for the members and the reference:
     # exit 2 at once, with no manifest and no output directory
     texts = ["n_modes = 8\nconverge.n_values = 4, 4096\nintegrator.t_end = 200\n",
-             "converge.n_values = 4, 8\nintegrator.dt = 1e-6\nintegrator.t_end = 0.5\n"]
+             "converge.n_values = 4, 8\nintegrator.dt = 4e-7\nintegrator.t_end = 0.5\n"]
     for text in texts:
         start = time.perf_counter()
         code, manifest = run_command(tmp_path, "converge", text=text)
@@ -237,14 +238,14 @@ def test_converge_over_bound_step_is_refused_at_parse_time(tmp_path, benjamin_pa
         assert code == EXIT_CONFIG
         assert manifest is None
         assert not (tmp_path / "out").exists()
-    # the parser refuses the reference grid with the study's own message
+    # the parser refuses the study's grid with the study's own message
     with pytest.raises(ValueError) as library:
         benj.harness.self_convergence(benjamin_params, InitialDataSpec("gaussian"), [4, 8], 32,
-                                      0.5, IntegratorPolicy(dt=1e-6))
+                                      0.5, IntegratorPolicy(dt=4e-7))
     with pytest.raises(ValueError) as parser:
         parse_config(texts[1], None, "converge")
     assert str(parser.value) == str(library.value)
-    assert str(parser.value) == "2e+06 time steps exceed the bound of 1000000"
+    assert str(parser.value) == "1.25e+06 time steps exceed the bound of 1000000"
 
 
 # the entries are split on commas only: "4 8" is not the bandwidth 48
@@ -714,6 +715,23 @@ def test_convergence_csv_bytes(tmp_path, monkeypatch, n_values):
         assert written.endswith(b"\nrate,nan,nan\n")
 
 
+def test_converge_plateau_at_rounding_fits_no_rate(tmp_path, monkeypatch):
+    # Gaussian data reach rounding by N = 32 on the members' grid: one
+    # error is above the rounding floor, so the study fits no rate
+    reports = record_returns(monkeypatch, "self_convergence")
+    text = "converge.n_values = 16, 32, 64\nintegrator.t_end = 0.1\n"
+    code, manifest = run_command(tmp_path, "converge", text=text)
+    assert code == manifest["exit_code"] == EXIT_OK
+    assert manifest["status"] == "no-rate"
+    assert (manifest["results"]["fitted_rate"], manifest["results"]["fit_r2"]) == (None, None)
+    (report,) = reports
+    config = parse_config(text, None, "converge")
+    ref_norm = l2_norm(build_field(config.initial, config.model, config.n_ref))
+    assert report.errors[0] > benj.harness._ROUNDING * ref_norm > max(report.errors[1:])
+    written = (tmp_path / "out" / "convergence.csv").read_text()
+    assert written.endswith("\nrate,nan,nan\n")
+
+
 def test_converge_requires_n_values(tmp_path):
     out = tmp_path / "conv"
     cfg = write_config(tmp_path)
@@ -1099,15 +1117,14 @@ GRID_TEXT = ("n_modes = 16\nintegrator.dt = 0.01\nintegrator.t_end = 0.05\n"
     ("solve", ["initial.amplitude=1e8", "initial.width=0.3"], "divergence",
      {"failed_at": 0.01}),
     ("converge", [], "divergence", {"failures": {"8": "diverged: norm grew beyond 1e6x "
-                                                      "initial at t=0.01"},
-                                    "reference_dt": 0.0025, "reference_n_steps": 20}),
+                                                      "initial at t=0.01"}}),
     ("solve", ["model.m=200"], "validation-error", {}),
 ], ids=["diverged-run", "diverged-member", "refused-operator"])
 def test_every_outcome_records_the_planned_grid(tmp_path, monkeypatch, command, overrides,
                                                 status, outcome):
     # five steps of 0.01: a diverged run's failure time reads as its step,
     # and a failed study or a refused operator still names its grid (a
-    # study also its reference's, twenty steps of 0.0025)
+    # study's reference steps it too, so no other grid is recorded)
     real = benj.harness.evolve_rows
 
     def evolve_rows_with_a_bad_row(rows, params, config, nonlinear, observer=None):
@@ -1131,9 +1148,9 @@ def test_every_outcome_records_the_planned_grid(tmp_path, monkeypatch, command, 
     (["initial.kind=file", "initial.path=missing.txt"], "validation-error"),
 ], ids=["ok", "diverged-reference", "refused-datum"])
 def test_converge_manifest_records_the_planned_reference(tmp_path, monkeypatch, extra, status):
-    # CI's tiny study: members take 4 steps of 0.005 and the reference 16
-    # of 0.00125.  The manifest records the grid the parser planned for the
-    # reference, which is the grid the reference steps, whatever the outcome
+    # CI's tiny study: members and reference take 4 steps of 0.005.  The
+    # manifest records the one grid the parser planned, which is the grid
+    # the reference steps, whatever the outcome, and no grid of its own
     text = "n_modes = 16\nintegrator.t_end = 0.02\nconverge.n_values = 8, 16\n"
     stepped, real = [], benj.harness.evolve
 
@@ -1147,10 +1164,10 @@ def test_converge_manifest_records_the_planned_reference(tmp_path, monkeypatch, 
     assert manifest["status"] == status
     results = manifest["results"]
     assert (results["dt"], results["n_steps"]) == (0.005, 4)
-    assert (results["reference_dt"], results["reference_n_steps"]) == (0.00125, 16)
-    planned = parse_config(text, extra, "converge").reference
-    assert (planned.dt, planned.n_steps) == (0.00125, 16)
-    assert stepped == ([] if status == "validation-error" else [(0.00125, 16)])
+    assert not {"reference_dt", "reference_n_steps"} & set(results)
+    planned = parse_config(text, extra, "converge").integrator
+    assert (planned.dt, planned.n_steps) == (0.005, 4)
+    assert stepped == ([] if status == "validation-error" else [(0.005, 4)])
 
 
 def test_invariants_refuses_snapshots_of_another_domain_scale(tmp_path, capsys):

@@ -325,8 +325,8 @@ def test_config_step_snaps_to_the_grid():
 @settings(max_examples=300, deadline=None)
 @given(t_end=st.floats(1e-6, 1e3), steps=st.floats(1.0, MAX_STEPS))
 def test_config_snap_is_idempotent(t_end, steps):
-    # the studies re-snap a snapped step (a quarter of it for the reference
-    # run): the grid must come back bit for bit
+    # the studies re-snap a snapped step (a quarter of it for the linearized
+    # study's runs): the grid must come back bit for bit
     config = IntegratorConfig(dt=t_end / steps, t_end=t_end)
     assert config.dt <= t_end / steps * (1 + 1e-9)
     assert replace(config) == config
